@@ -3,57 +3,107 @@
 The DDPG agent (§3.2) needs an actor and a critic — small MLPs.  No deep
 learning framework is available offline, so this module implements exactly
 what DDPG requires: dense layers, ReLU/tanh/sigmoid activations, forward
-passes with cached intermediates, reverse-mode gradients (including the
+passes that keep their activations, reverse-mode gradients (including the
 gradient with respect to the *input*, which the actor update needs through
 the critic), an Adam optimizer, and Polyak (soft) target-network updates.
+
+Every parameter of a network lives in one flat buffer (``MLP.params``),
+with a twin flat gradient buffer (``MLP.grads``); the per-layer weights
+and biases are views into them.  The optimiser and the target updates are
+therefore a handful of in-place elementwise ops over one array each,
+whatever the depth of the network.
 
 Gradients are verified against finite differences in the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 Activation = str  # "relu" | "tanh" | "sigmoid" | "linear"
 
 
-def _act(name: Activation, z: np.ndarray) -> np.ndarray:
+def _act_inplace(name: Activation, z: np.ndarray) -> None:
+    """Overwrite pre-activation ``z`` with its activation."""
     if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    if name == "linear":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
+        np.maximum(z, 0.0, out=z)
+    elif name == "tanh":
+        np.tanh(z, out=z)
+    elif name == "sigmoid":
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+    elif name != "linear":
+        raise ValueError(f"unknown activation {name!r}")
 
 
-def _act_grad(name: Activation, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """d activation / d z given pre-activation ``z`` and output ``a``."""
+def _act_grad(name: Activation, a: np.ndarray) -> np.ndarray | None:
+    """d activation / d z from the activation ``a``; ``None`` for identity.
+
+    ReLU's mask reads the output: ``max(z, 0) > 0`` exactly when ``z > 0``.
+    """
     if name == "relu":
-        return (z > 0.0).astype(z.dtype)
+        return a > 0.0
     if name == "tanh":
         return 1.0 - a * a
     if name == "sigmoid":
         return a * (1.0 - a)
-    if name == "linear":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {name!r}")
+    return None
 
 
-@dataclass
+def _views(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive reshaped views of ``flat``, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
 class MLP:
-    """A fully-connected network ``in -> hidden... -> out``."""
+    """A fully-connected network ``in -> hidden... -> out``.
 
-    sizes: tuple[int, ...]
-    hidden_activation: Activation = "relu"
-    output_activation: Activation = "linear"
-    weights: list[np.ndarray] = field(default_factory=list)
-    biases: list[np.ndarray] = field(default_factory=list)
+    ``params`` is laid out as every weight matrix (row-major) followed by
+    every bias vector, in layer order — the order of :meth:`parameters`.
+    ``grads`` has the same layout and is filled by :meth:`backward`.
+    """
+
+    def __init__(
+        self,
+        sizes: Sequence[int],
+        hidden_activation: Activation = "relu",
+        output_activation: Activation = "linear",
+        params: np.ndarray | None = None,
+    ) -> None:
+        if len(sizes) < 2:
+            raise ValueError("need at least input and output sizes")
+        self.sizes = tuple(sizes)
+        self.hidden_activation = hidden_activation
+        self.output_activation = output_activation
+        pairs = list(zip(self.sizes[:-1], self.sizes[1:]))
+        n_weights = sum(fan_in * fan_out for fan_in, fan_out in pairs)
+        n = n_weights + sum(fan_out for _, fan_out in pairs)
+        if params is None:
+            params = np.zeros(n)
+        elif params.shape != (n,):
+            raise ValueError(f"expected {n} parameters, got shape {params.shape}")
+        self.params = params
+        self.grads = np.zeros(n)
+        self._scratch = np.empty(n)
+        bias_shapes = [(fan_out,) for _, fan_out in pairs]
+        self.weights = _views(params[:n_weights], pairs)
+        self.biases = _views(params[n_weights:], bias_shapes)
+        self._grad_w = _views(self.grads[:n_weights], pairs)
+        self._grad_b = _views(self.grads[n_weights:], bias_shapes)
+        self._activation_names = (hidden_activation,) * (len(pairs) - 1) + (
+            output_activation,
+        )
+        self._activations: list[np.ndarray] | None = None
 
     @staticmethod
     def create(
@@ -63,22 +113,12 @@ class MLP:
         output_activation: Activation = "linear",
         rng: np.random.Generator | None = None,
     ) -> "MLP":
-        """He/Xavier-initialised network."""
-        if len(sizes) < 2:
-            raise ValueError("need at least input and output sizes")
+        """He-initialised network (weights drawn layer by layer, zero biases)."""
+        net = MLP(sizes, hidden_activation, output_activation)
         rng = rng if rng is not None else np.random.default_rng(0)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return MLP(
-            tuple(sizes),
-            hidden_activation,
-            output_activation,
-            weights,
-            biases,
-        )
+        for w in net.weights:
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
+        return net
 
     # ------------------------------------------------------------------
     @property
@@ -86,55 +126,54 @@ class MLP:
         return len(self.weights)
 
     def parameters(self) -> list[np.ndarray]:
+        """Per-layer views into ``params``: weights, then biases."""
         return self.weights + self.biases
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Plain forward pass (no cache)."""
-        return self._forward_cached(np.atleast_2d(x))[0]
+        """Forward pass; keeps the activations for the next :meth:`backward`.
 
-    def _forward_cached(
-        self, x: np.ndarray
-    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-        """Forward pass caching (input, pre-activation, activation) per layer."""
-        cache = []
-        a = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w + b
-            name = (
-                self.output_activation
-                if i == self.num_layers - 1
-                else self.hidden_activation
-            )
-            out = _act(name, z)
-            cache.append((a, z, out))
-            a = out
-        return a, cache
-
-    def backward(
-        self, x: np.ndarray, upstream: np.ndarray
-    ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-        """Reverse-mode pass.
-
-        ``upstream`` is dLoss/dOutput of shape (batch, out).  Returns
-        (weight grads, bias grads, dLoss/dInput).
+        The input and the returned output are kept by reference, so the
+        caller must not overwrite either before that backward pass.
         """
-        x = np.atleast_2d(x)
-        _, cache = self._forward_cached(x)
-        grad_w: list[np.ndarray] = [np.empty(0)] * self.num_layers
-        grad_b: list[np.ndarray] = [np.empty(0)] * self.num_layers
+        a = np.atleast_2d(x)
+        activations = [a]
+        for w, b, name in zip(self.weights, self.biases, self._activation_names):
+            a = a @ w
+            a += b
+            _act_inplace(name, a)
+            activations.append(a)
+        self._activations = activations
+        return a
+
+    def backward(self, upstream: np.ndarray) -> np.ndarray:
+        """Reverse-mode pass through the last :meth:`forward`.
+
+        ``upstream`` is dLoss/dOutput of shape (batch, out).  Fills
+        ``grads`` with dLoss/dParams and returns dLoss/dInput.
+        """
+        activations = self._activations
+        if activations is None:
+            raise RuntimeError("backward needs a forward pass first")
         delta = np.atleast_2d(upstream)
-        for i in reversed(range(self.num_layers)):
-            a_in, z, a_out = cache[i]
-            name = (
-                self.output_activation
-                if i == self.num_layers - 1
-                else self.hidden_activation
+        if delta.shape != activations[-1].shape:
+            raise ValueError(
+                f"upstream shape {delta.shape} does not match the last "
+                f"forward output {activations[-1].shape}"
             )
-            delta = delta * _act_grad(name, z, a_out)
-            grad_w[i] = a_in.T @ delta
-            grad_b[i] = delta.sum(axis=0)
+        last = len(self.weights) - 1
+        for i in range(last, -1, -1):
+            grad = _act_grad(self._activation_names[i], activations[i + 1])
+            if grad is not None:
+                # The output layer's delta is the caller's array; every
+                # deeper delta is a fresh matmul result, safe to scale in place.
+                if i == last:
+                    delta = delta * grad
+                else:
+                    delta *= grad
+            np.matmul(activations[i].T, delta, out=self._grad_w[i])
+            np.add.reduce(delta, axis=0, out=self._grad_b[i])
             delta = delta @ self.weights[i].T
-        return grad_w, grad_b, delta
+        return delta
 
     # ------------------------------------------------------------------
     def clone(self) -> "MLP":
@@ -142,48 +181,65 @@ class MLP:
             self.sizes,
             self.hidden_activation,
             self.output_activation,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
+            self.params.copy(),
         )
 
     def soft_update_from(self, source: "MLP", tau: float) -> None:
-        """Polyak averaging: ``theta <- tau * source + (1 - tau) * theta``."""
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError("tau must be in [0, 1]")
-        for mine, theirs in zip(self.parameters(), source.parameters()):
-            mine *= 1.0 - tau
-            mine += tau * theirs
+        """Polyak averaging: ``theta <- tau * source + (1 - tau) * theta``.
+
+        ``tau`` is not checked here; the agent config validates it once.
+        """
+        self.params *= 1.0 - tau
+        np.multiply(source.params, tau, out=self._scratch)
+        self.params += self._scratch
 
     def copy_from(self, source: "MLP") -> None:
-        self.soft_update_from(source, 1.0)
+        """Exact copy of ``source``'s parameters (non-finite values too)."""
+        np.copyto(self.params, source.params)
 
 
 @dataclass
 class Adam:
-    """Adam optimizer over a list of parameter arrays (updated in place)."""
+    """Adam optimizer over one flat parameter buffer (updated in place)."""
 
-    params: list[np.ndarray]
+    params: np.ndarray
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    _m: list[np.ndarray] = field(default_factory=list)
-    _v: list[np.ndarray] = field(default_factory=list)
     _t: int = 0
 
     def __post_init__(self) -> None:
-        self._m = [np.zeros_like(p) for p in self.params]
-        self._v = [np.zeros_like(p) for p in self.params]
+        self._m = np.zeros_like(self.params)
+        self._v = np.zeros_like(self.params)
+        # scratch for the step and its denominator
+        self._step = np.empty_like(self.params)
+        self._denom = np.empty_like(self.params)
 
-    def step(self, grads: Sequence[np.ndarray]) -> None:
-        if len(grads) != len(self.params):
-            raise ValueError("gradient list length mismatch")
+    def step(self, grad: np.ndarray) -> None:
+        if grad.shape != self.params.shape:
+            raise ValueError(
+                f"gradient shape {grad.shape} does not match "
+                f"parameters {self.params.shape}"
+            )
         self._t += 1
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
-        for p, g, m, v in zip(self.params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v, step, denom = self._m, self._v, self._step, self._denom
+        # m <- beta1 * m + (1 - beta1) * g
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=step)
+        m += step
+        # v <- beta2 * v + (1 - beta2) * g^2
+        v *= self.beta2
+        np.multiply(grad, grad, out=step)
+        step *= 1.0 - self.beta2
+        v += step
+        # p <- p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=step)
+        step *= self.lr
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        self.params -= step

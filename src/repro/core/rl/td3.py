@@ -38,6 +38,11 @@ class TD3Config(DDPGConfig):
     target_noise_sigma: float = 0.1
     target_noise_clip: float = 0.3
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.policy_delay < 1:
+            raise ValueError(f"policy_delay must be >= 1, got {self.policy_delay}")
+
 
 class TD3Agent(DDPGAgent):
     """DDPG agent with twin critics and delayed policy updates."""
@@ -50,12 +55,14 @@ class TD3Agent(DDPGAgent):
         sizes_c = (config.state_dim + 1, *config.hidden, 1)
         self.critic2 = MLP.create(sizes_c, rng=rng)
         self.critic2_target = self.critic2.clone()
-        self.critic2_opt = Adam(self.critic2.parameters(), lr=config.critic_lr)
-        self._update_count = 0
+        self.critic2_opt = Adam(self.critic2.params, lr=config.critic_lr)
+        self._critics.append((self.critic2, self.critic2_target, self.critic2_opt))
+        self._policy_delay = config.policy_delay
         self._smooth_rng = np.random.default_rng(config.seed + 104729)
 
     # ------------------------------------------------------------------
-    def _target_q(self, next_states: np.ndarray) -> np.ndarray:
+    def _target_actions(self, next_states: np.ndarray) -> np.ndarray:
+        """Target policy smoothing: clipped noise on mu'(s')."""
         cfg: TD3Config = self.config  # type: ignore[assignment]
         next_actions = self.actor_target.forward(next_states)
         if cfg.target_noise_sigma > 0:
@@ -67,65 +74,4 @@ class TD3Agent(DDPGAgent):
                 cfg.target_noise_clip,
             )
             next_actions = np.clip(next_actions + noise, 0.0, 1.0)
-        sa = np.concatenate([next_states, next_actions], axis=1)
-        q1 = self.critic_target.forward(sa)
-        q2 = self.critic2_target.forward(sa)
-        return np.minimum(q1, q2)
-
-    def _update_once(self) -> float:
-        cfg: TD3Config = self.config  # type: ignore[assignment]
-        scale = self.reward_scale or 1.0
-        states, next_states, actions, rewards, dones = self.pool.sample(
-            cfg.batch_size
-        )
-        rewards = rewards * scale
-        if cfg.use_baseline and self.reward_baseline is not None:
-            rewards = rewards - self.reward_baseline
-
-        if cfg.bootstrap:
-            target = rewards + cfg.gamma * (1.0 - dones) * self._target_q(
-                next_states
-            )
-        else:
-            target = rewards
-
-        sa = np.concatenate([states, actions], axis=1)
-        losses = []
-        for critic, opt in (
-            (self.critic, self.critic_opt),
-            (self.critic2, self.critic2_opt),
-        ):
-            q = critic.forward(sa)
-            td = q - target
-            losses.append(float(np.mean(td**2)))
-            gw, gb, _ = critic.backward(sa, 2.0 * td / td.shape[0])
-            opt.step(gw + gb)
-
-        self._update_count += 1
-        if self._update_count % cfg.policy_delay == 0:
-            # Actor ascends min(Q1, Q2)(s, mu(s)) with inverting gradients.
-            mu_raw = self.actor.forward(states)
-            mu = np.clip(mu_raw, 0.0, 1.0)
-            sa_mu = np.concatenate([states, mu], axis=1)
-            q1 = self.critic.forward(sa_mu)
-            q2 = self.critic2.forward(sa_mu)
-            # min(Q1, Q2) is already in hand — record the actor objective
-            # for the rl.actor_loss stream at no extra compute.
-            self._last_actor_objective = -float(np.mean(np.minimum(q1, q2)))
-            use_first = q1 <= q2
-            ones = np.ones((states.shape[0], 1)) / states.shape[0]
-            _, _, d1 = self.critic.backward(sa_mu, ones)
-            _, _, d2 = self.critic2.backward(sa_mu, ones)
-            dq_da = np.where(use_first, d1[:, -1:], d2[:, -1:])
-            headroom = np.where(dq_da > 0, 1.0 - mu_raw, mu_raw)
-            dq_da = dq_da * np.clip(headroom, -1.0, 1.0)
-            gw, gb, _ = self.actor.backward(states, -dq_da)
-            self.actor_opt.step(gw + gb)
-
-            self.actor_target.soft_update_from(self.actor, cfg.tau)
-            self.critic_target.soft_update_from(self.critic, cfg.tau)
-            self.critic2_target.soft_update_from(self.critic2, cfg.tau)
-
-        loss = float(np.mean(losses))
-        self.critic_losses.append(loss)
-        return loss
+        return next_actions

@@ -37,6 +37,35 @@ def synthetic_episode(agent, rng, optimal_fn, explore=True):
     return transitions, reward
 
 
+class TestConfigValidation:
+    """Bad hyper-parameters fail at construction, not mid-search."""
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_rejects_nonpositive_batch_size(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            DDPGConfig(batch_size=batch_size)
+
+    def test_rejects_negative_updates_per_episode(self):
+        with pytest.raises(ValueError, match="updates_per_episode"):
+            DDPGConfig(updates_per_episode=-1)
+
+    @pytest.mark.parametrize("tau", [-0.01, 1.5, float("nan")])
+    def test_rejects_tau_outside_unit_interval(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            DDPGConfig(tau=tau)
+
+    def test_accepts_boundary_values(self):
+        DDPGConfig(batch_size=1, updates_per_episode=0, tau=0.0)
+        DDPGConfig(tau=1.0)
+
+    def test_zero_updates_per_episode_never_learns(self):
+        agent = make_agent(warmup_episodes=0, updates_per_episode=0)
+        agent.observe_episode(
+            [Transition(np.zeros(4), np.zeros(4), 0.5, 1.0, True)]
+        )
+        assert agent.learn() is None
+
+
 class TestActionInterface:
     def test_actions_bounded(self):
         agent = make_agent()

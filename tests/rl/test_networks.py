@@ -27,7 +27,14 @@ def finite_diff_grads(net, x, upstream, eps=1e-6):
             g[idx] = (hi - lo) / (2 * eps)
             it.iternext()
         grads.append(g)
-    return grads
+    return np.concatenate([g.ravel() for g in grads])
+
+
+def analytic_grads(net, x, upstream):
+    """``net.grads`` after one forward/backward pair on ``x``."""
+    net.forward(x)
+    net.backward(upstream)
+    return net.grads.copy()
 
 
 class TestForward:
@@ -75,19 +82,19 @@ class TestBackward:
         )
         x = rng.normal(size=(4, 3))
         upstream = rng.normal(size=(4, 2))
-        grad_w, grad_b, _ = net.backward(x, upstream)
-        num = finite_diff_grads(net, x, upstream)
-        for analytic, numeric in zip(grad_w + grad_b, num):
-            assert np.allclose(analytic, numeric, atol=1e-4), (
-                f"{hidden_act}/{out_act} gradient mismatch"
-            )
+        analytic = analytic_grads(net, x, upstream)
+        numeric = finite_diff_grads(net, x, upstream)
+        assert np.allclose(analytic, numeric, atol=1e-4), (
+            f"{hidden_act}/{out_act} gradient mismatch"
+        )
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         net = MLP.create([3, 5, 1], hidden_activation="tanh", rng=rng)
         x = rng.normal(size=(2, 3))
         upstream = np.ones((2, 1))
-        _, _, dx = net.backward(x, upstream)
+        net.forward(x)
+        dx = net.backward(upstream)
         eps = 1e-6
         for i in range(2):
             for j in range(3):
@@ -103,10 +110,70 @@ class TestBackward:
         net = MLP.create([2, 4, 1], hidden_activation="tanh", rng=rng)
         x = rng.normal(size=(3, 2))
         upstream = rng.normal(size=(3, 1))
-        grad_w, grad_b, _ = net.backward(x, upstream)
-        num = finite_diff_grads(net, x, upstream)
-        for analytic, numeric in zip(grad_w + grad_b, num):
-            assert np.allclose(analytic, numeric, atol=1e-4)
+        analytic = analytic_grads(net, x, upstream)
+        numeric = finite_diff_grads(net, x, upstream)
+        assert np.allclose(analytic, numeric, atol=1e-4)
+
+    def test_backward_uses_the_last_forward(self):
+        rng = np.random.default_rng(4)
+        net = MLP.create([3, 5, 2], rng=rng)
+        x1, x2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        upstream = rng.normal(size=(4, 2))
+        expected = analytic_grads(net, x2, upstream)
+        net.forward(x1)
+        net.forward(x2)
+        net.backward(upstream)
+        assert np.array_equal(net.grads, expected)
+
+    def test_backward_before_forward_raises(self):
+        with pytest.raises(RuntimeError):
+            MLP.create([2, 3, 1]).backward(np.ones((1, 1)))
+
+    def test_backward_rejects_mismatched_upstream(self):
+        net = MLP.create([2, 3, 1])
+        net.forward(np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            net.backward(np.ones((3, 1)))
+
+    def test_backward_leaves_upstream_untouched(self):
+        rng = np.random.default_rng(5)
+        net = MLP.create([3, 4, 2], output_activation="tanh", rng=rng)
+        upstream = rng.normal(size=(6, 2))
+        before = upstream.copy()
+        net.forward(rng.normal(size=(6, 3)))
+        net.backward(upstream)
+        assert np.array_equal(upstream, before)
+
+
+class TestFlatBuffers:
+    def test_parameters_are_views_of_the_flat_buffer(self):
+        net = MLP.create([3, 5, 2], rng=np.random.default_rng(0))
+        flat = np.concatenate([p.ravel() for p in net.parameters()])
+        assert np.array_equal(net.params, flat)
+        net.weights[1][0, 0] = 42.0
+        assert 42.0 in net.params
+        assert all(np.shares_memory(p, net.params) for p in net.parameters())
+
+    def test_rejects_wrong_sized_buffer(self):
+        with pytest.raises(ValueError):
+            MLP([3, 2], params=np.zeros(5))
+
+    def test_forward_matches_per_layer_formula(self):
+        rng = np.random.default_rng(1)
+        net = MLP.create([3, 5, 4, 1], hidden_activation="tanh", rng=rng)
+        x = rng.normal(size=(7, 3))
+        a = x
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            z = a @ w + b
+            a = z if i == net.num_layers - 1 else np.tanh(z)
+        assert np.array_equal(net.forward(x), a)
+
+
+def reference_soft_update(mine, theirs, tau):
+    """Per-array Polyak update: the formula the flat buffer must reproduce."""
+    for m, t in zip(mine, theirs):
+        m *= 1.0 - tau
+        m += tau * t
 
 
 class TestTargets:
@@ -115,6 +182,15 @@ class TestTargets:
         clone = net.clone()
         clone.weights[0][0, 0] += 1.0
         assert net.weights[0][0, 0] != clone.weights[0][0, 0]
+
+    def test_soft_update_matches_per_array_formula_bit_for_bit(self):
+        a = MLP.create([4, 8, 8, 1], rng=np.random.default_rng(0))
+        b = MLP.create([4, 8, 8, 1], rng=np.random.default_rng(1))
+        expected = [p.copy() for p in b.parameters()]
+        for tau in (0.01, 0.3, 0.01):
+            reference_soft_update(expected, a.parameters(), tau)
+            b.soft_update_from(a, tau)
+        assert all(np.array_equal(x, y) for x, y in zip(b.parameters(), expected))
 
     def test_soft_update_interpolates(self):
         a = MLP.create([2, 2], rng=np.random.default_rng(0))
@@ -129,24 +205,56 @@ class TestTargets:
         b.copy_from(a)
         assert np.array_equal(a.weights[0], b.weights[0])
 
-    def test_soft_update_rejects_bad_tau(self):
-        a = MLP.create([2, 2])
-        with pytest.raises(ValueError):
-            a.soft_update_from(a.clone(), 1.5)
+    def test_copy_from_overwrites_non_finite_target(self):
+        """A target holding inf/nan becomes an exact copy, not nan."""
+        a = MLP.create([2, 3, 1], rng=np.random.default_rng(0))
+        b = MLP.create([2, 3, 1], rng=np.random.default_rng(1))
+        b.params[:] = np.inf
+        b.params[::3] = np.nan
+        b.copy_from(a)
+        assert np.array_equal(b.params, a.params)
+
+    def test_copy_from_copies_non_finite_source(self):
+        a = MLP.create([2, 3, 1], rng=np.random.default_rng(0))
+        a.params[0], a.params[1] = np.inf, np.nan
+        b = MLP.create([2, 3, 1], rng=np.random.default_rng(1))
+        b.copy_from(a)
+        assert np.array_equal(b.params, a.params, equal_nan=True)
+        assert not np.shares_memory(a.params, b.params)
 
 
 class TestAdam:
     def test_descends_quadratic(self):
-        p = [np.array([5.0])]
+        p = np.array([5.0])
         opt = Adam(p, lr=0.1)
         for _ in range(300):
-            opt.step([2 * p[0]])  # d/dx x^2
-        assert abs(p[0][0]) < 0.05
+            opt.step(2 * p)  # d/dx x^2
+        assert abs(p[0]) < 0.05
+
+    def test_matches_per_array_formula_bit_for_bit(self):
+        """The flat in-place step reproduces the textbook per-array step."""
+        rng = np.random.default_rng(2)
+        net = MLP.create([4, 8, 8, 1], rng=rng)
+        params = [p.copy() for p in net.parameters()]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        opt = Adam(net.params, lr=3e-3)
+        for t in range(1, 30):
+            grads = [rng.normal(size=p.shape) for p in params]
+            bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for p, g, m_k, v_k in zip(params, grads, m, v):
+                m_k *= 0.9
+                m_k += (1.0 - 0.9) * g
+                v_k *= 0.999
+                v_k += (1.0 - 0.999) * (g * g)
+                p -= 3e-3 * (m_k / bc1) / (np.sqrt(v_k / bc2) + 1e-8)
+            opt.step(np.concatenate([g.ravel() for g in grads]))
+        assert all(np.array_equal(x, y) for x, y in zip(net.parameters(), params))
 
     def test_trains_mlp_on_regression(self):
         rng = np.random.default_rng(0)
         net = MLP.create([1, 16, 1], hidden_activation="tanh", rng=rng)
-        opt = Adam(net.parameters(), lr=1e-2)
+        opt = Adam(net.params, lr=1e-2)
         x = rng.uniform(-1, 1, size=(64, 1))
         y = x**2
         first_loss = None
@@ -156,11 +264,11 @@ class TestAdam:
             loss = float(np.mean(err**2))
             if first_loss is None:
                 first_loss = loss
-            gw, gb, _ = net.backward(x, 2 * err / err.shape[0])
-            opt.step(gw + gb)
+            net.backward(2 * err / err.shape[0])
+            opt.step(net.grads)
         assert loss < first_loss * 0.1
 
     def test_rejects_mismatched_grads(self):
-        opt = Adam([np.zeros(2)])
+        opt = Adam(np.zeros(2))
         with pytest.raises(ValueError):
-            opt.step([np.zeros(2), np.zeros(2)])
+            opt.step(np.zeros(3))

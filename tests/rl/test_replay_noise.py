@@ -29,8 +29,13 @@ class TestExperiencePool:
         pool.extend(make_transition(i) for i in range(5))
         assert len(pool) == 3
         assert pool.full
-        states = {int(t.state[0]) for t in pool._buffer}
-        assert states == {2, 3, 4}
+        # 300 uniform draws over 3 slots see every slot (seeded, so
+        # deterministic), and only the three newest transitions remain.
+        s, ns, a, _, _ = pool.sample(300)
+        assert {int(x) for x in s[:, 0]} == {2, 3, 4}
+        # Every field of a sampled row comes from the same transition.
+        assert np.array_equal(ns, s + 1.0)
+        assert np.array_equal(a[:, 0], s[:, 0] / 10.0)
 
     def test_sample_shapes(self):
         pool = ExperiencePool(10)
@@ -41,6 +46,61 @@ class TestExperiencePool:
         assert a.shape == (8, 1)
         assert r.shape == (8, 1)
         assert d.shape == (8, 1)
+
+    def test_sample_matches_stacked_transitions(self):
+        """Same seed -> the values the stack-of-Transitions pool returned.
+
+        The reference keeps the transitions in a list with the same
+        overwrite-at-cursor rule, draws the same ``rng.integers`` indices
+        and stacks them, as the list-backed pool did.
+        """
+        capacity, seed = 7, 4
+        rng = np.random.default_rng(0)
+        transitions = [
+            Transition(
+                state=rng.normal(size=5),
+                next_state=rng.normal(size=5),
+                action=float(rng.uniform()),
+                reward=float(rng.normal()),
+                done=bool(i % 3 == 0),
+            )
+            for i in range(12)
+        ]
+        pool = ExperiencePool(capacity, seed=seed)
+        ref_rng = np.random.default_rng(seed)
+        buffer: list[Transition] = []
+        cursor = 0
+        for step, t in enumerate(transitions):
+            pool.add(t)
+            if len(buffer) < capacity:
+                buffer.append(t)
+            else:
+                buffer[cursor] = t
+            cursor = (cursor + 1) % capacity
+            if step % 4 != 3:
+                continue
+            idx = ref_rng.integers(0, len(buffer), size=9)
+            batch = [buffer[i] for i in idx]
+            expected = (
+                np.stack([t.state for t in batch]),
+                np.stack([t.next_state for t in batch]),
+                np.array([[t.action] for t in batch]),
+                np.array([[t.reward] for t in batch]),
+                np.array([[float(t.done)] for t in batch]),
+            )
+            got = pool.sample(9)
+            shapes = [(9, 5), (9, 5), (9, 1), (9, 1), (9, 1)]
+            for g, e, shape in zip(got, expected, shapes):
+                assert g.dtype == np.float64
+                assert g.shape == shape
+                assert np.array_equal(g, e)
+
+    def test_sample_returns_fresh_arrays(self):
+        pool = ExperiencePool(4)
+        pool.add(make_transition(1))
+        s, *_ = pool.sample(2)
+        s[:] = -1.0
+        assert np.all(pool.sample(2)[0] == 1.0)
 
     def test_sample_from_empty_raises(self):
         with pytest.raises(ValueError):

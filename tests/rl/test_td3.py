@@ -46,6 +46,15 @@ class TestConstruction:
     def test_is_a_ddpg_agent(self):
         assert isinstance(make_agent(), DDPGAgent)
 
+    @pytest.mark.parametrize("policy_delay", [0, -1])
+    def test_rejects_nonpositive_policy_delay(self, policy_delay):
+        with pytest.raises(ValueError, match="policy_delay"):
+            TD3Config(policy_delay=policy_delay)
+
+    def test_inherits_ddpg_validation(self):
+        with pytest.raises(ValueError, match="tau"):
+            TD3Config(tau=2.0)
+
     def test_config_inherits_ddpg_fields(self):
         cfg = TD3Config(policy_delay=3, gamma=0.9)
         assert cfg.policy_delay == 3
