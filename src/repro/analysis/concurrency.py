@@ -1,12 +1,13 @@
 """Static race detection for the shared-cache / worker fan-out paths.
 
-``Simulator.evaluate_many`` fans a batch out over thread or process
-pools, ``autohet_multi_seed`` shares one simulator (and therefore one
-``EvaluationCache``) across seed workers, and the ``repro.obs`` tracers
-hold thread-locals and open files that must never cross a process
-boundary.  All of that is only *informally* thread-safe — docstrings
-promise locks.  This module proves the discipline statically, the same
-way :mod:`repro.analysis.dataflow` proves cache-key soundness:
+A caller may share one ``Simulator`` (and therefore one
+``EvaluationCache``) across threads — ``Simulator.evaluate_many`` and
+``autohet_multi_seed`` are the batch front-ends that drive it — and the
+``repro.obs`` tracers hold thread-locals and open files that must never
+cross a process boundary.  All of that is only *informally*
+thread-safe — docstrings promise locks.  This module proves the
+discipline statically, the same way :mod:`repro.analysis.dataflow`
+proves cache-key soundness:
 
 1. **Fan-out discovery** — every function whose body mentions
    ``ThreadPoolExecutor`` / ``ProcessPoolExecutor`` / ``threading.Thread``
@@ -1080,8 +1081,9 @@ def analyze_concurrency_tree(
 def concurrency_contract() -> ConcurrencyContract:
     """The repro tree's own fan-out contract.
 
-    The declared roots are the two shipping fan-out fronts; anything
-    else that mentions an executor is discovered by the marker scan.
+    The declared roots are the two batch front-ends over a shared
+    simulator; anything that mentions an executor is discovered by the
+    marker scan.
     ``NullTracer`` is allowlisted for pickling: it deliberately skips
     ``Tracer.__init__`` and holds no state."""
     return ConcurrencyContract(

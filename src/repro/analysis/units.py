@@ -431,7 +431,8 @@ class _Checker:
 
     def _assign(self, node: ast.Assign, env: dict[str, tuple]) -> None:
         # Elementwise tuple-assign keeps alias bindings precise:
-        # ``energy_fn, latency_fn = cached_..., cached_..._ns``.
+        # ``e_nj, t_ns = energy_nj, latency_ns`` binds each name to the
+        # unit of its own value.
         if (
             len(node.targets) == 1
             and isinstance(node.targets[0], ast.Tuple)

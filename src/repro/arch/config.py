@@ -59,7 +59,7 @@ class CrossbarShape:
         # precompute both.  ``hash((rows, cols))`` is exactly the value
         # the generated dataclass __hash__ would produce, and integer
         # tuple hashes are stable across processes, so the stash is safe
-        # to pickle to pool workers.
+        # to pickle across processes.
         object.__setattr__(self, "_hash", hash((self.rows, self.cols)))
         object.__setattr__(self, "_str", f"{self.rows}x{self.cols}")
 
@@ -236,7 +236,7 @@ class HardwareConfig:
         # multiple times per Simulator.evaluate.  Stash it once; every
         # field is an int or float, whose hashes Python computes by a
         # deterministic numeric algorithm (no per-process randomisation),
-        # so the stashed value survives pickling to pool workers.
+        # so the stashed value survives pickling across processes.
         object.__setattr__(
             self,
             "_hash",

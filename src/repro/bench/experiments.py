@@ -741,7 +741,7 @@ def vectorized_kernel_profile(
         for _ in range(strategies)
     ]
 
-    reference = Simulator(cache=None, memoize_costs=False, vectorize=False)
+    reference = Simulator(cache=None, memoize_costs=False)
     t0 = time.perf_counter()
     expected = [
         reference.try_evaluate(net, s, detailed=False) for s in batch

@@ -126,10 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
              "evaluation cache, e.g. '0,1,2' (overrides --seed)",
     )
     p_search.add_argument(
-        "--workers", type=int, default=None,
-        help="thread-pool size for the multi-seed fan-out (with --seeds)",
-    )
-    p_search.add_argument(
         "--no-tile-shared", action="store_true",
         help="disable the tile-shared allocation scheme",
     )
@@ -570,7 +566,6 @@ def cmd_search(args: argparse.Namespace) -> int:
                 seeds=seeds,
                 rounds=args.rounds,
                 tile_shared=not args.no_tile_shared,
-                max_workers=args.workers,
                 verbose=args.verbose,
             )
             print(

@@ -269,17 +269,14 @@ def autohet_multi_seed(
     rounds: int = 300,
     tile_shared: bool = True,
     simulator: Simulator | None = None,
-    max_workers: int | None = None,
     verbose: bool = False,
     tracer: Tracer | None = None,
 ) -> tuple[SearchResult, tuple[SearchResult, ...]]:
     """Run :func:`autohet_search` under several RL seeds; keep the best.
 
-    All runs share one simulator — and therefore one evaluation cache, so
-    seeds re-pay each other's homogeneous probes and revisited strategies.
-    With ``max_workers`` > 1 the runs fan out over a thread pool (the
-    cache is thread-safe; the numpy-based agents release no work to the
-    GIL, so speed-ups are modest — the cache sharing is the main win).
+    The runs execute one after another and share one simulator — and
+    therefore one evaluation cache, so later seeds hit on the earlier
+    seeds' homogeneous probes and revisited strategies.
 
     Returns ``(best, per_seed_results)``; ``per_seed_results`` is ordered
     like ``seeds``.
@@ -289,9 +286,8 @@ def autohet_multi_seed(
     sim = simulator if simulator is not None else Simulator()
     # Every seed's environment reset probes the |C| uniform strategies
     # (``detailed=False``, matching the environment's keying); scoring
-    # them once as a kernel batch pre-warms the shared cache so each run
-    # — and each worker thread — starts on hits instead of racing to
-    # evaluate the same probes.
+    # them once as a kernel batch pre-warms the shared cache so every
+    # run starts on hits.
     if sim.cache is not None:
         sim.evaluate_many(
             network,
@@ -303,8 +299,8 @@ def autohet_multi_seed(
             detailed=False,
         )
 
-    def run(seed: int) -> SearchResult:
-        return autohet_search(
+    results = tuple(
+        autohet_search(
             network,
             candidates,
             rounds=rounds,
@@ -314,15 +310,7 @@ def autohet_multi_seed(
             verbose=verbose,
             tracer=tracer,
         )
-
-    if max_workers is not None and max_workers > 1 and len(seeds) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=max_workers
-        ) as pool:
-            results = tuple(pool.map(run, seeds))
-    else:
-        results = tuple(run(seed) for seed in seeds)
+        for seed in seeds
+    )
     best = max(results, key=lambda r: r.best_metrics.reward)
     return best, results

@@ -15,8 +15,8 @@ results can be memoised outright:
   allocation every round.
 * process-stable content fingerprints for :class:`HardwareConfig` and
   :class:`Network` (blake2b over a canonical field tuple), so cache keys
-  survive object identity churn *and* are comparable across interpreter
-  runs and ``evaluate_many(mode="process")`` workers regardless of
+  survive object identity churn *and* stay comparable once serialized —
+  across interpreter runs and processes, regardless of
   ``PYTHONHASHSEED``.
 
 The fingerprint coverage is a checked contract, not a convention:
@@ -89,10 +89,10 @@ FINGERPRINTED_FIELDS: Mapping[str, tuple[str, ...]] = {
 RESULT_INVARIANT_FIELDS: Mapping[str, tuple[str, ...]] = {
     # ``tracer`` only observes the evaluation (spans/events/counters);
     # the trace-invariance battery in ``tests/obs`` is the evidence that
-    # it never changes a metric bit.  ``vectorize`` selects the NumPy
-    # kernel path, which is bit-identical to the scalar reference
+    # it never changes a metric bit.  ``memoize_costs`` selects the NumPy
+    # kernel path over the materialised reference, which is bit-identical
     # (``tests/sim/test_vectorized_parity.py``).
-    "Simulator": ("cache", "memoize_costs", "tracer", "vectorize"),
+    "Simulator": ("cache", "memoize_costs", "tracer"),
     # ``_hash`` / ``_str`` are ``__post_init__`` stashes derived purely
     # from ``rows`` and ``cols``, which *are* fingerprinted — two shapes
     # with equal fingerprints carry equal stashes by construction.
@@ -202,10 +202,10 @@ class _Infeasible:
 class EvaluationCache:
     """Bounded LRU cache over pure simulator evaluations.
 
-    Thread-safe: :meth:`get` / :meth:`put` hold an internal lock, so one
-    cache can back :meth:`Simulator.evaluate_many
-    <repro.sim.simulator.Simulator.evaluate_many>`'s thread pool or a
-    multi-seed search fan-out.  Values are immutable
+    Thread-safe: :meth:`get` / :meth:`put` hold an internal lock, and
+    :meth:`claim` / :meth:`release` make concurrent misses on one key
+    evaluate it once, so callers may share one simulator (and its cache)
+    across threads.  Values are immutable
     (:class:`~repro.sim.metrics.SystemMetrics` is frozen), so cached
     objects are shared, never copied.
 

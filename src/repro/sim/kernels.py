@@ -997,8 +997,8 @@ def score_strategy_batch(
     :class:`SystemMetrics` assembly stay per-strategy.  Returns one entry
     per strategy, in order: a :class:`SystemMetrics`, or an
     :class:`InfeasibleScore` carrying the exact message the scalar path's
-    ``CapacityError`` would (``Simulator.summarize``'s format — the cached
-    sentinels must compare equal across paths).
+    ``CapacityError`` would (``Simulator._capacity_check``'s format — the
+    cached sentinels must compare equal across paths).
     """
     strategies = [tuple(s) for s in strategies]
     net = cached_network_arrays(network)

@@ -8,30 +8,25 @@ plays in the paper (§4.1); see DESIGN.md for the substitution rationale.
 
 Evaluation is pure and deterministic: map every layer (Eq. 4 math),
 allocate tiles (tile-based, optionally tile-shared per §3.4), then roll up
-the analytic energy / latency / area models.
+the analytic energy / latency / area models.  Because it is pure, a
+strategy-level :class:`~repro.sim.cache.EvaluationCache` sits in front of
+it, and a miss runs one of two paths:
 
-Because it is pure, evaluation is also *cacheable* — and the simulator is
-the search-time bottleneck (§4.5 reports ~97% of AutoHet's wall clock
-waiting on feedback).  Three layers attack that, all on by default:
+* the NumPy kernels (``repro.sim.kernels``) over the aggregate allocation
+  summary (``repro.core.allocation.summary``) — the default fast path;
+  :meth:`Simulator.evaluate_many` scores a whole batch through the
+  ``(S, L)`` kernel scorer;
+* the materialised reference, which maps every layer, builds and
+  validates the full tile plan, and calls the scalar cost models.
 
-* a strategy-level :class:`~repro.sim.cache.EvaluationCache` (bounded
-  LRU, hit/miss counters) in front of :meth:`Simulator.evaluate`;
-* memoised per-``(mapping, config)`` layer energy/latency costs and an
-  aggregate allocation summary (``repro.core.allocation.summary``) below
-  it, shared across all strategies that agree on a layer's shape or a
-  tile group's composition;
-* :meth:`Simulator.evaluate_many`, a fan-out front-end with an optional
-  thread or process pool for batch evaluation.
-
-``Simulator(cache=None, memoize_costs=False)`` restores the cold
-reference path; results are bit-for-bit identical either way (tested
-property-style in ``tests/sim/test_cache.py``).  See
-``docs/performance.md``.
+``Simulator(cache=None, memoize_costs=False)`` is the cold reference
+oracle; results are bit-for-bit identical either way
+(``tests/sim/test_vectorized_parity.py``).  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..arch.config import DEFAULT_CONFIG, CrossbarShape, HardwareConfig
@@ -41,35 +36,22 @@ from ..core.allocation import (
     allocate_tile_based,
     apply_tile_sharing,
 )
-from ..core.allocation.summary import (
-    AllocationSummary,
-    summarize_allocation,
-    summarize_counts,
-)
+from ..core.allocation.summary import summarize_counts
 from ..models.graph import Network
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.trace import NULL_TRACER, Tracer
 from . import kernels
-from .area import allocation_area_um2, area_from_tile_runs
+from .area import allocation_area_um2
 from .cache import EvaluationCache, _Infeasible
 from .energy import (
-    cached_layer_adc_conversions,
-    cached_layer_dac_conversions,
-    cached_layer_dynamic_energy,
-    cached_pooling_energy,
     layer_adc_conversions,
     layer_dac_conversions,
     layer_dynamic_energy,
     leakage_energy,
     pooling_energy,
 )
-from .latency import (
-    cached_layer_latency_ns,
-    cached_pooling_latency_ns,
-    layer_latency_ns,
-    pooling_latency_ns,
-)
+from .latency import layer_latency_ns, pooling_latency_ns
 from .metrics import EnergyBreakdown, LayerCost, SystemMetrics
 
 #: A crossbar-configuration strategy: one shape per weight layer.
@@ -91,14 +73,11 @@ class Simulator:
     cache: EvaluationCache | None = field(
         default_factory=EvaluationCache, compare=False
     )
-    #: memoise layer costs and use the aggregate allocation summary
+    #: score misses with the NumPy kernels (``repro.sim.kernels``) over
+    #: the aggregate allocation summary; ``False`` runs the materialised
+    #: reference instead.  Bit-identical results either way
+    #: (``tests/sim/test_vectorized_parity.py``).
     memoize_costs: bool = True
-    #: score evaluations with the NumPy batch kernels
-    #: (``repro.sim.kernels``) instead of the per-layer scalar loop.
-    #: Bit-identical results either way (``tests/sim/test_vectorized_parity.py``);
-    #: only effective alongside ``memoize_costs`` — the materialised
-    #: reference path always runs scalar.
-    vectorize: bool = True
     #: observability tracer; ``None`` (default) resolves the ambient
     #: tracer (``repro.obs.use_tracer``) at each call, which is the
     #: no-op ``NULL_TRACER`` unless tracing was explicitly enabled.
@@ -132,8 +111,8 @@ class Simulator:
         """Tile allocation, optionally followed by Algorithm 1 remapping.
 
         Always materialises (and validates) the full tile plan — use this
-        for deployable plans; :meth:`evaluate` takes the aggregate
-        shortcut when ``memoize_costs`` is set.
+        for deployable plans; :meth:`evaluate` takes the kernel path
+        over the aggregate summary when ``memoize_costs`` is set.
         """
         allocation = allocate_tile_based(
             mappings, self.config.logical_xbars_per_tile
@@ -148,8 +127,8 @@ class Simulator:
 
         One formatting site for the error message — the cached
         ``_Infeasible`` sentinels store it verbatim, so every evaluation
-        path (materialised, summary, vectorized, batch-scored) must
-        produce the identical string.  ``kernels.score_strategy_batch``
+        path (materialised, kernels, batch-scored) must produce the
+        identical string.  ``kernels.score_strategy_batch``
         replicates this format; the parity analyzer (PAR003) checks the
         two f-strings against each other, and
         ``tests/sim/test_infeasible_messages.py`` proves the runtime
@@ -160,28 +139,6 @@ class Simulator:
                 f"strategy needs {occupied_tiles} tiles; one bank "
                 f"holds {self.config.tiles_per_bank}"
             )
-
-    def summarize(
-        self,
-        mappings: Sequence[LayerMapping],
-        *,
-        tile_shared: bool,
-        tracer: Tracer = NULL_TRACER,
-    ) -> AllocationSummary:
-        """Aggregate allocation stats without materialising tiles.
-
-        The memoised integer-math equivalent of :meth:`allocate` —
-        bit-identical aggregates, no :class:`~repro.core.allocation.tiles.Tile`
-        objects (see ``repro.core.allocation.summary``).
-        """
-        summary = summarize_allocation(
-            mappings,
-            self.config.logical_xbars_per_tile,
-            tile_shared=tile_shared,
-            tracer=tracer,
-        )
-        self._capacity_check(summary.occupied_tiles)
-        return summary
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -332,12 +289,12 @@ class Simulator:
         tracer: Tracer = NULL_TRACER,
     ) -> SystemMetrics:
         cfg = self.config
-        if self.memoize_costs and self.vectorize:
-            # Vectorized fast path: one fancy-index gather of the
-            # per-(network, config) shape table (repro.sim.kernels) plus
-            # array folds, never materialising LayerMapping objects.
-            # Bit-identical to the scalar paths below — the parity
-            # battery is the proof.
+        if self.memoize_costs:
+            # Fast path: one fancy-index gather of the per-(network,
+            # config) shape table (repro.sim.kernels) plus array folds,
+            # over the aggregate allocation summary — no LayerMapping or
+            # Tile objects.  Bit-identical to the reference below; the
+            # parity battery is the proof.
             with tracer.span(obs_metrics.SPAN_MAP, network=network.name):
                 net, floats, ints = kernels.strategy_view(
                     network, strategy, cfg
@@ -365,51 +322,22 @@ class Simulator:
                     detailed=detailed,
                 )
 
+        # Reference path: materialise and validate the full tile plan,
+        # then run the scalar cost models one layer at a time.
         with tracer.span(obs_metrics.SPAN_MAP, network=network.name):
             mappings = self.map_network(network, strategy)
-
-        if self.memoize_costs:
-            # Aggregate fast path: bit-identical integer/float rollups
-            # without materialising Tile objects (the profiled ~70% of a
-            # cold evaluate), plus memoised per-layer costs.
-            with tracer.span(obs_metrics.SPAN_ALLOCATE, mode="summary"):
-                summary = self.summarize(
-                    mappings, tile_shared=tile_shared, tracer=tracer
-                )
-            utilization = summary.utilization
-            occupied_tiles = summary.occupied_tiles
-            occupied_slots = summary.total_crossbar_slots
-            allocated_cells = summary.allocated_cells
-            empty_crossbars = summary.empty_crossbars
-            area_um2 = area_from_tile_runs(
-                zip(summary.shapes_per_layer, summary.tiles_per_layer), cfg
+        with tracer.span(obs_metrics.SPAN_ALLOCATE, mode="materialized"):
+            allocation = self.allocate(
+                mappings, tile_shared=tile_shared, tracer=tracer
             )
-            energy_fn, latency_fn = cached_layer_dynamic_energy, cached_layer_latency_ns
-            adc_fn, dac_fn = cached_layer_adc_conversions, cached_layer_dac_conversions
-            pool_e_fn, pool_t_fn = cached_pooling_energy, cached_pooling_latency_ns
-        else:
-            # Reference path: materialise and validate the full tile plan.
-            with tracer.span(obs_metrics.SPAN_ALLOCATE, mode="materialized"):
-                allocation = self.allocate(
-                    mappings, tile_shared=tile_shared, tracer=tracer
-                )
-            utilization = allocation.utilization
-            occupied_tiles = allocation.occupied_tiles
-            occupied_slots = allocation.total_crossbar_slots
-            allocated_cells = allocation.allocated_cells
-            empty_crossbars = allocation.empty_crossbars
-            area_um2 = allocation_area_um2(allocation, cfg)
-            energy_fn, latency_fn = layer_dynamic_energy, layer_latency_ns
-            adc_fn, dac_fn = layer_adc_conversions, layer_dac_conversions
-            pool_e_fn, pool_t_fn = pooling_energy, pooling_latency_ns
 
         layer_costs: list[LayerCost] = []
         dynamic = EnergyBreakdown()
         latency = 0.0
         with tracer.span(obs_metrics.SPAN_COST, layers=len(mappings)):
             for mapping in mappings:
-                e = energy_fn(mapping, cfg)
-                t = latency_fn(mapping, cfg)
+                e = layer_dynamic_energy(mapping, cfg)
+                t = layer_latency_ns(mapping, cfg)
                 dynamic = dynamic + e
                 latency += t
                 if detailed:
@@ -419,20 +347,20 @@ class Simulator:
                             shape_str=str(mapping.shape),
                             mvm_ops=mapping.layer.mvm_ops,
                             num_crossbars=mapping.num_crossbars,
-                            adc_conversions=adc_fn(mapping, cfg),
-                            dac_conversions=dac_fn(mapping, cfg),
+                            adc_conversions=layer_adc_conversions(mapping, cfg),
+                            dac_conversions=layer_dac_conversions(mapping, cfg),
                             energy=e,
                             latency_ns=t,
                             intra_utilization=mapping.utilization,
                         )
                     )
 
-            pool_e = pool_e_fn(network, cfg)
-            latency += pool_t_fn(network, cfg)
+            pool_e = pooling_energy(network, cfg)
+            latency += pooling_latency_ns(network, cfg)
             leak = leakage_energy(
-                occupied_tiles,
-                occupied_slots,
-                allocated_cells,
+                allocation.occupied_tiles,
+                allocation.total_crossbar_slots,
+                allocation.allocated_cells,
                 latency,
                 cfg,
             )
@@ -441,13 +369,13 @@ class Simulator:
         return SystemMetrics(
             network_name=network.name,
             strategy=tuple(str(s) for s in strategy),
-            utilization=utilization,
+            utilization=allocation.utilization,
             energy_nj=breakdown.total,
             latency_ns=latency,
-            area_um2=area_um2,
-            occupied_tiles=occupied_tiles,
+            area_um2=allocation_area_um2(allocation, cfg),
+            occupied_tiles=allocation.occupied_tiles,
             occupied_crossbars=sum(m.num_crossbars for m in mappings),
-            empty_crossbars=empty_crossbars,
+            empty_crossbars=allocation.empty_crossbars,
             tile_shared=tile_shared,
             energy_breakdown=breakdown,
             layer_costs=tuple(layer_costs),
@@ -482,106 +410,38 @@ class Simulator:
         *,
         tile_shared: bool = True,
         detailed: bool = False,
-        max_workers: int | None = None,
-        executor: str = "thread",
         skip_infeasible: bool = True,
     ) -> list[SystemMetrics | None]:
-        """Evaluate a batch of strategies, optionally in parallel.
+        """Evaluate a batch of strategies, serially, in order.
 
-        Returns one entry per strategy, in order; infeasible strategies
-        yield ``None`` when ``skip_infeasible`` is set (default) and raise
-        :class:`CapacityError` otherwise.  ``max_workers`` > 1 fans out
-        over a pool: ``executor="thread"`` shares this simulator (and its
-        cache) across threads; ``executor="process"`` ships a cache-less
-        copy to worker processes and merges results back into the local
-        cache — worth it only when single evaluations are expensive.
+        Returns one entry per strategy; infeasible strategies yield
+        ``None`` when ``skip_infeasible`` is set (default) and raise
+        :class:`CapacityError` otherwise.
         """
         batch = [tuple(s) for s in strategies]
-        if executor not in ("thread", "process"):
-            raise ValueError(f"unknown executor {executor!r}")
-
         tracer = self.tracer
         if tracer is None:
             tracer = obs_trace._AMBIENT
-        # Serial batches take the (S, L) kernel scorer when nothing needs
-        # the per-call evaluate machinery: no tracer events to interleave,
-        # no audit sampling to replay, and infeasible entries collapse to
+        # Batches take the (S, L) kernel scorer when nothing needs the
+        # per-call evaluate machinery: no tracer events to interleave, no
+        # audit sampling to replay, and infeasible entries collapse to
         # ``None`` (``skip_infeasible``).  Anything else falls through to
         # the loop below — results are bit-identical either way.
         if (
-            self.vectorize
-            and self.memoize_costs
+            self.memoize_costs
             and skip_infeasible
             and len(batch) > 1
-            and (max_workers is None or max_workers <= 1)
             and not tracer.enabled
             and (self.cache is None or self.cache.audit_interval <= 0)
         ):
             return self._evaluate_many_batched(
                 network, batch, tile_shared=tile_shared, detailed=detailed
             )
-
-        def one(strategy: Strategy) -> SystemMetrics | None:
-            if skip_infeasible:
-                return self.try_evaluate(
-                    network, strategy, tile_shared=tile_shared, detailed=detailed
-                )
-            return self.evaluate(
-                network, strategy, tile_shared=tile_shared, detailed=detailed
-            )
-
-        if max_workers is None or max_workers <= 1 or len(batch) <= 1:
-            return [one(s) for s in batch]
-
-        if executor == "process":
-            import concurrent.futures
-
-            # Worker processes neither cache nor trace: live tracers hold
-            # thread-locals and open files, so they must not cross the
-            # pickle boundary.
-            worker = replace(self, cache=None, tracer=NULL_TRACER)
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=max_workers
-            ) as pool:
-                outcomes = list(
-                    pool.map(
-                        _evaluate_one_remote,
-                        (
-                            (worker, network, s, tile_shared, detailed, skip_infeasible)
-                            for s in batch
-                        ),
-                        chunksize=max(1, len(batch) // (4 * max_workers)),
-                    )
-                )
-            # Merge *every* outcome back: metrics and `_Infeasible`
-            # sentinels alike.  An infeasible strategy crossing the pickle
-            # boundary comes back as the sentinel (carrying the
-            # CapacityError message) so subsequent lookups hit the cache
-            # instead of re-paying the failed allocation.
-            if self.cache is not None:
-                for strategy, outcome in zip(batch, outcomes):
-                    if outcome is None:
-                        continue
-                    self.cache.put(
-                        EvaluationCache.make_key(
-                            self.config,
-                            network,
-                            strategy,
-                            tile_shared=tile_shared,
-                            detailed=detailed,
-                            enforce_capacity=self.enforce_capacity,
-                        ),
-                        outcome,
-                    )
-            return [
-                None if isinstance(outcome, _Infeasible) else outcome
-                for outcome in outcomes
-            ]
-
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(one, batch))
+        evaluate = self.try_evaluate if skip_infeasible else self.evaluate
+        return [
+            evaluate(network, s, tile_shared=tile_shared, detailed=detailed)
+            for s in batch
+        ]
 
     def _evaluate_many_batched(
         self,
@@ -695,21 +555,3 @@ class Simulator:
         """Snapshot of the attached cache's counters (``None`` if off)."""
         return self.cache.stats() if self.cache is not None else None
 
-
-def _evaluate_one_remote(args) -> SystemMetrics | _Infeasible:
-    """Process-pool worker: evaluate one strategy on a shipped simulator.
-
-    Infeasible strategies return the ``_Infeasible`` sentinel (picklable —
-    it carries only the ``CapacityError`` message) rather than ``None``,
-    so the parent can merge the verdict into its cache and later batches
-    hit instead of re-paying the failed allocation.
-    """
-    simulator, network, strategy, tile_shared, detailed, skip_infeasible = args
-    try:
-        return simulator.evaluate(
-            network, strategy, tile_shared=tile_shared, detailed=detailed
-        )
-    except CapacityError as exc:
-        if skip_infeasible:
-            return _Infeasible(str(exc))
-        raise

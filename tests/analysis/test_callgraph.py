@@ -119,10 +119,18 @@ class TestFromPackage:
 
     def test_lru_cache_wrapper_alias_indexed(self):
         # ``cached_x = lru_cache(N)(x)`` must resolve to the wrapped
-        # function — the engine follows these into the cost models.
-        root = Path(repro.__file__).resolve().parent
-        index = ModuleIndex.from_package(root, "repro")
-        energy = index.modules["repro.sim.energy"]
-        entity = index.resolve(energy, "cached_layer_dynamic_energy")
+        # function — the engine follows such aliases into what they wrap.
+        index = ModuleIndex.from_sources(
+            {
+                "pkg": "",
+                "pkg.costs": (
+                    "from functools import lru_cache\n"
+                    "def f(x):\n"
+                    "    return x + 1\n"
+                    "cached_f = lru_cache(maxsize=8)(f)\n"
+                ),
+            }
+        )
+        entity = index.resolve(index.modules["pkg.costs"], "cached_f")
         assert isinstance(entity, FunctionInfo)
-        assert entity.name == "layer_dynamic_energy"
+        assert entity.name == "f"

@@ -1,15 +1,17 @@
 """Multi-threaded stress tests for the shared evaluation cache.
 
-``Simulator.evaluate_many(executor="thread")`` shares one simulator —
-and one :class:`EvaluationCache` — across every worker thread.  These
-tests hammer that path with eight workers and a batch built to collide
-(each strategy appears several times), then check the two properties the
-static analyzer can only assert statically:
+A caller may share one simulator — and one :class:`EvaluationCache` —
+across threads.  These tests hammer :meth:`Simulator.try_evaluate` from
+an eight-worker thread pool with a batch built to collide (each strategy
+appears several times), then check the two properties the static
+analyzer can only assert statically:
 
 * the parallel results are bit-identical to the serial ones, and
 * the cache counters survive without lost updates
   (``hits + misses == lookups`` and every entry is accounted for).
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -29,6 +31,16 @@ def strategies_for(network, count=8):
     ]
 
 
+def evaluate_threaded(sim, network, batch):
+    """``try_evaluate`` every strategy from a pool sharing ``sim``."""
+    with ThreadPoolExecutor(max_workers=MAX_WORKERS) as pool:
+        return list(
+            pool.map(
+                lambda s: sim.try_evaluate(network, s, detailed=False), batch
+            )
+        )
+
+
 def colliding_batch(network, distinct=4, repeats=REPEATS):
     """A batch where every strategy recurs, to force concurrent hits."""
     base = strategies_for(network, count=distinct)
@@ -41,18 +53,14 @@ def test_thread_pool_matches_serial_bit_for_bit(net_fixture, request):
     batch = colliding_batch(network)
     serial = Simulator().evaluate_many(network, batch)
 
-    threaded = Simulator().evaluate_many(
-        network, batch, executor="thread", max_workers=MAX_WORKERS
-    )
+    threaded = evaluate_threaded(Simulator(), network, batch)
     assert threaded == serial
 
 
 def test_cache_counters_are_consistent_under_contention(lenet_net):
     sim = Simulator()
     batch = colliding_batch(lenet_net)
-    results = sim.evaluate_many(
-        lenet_net, batch, executor="thread", max_workers=MAX_WORKERS
-    )
+    results = evaluate_threaded(sim, lenet_net, batch)
     assert all(m is not None for m in results)
 
     stats = sim.cache_stats()
@@ -72,9 +80,7 @@ def test_warm_cache_serves_every_thread(lenet_net):
     batch = strategies_for(lenet_net, count=4)
     warm = sim.evaluate_many(lenet_net, batch)
 
-    hot = sim.evaluate_many(
-        lenet_net, batch * REPEATS, executor="thread", max_workers=MAX_WORKERS
-    )
+    hot = evaluate_threaded(sim, lenet_net, batch * REPEATS)
     assert hot == warm * REPEATS
     stats = sim.cache_stats()
     assert stats.misses == len(batch)
@@ -87,9 +93,7 @@ def test_concurrent_eviction_keeps_counters_consistent(lenet_net):
     batch = colliding_batch(lenet_net, distinct=6, repeats=4)
     serial = Simulator().evaluate_many(lenet_net, batch)
 
-    results = sim.evaluate_many(
-        lenet_net, batch, executor="thread", max_workers=MAX_WORKERS
-    )
+    results = evaluate_threaded(sim, lenet_net, batch)
     assert results == serial
     stats = sim.cache_stats()
     assert stats.hits + stats.misses == stats.lookups
@@ -148,11 +152,6 @@ def test_repeated_stress_rounds_stay_deterministic(tiny_net):
     reference = Simulator().evaluate_many(tiny_net, batch)
     for _ in range(3):
         sim = Simulator()
-        assert (
-            sim.evaluate_many(
-                tiny_net, batch, executor="thread", max_workers=MAX_WORKERS
-            )
-            == reference
-        )
+        assert evaluate_threaded(sim, tiny_net, batch) == reference
         stats = sim.cache_stats()
         assert stats.hits + stats.misses == stats.lookups

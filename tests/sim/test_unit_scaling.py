@@ -6,7 +6,7 @@ energy-dimension constant by a factor must scale reported energy by
 exactly that factor and leave every other dimension untouched.  Doubling
 is IEEE-exact (multiplying a float by 2.0 never rounds, and scaling by a
 power of two commutes with addition's rounding), so the laws hold
-bit-for-bit — on the scalar and the vectorized path alike.
+bit-for-bit — on the scalar reference and the vectorized kernels alike.
 
 Leakage makes the field set subtle: it is ``power_nw * latency_ns *
 NW_NS_TO_NJ``, so the energy *output* dimension is reached through the
@@ -45,6 +45,12 @@ def doubled_energy_config(base: HardwareConfig = DEFAULT_CONFIG) -> HardwareConf
     return base.with_(**scaled)
 
 
+#: ``memoize_costs=False`` is the materialised scalar reference, ``True``
+#: the vectorized kernels — the simulator's two evaluation paths.
+both_paths = pytest.mark.parametrize(
+    "memoize_costs", [False, True], ids=["scalar", "vectorized"]
+)
+
 strategies_for_network = st.lists(
     st.sampled_from(DEFAULT_CANDIDATES),
     min_size=NETWORK.num_layers,
@@ -52,12 +58,16 @@ strategies_for_network = st.lists(
 ).map(tuple)
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vectorized"])
+@both_paths
 @settings(max_examples=15, deadline=None)
 @given(strategy=strategies_for_network)
-def test_doubling_energy_constants_exactly_doubles_energy(vectorize, strategy):
-    base = Simulator(config=DEFAULT_CONFIG, vectorize=vectorize)
-    doubled = Simulator(config=doubled_energy_config(), vectorize=vectorize)
+def test_doubling_energy_constants_exactly_doubles_energy(
+    memoize_costs, strategy
+):
+    base = Simulator(config=DEFAULT_CONFIG, memoize_costs=memoize_costs)
+    doubled = Simulator(
+        config=doubled_energy_config(), memoize_costs=memoize_costs
+    )
     m1 = base.evaluate(NETWORK, strategy)
     m2 = doubled.evaluate(NETWORK, strategy)
     assert m2.energy_nj == 2.0 * m1.energy_nj
@@ -67,14 +77,16 @@ def test_doubling_energy_constants_exactly_doubles_energy(vectorize, strategy):
         ), name
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vectorized"])
+@both_paths
 @settings(max_examples=15, deadline=None)
 @given(strategy=strategies_for_network)
 def test_doubling_energy_constants_leaves_other_dimensions_bit_identical(
-    vectorize, strategy
+    memoize_costs, strategy
 ):
-    base = Simulator(config=DEFAULT_CONFIG, vectorize=vectorize)
-    doubled = Simulator(config=doubled_energy_config(), vectorize=vectorize)
+    base = Simulator(config=DEFAULT_CONFIG, memoize_costs=memoize_costs)
+    doubled = Simulator(
+        config=doubled_energy_config(), memoize_costs=memoize_costs
+    )
     m1 = base.evaluate(NETWORK, strategy)
     m2 = doubled.evaluate(NETWORK, strategy)
     assert m2.latency_ns == m1.latency_ns
@@ -87,14 +99,16 @@ def test_doubling_energy_constants_leaves_other_dimensions_bit_identical(
         assert lc2.num_crossbars == lc1.num_crossbars
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vectorized"])
-def test_scaling_law_survives_infeasibility(vectorize):
+@both_paths
+def test_scaling_law_survives_infeasibility(memoize_costs):
     """An infeasible pair stays infeasible — with the *same* message —
     under the scaled config: capacity is a count, not an energy."""
     strategy = tuple([DEFAULT_CANDIDATES[0]] * NETWORK.num_layers)
     tiny = DEFAULT_CONFIG.with_(tiles_per_bank=1)
-    base = Simulator(config=tiny, vectorize=vectorize)
-    doubled = Simulator(config=doubled_energy_config(tiny), vectorize=vectorize)
+    base = Simulator(config=tiny, memoize_costs=memoize_costs)
+    doubled = Simulator(
+        config=doubled_energy_config(tiny), memoize_costs=memoize_costs
+    )
     with pytest.raises(CapacityError) as exc1:
         base.evaluate(NETWORK, strategy)
     with pytest.raises(CapacityError) as exc2:
@@ -102,14 +116,17 @@ def test_scaling_law_survives_infeasibility(vectorize):
     assert str(exc1.value) == str(exc2.value)
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vectorized"])
-def test_scalar_and_vectorized_agree_on_the_scaled_config(vectorize):
+@both_paths
+def test_scalar_and_vectorized_agree_on_the_scaled_config(memoize_costs):
     """The doubled config is an ordinary config: both evaluation paths
-    must still agree bit-for-bit on it (vectorize is the outer compare)."""
+    must still agree bit-for-bit on it (``memoize_costs`` is the outer
+    compare)."""
     strategy = tuple([DEFAULT_CANDIDATES[1]] * NETWORK.num_layers)
     cfg = doubled_energy_config()
-    m_this = Simulator(config=cfg, vectorize=vectorize).evaluate(NETWORK, strategy)
-    m_other = Simulator(config=cfg, vectorize=not vectorize).evaluate(
+    m_this = Simulator(config=cfg, memoize_costs=memoize_costs).evaluate(
+        NETWORK, strategy
+    )
+    m_other = Simulator(config=cfg, memoize_costs=not memoize_costs).evaluate(
         NETWORK, strategy
     )
     assert m_this.energy_nj == m_other.energy_nj

@@ -7,8 +7,9 @@ folds via ``cumsum``, identical association order, identical int→float
 conversion points).  These tests enforce the contract three ways:
 
 * a hypothesis battery over random networks × strategies × configs,
-  comparing all three evaluation modes (materialising reference,
-  scalar-memoized, vectorized) pairwise, infeasible verdicts included;
+  comparing the materialising reference, the per-strategy kernel
+  evaluation and the ``(S, L)`` batch scorer pairwise, infeasible
+  verdicts included;
 * the paper workloads (VGG16 et al.) under the paper's strategies;
 * the batched ``evaluate_many`` fast path against the serial loop,
   duplicates and infeasible entries included, cache counters and all.
@@ -36,14 +37,6 @@ def reference_sim(config=None):
         config=config or HardwareConfig(),
         cache=None,
         memoize_costs=False,
-        vectorize=False,
-    )
-
-
-def scalar_sim(config=None):
-    """The scalar summary-shortcut path (memoized, not vectorized)."""
-    return Simulator(
-        config=config or HardwareConfig(), cache=None, vectorize=False
     )
 
 
@@ -60,6 +53,21 @@ def outcome(sim, network, strategy, *, tile_shared, detailed):
         )
     except CapacityError as exc:
         return ("infeasible", str(exc))
+
+
+def scored_outcome(network, strategy, config, *, tile_shared, detailed):
+    """:func:`outcome` through the ``(S, L)`` batch scorer."""
+    (scored,) = kernels.score_strategy_batch(
+        network,
+        [strategy],
+        config,
+        tile_shared=tile_shared,
+        enforce_capacity=True,
+        detailed=detailed,
+    )
+    if isinstance(scored, kernels.InfeasibleScore):
+        return ("infeasible", scored.message)
+    return scored
 
 
 @st.composite
@@ -110,8 +118,17 @@ class TestHypothesisDifferential:
                 tile_shared=tile_shared,
                 detailed=detailed,
             )
-            for sim_factory in (reference_sim, scalar_sim, vector_sim)
+            for sim_factory in (reference_sim, vector_sim)
         ]
+        results.append(
+            scored_outcome(
+                network,
+                strategy,
+                config,
+                tile_shared=tile_shared,
+                detailed=detailed,
+            )
+        )
         # Plain ==: SystemMetrics is a frozen dataclass of floats/ints,
         # so equality here means every field is bit-identical.
         assert results[0] == results[1] == results[2]
@@ -121,22 +138,12 @@ class TestHypothesisDifferential:
     def test_strategy_batch_scorer_matches_evaluate(self, net_strat):
         network, strategy = net_strat
         config = HardwareConfig()
-        scored = kernels.score_strategy_batch(
-            network,
-            [strategy],
-            config,
-            tile_shared=True,
-            enforce_capacity=True,
-            detailed=True,
-        )[0]
-        expected = outcome(
+        assert scored_outcome(
+            network, strategy, config, tile_shared=True, detailed=True,
+        ) == outcome(
             reference_sim(config), network, strategy,
             tile_shared=True, detailed=True,
         )
-        if isinstance(scored, kernels.InfeasibleScore):
-            assert expected == ("infeasible", scored.message)
-        else:
-            assert scored == expected
 
 
 class TestPaperWorkloads:
@@ -178,9 +185,7 @@ class TestBatchedEvaluateMany:
     def test_matches_serial_with_duplicates(self, lenet_net):
         batch = self.batch_for(lenet_net) * 2  # every strategy twice
         serial = [
-            Simulator(vectorize=False).try_evaluate(
-                lenet_net, s, detailed=False
-            )
+            reference_sim().try_evaluate(lenet_net, s, detailed=False)
             for s in batch
         ]
         assert Simulator().evaluate_many(lenet_net, batch) == serial
@@ -188,7 +193,7 @@ class TestBatchedEvaluateMany:
     def test_cache_protocol_matches_serial(self, lenet_net):
         """Hit/miss/size counters replicate the serial loop exactly."""
         batch = self.batch_for(lenet_net, count=6) * 3
-        serial_sim = Simulator(vectorize=False)
+        serial_sim = Simulator()
         for s in batch:
             serial_sim.try_evaluate(lenet_net, s, detailed=False)
         batched_sim = Simulator()
