@@ -2,7 +2,7 @@
 
 ``repro.analysis`` rejects invalid artifacts *before* anything expensive
 runs — an RL search must not burn simulator episodes on a plan that
-violates Eq. 4 bounds or Algorithm 1's accounting.  Three layers:
+violates Eq. 4 bounds or Algorithm 1's accounting.  The modules:
 
 * :mod:`repro.analysis.invariants` — the rule registry, `Diagnostic`
   results, and the shared scalar rule implementations that
@@ -15,6 +15,12 @@ violates Eq. 4 bounds or Algorithm 1's accounting.  Three layers:
 * :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.dataflow` — the
   interprocedural cache-key soundness and purity analysis behind
   ``repro check --cache-safety`` (CAC/PUR rule families).
+* :mod:`repro.analysis.concurrency` — the static race detector for the
+  shared-cache and worker fan-out paths behind
+  ``repro check --concurrency`` (CON rule family).
+* :mod:`repro.analysis.walker` — the intraprocedural abstract-interpretation
+  walker that the NUM and UNI passes share; each supplies only its
+  lattice and rules.
 * :mod:`repro.analysis.numeric` — NumPy-aware numeric-safety pass over
   ``sim/`` behind ``repro check --numeric`` (NUM rule family).
 * :mod:`repro.analysis.kernel_parity` — scalar-vs-vectorized read-set
@@ -22,7 +28,7 @@ violates Eq. 4 bounds or Algorithm 1's accounting.  Three layers:
 * :mod:`repro.analysis.units` — dimensional analysis of the cost model
   behind ``repro check --units`` (UNI rule family).
 
-``repro check`` (see :mod:`repro.cli`) drives all three and exits
+``repro check`` (see :mod:`repro.cli`) drives every pass and exits
 nonzero on ERROR diagnostics; `docs/static_analysis.md` catalogues every
 rule id with its paper anchor.
 

@@ -1,13 +1,12 @@
 """NumPy-aware numeric-safety analysis of the simulator tree (NUM rules).
 
 The vectorized cost model (``repro.sim.kernels``) holds a bit-exactness
-contract with the scalar reference, and ROADMAP item 4 will pile more
-floating-point code (noise models, IR drop) onto ``src/repro/sim/``.
-This pass walks every module under ``sim/`` with a small abstract
-interpreter over NumPy expressions — tracking explicit dtypes, zero /
-negative evidence, and nan/inf taint through assignments — and flags the
-five numeric hazards that have actually bitten this codebase or its
-ancestors:
+contract with the scalar reference: every float it computes must round
+exactly as the scalar path's does.  This pass walks every module under
+``sim/`` with a small abstract interpreter over NumPy expressions — the
+shared :mod:`repro.analysis.walker` over a lattice of explicit dtypes,
+zero / negative evidence, and nan/inf taint — and flags the five numeric
+hazards that have actually bitten this codebase or its ancestors:
 
 ========  =============================================================
 NUM001    implicit dtype promotion/narrowing: mixed int32/int64,
@@ -43,11 +42,11 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 from .invariants import NUM001, NUM002, NUM003, NUM004, NUM005, Diagnostic
-
-_SUPPRESS_RE = re.compile(r"#\s*numeric-ok:\s*(NUM\d{3})")
+from .walker import Walker, literal_number, sweep
 
 #: NumPy reductions whose float rounding is order-sensitive (NUM002).
 _ORDER_SENSITIVE = frozenset(
@@ -115,154 +114,56 @@ def _dtype_conflict(left: str, right: str) -> bool:
     return True
 
 
-class _Checker:
-    def __init__(self, source: str, rel_path: str) -> None:
-        self.rel_path = rel_path
-        self.tree = ast.parse(source, filename=rel_path)
-        self.diags: list[Diagnostic] = []
-        self.suppressed: dict[int, set[str]] = {}
-        for lineno, line in enumerate(source.splitlines(), start=1):
-            rules = set(_SUPPRESS_RE.findall(line))
-            if rules:
-                self.suppressed[lineno] = rules
-        #: local names bound to the numpy module (``import numpy as np``)
-        self.np_names: set[str] = set()
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy":
-                        self.np_names.add(alias.asname or "numpy")
+class _NumericWalker(Walker[_Info]):
+    """NUM's lattice (:class:`_Info`) and rules over the shared walk."""
 
-    # ------------------------------------------------------------------
-    def run(self) -> list[Diagnostic]:
-        self._block(self.tree.body, {})
-        self.diags.sort(key=lambda d: (d.rule_id, d.location, d.message))
-        return self.diags
+    UNKNOWN = _UNKNOWN
+    WAIVER = re.compile(r"#\s*numeric-ok:\s*(NUM\d{3})")
 
-    def _flag(self, rule, node: ast.AST, message: str, hint: str) -> None:
-        lineno = getattr(node, "lineno", 0)
-        if rule.rule_id in self.suppressed.get(lineno, ()):
-            return
-        self.diags.append(
-            rule.diag(f"{self.rel_path}:{lineno}", message, hint)
-        )
-
-    # ------------------------------------------------------------------
-    # statements
-    # ------------------------------------------------------------------
-    def _block(self, stmts: list[ast.stmt], env: dict[str, _Info]) -> None:
-        for stmt in stmts:
-            self._stmt(stmt, env)
-
-    def _stmt(self, stmt: ast.stmt, env: dict[str, _Info]) -> None:
-        if isinstance(stmt, ast.Assign):
-            info = self._infer(stmt.value, env)
-            for target in stmt.targets:
-                self._bind(target, info, env)
-        elif isinstance(stmt, ast.AnnAssign):
-            info = (
-                self._infer(stmt.value, env)
-                if stmt.value is not None
-                else _UNKNOWN
-            )
-            self._bind(stmt.target, info, env)
-        elif isinstance(stmt, ast.AugAssign):
-            value = self._infer(stmt.value, env)
-            if isinstance(stmt.target, ast.Name):
-                prior = env.get(stmt.target.id, _UNKNOWN)
-                env[stmt.target.id] = self._binop_result(
-                    prior, value, stmt.op, stmt
-                )
-        elif isinstance(stmt, (ast.Expr, ast.Return)):
-            if stmt.value is not None:
-                self._infer(stmt.value, env)
-        elif isinstance(stmt, ast.If):
-            self._infer(stmt.test, env)
-            body_env = dict(env)
-            self._apply_guards(stmt.test, body_env)
-            self._block(stmt.body, body_env)
-            else_env = dict(env)
-            self._block(stmt.orelse, else_env)
-            if stmt.body and isinstance(
-                stmt.body[-1], (ast.Return, ast.Raise, ast.Continue, ast.Break)
-            ):
-                # ``if x == 0: raise/return`` — only the negated condition
-                # survives past the statement.
-                env.clear()
-                env.update(else_env)
-                self._apply_negated_guards(stmt.test, env)
-            else:
-                for name in set(body_env) | set(else_env):
-                    env[name] = _merge(
-                        body_env.get(name, _UNKNOWN),
-                        else_env.get(name, _UNKNOWN),
-                    )
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._infer(stmt.iter, env)
-            self._bind(stmt.target, _UNKNOWN, env)
-            self._block(stmt.body, env)
-            self._block(stmt.orelse, env)
-        elif isinstance(stmt, ast.While):
-            self._infer(stmt.test, env)
-            self._block(stmt.body, env)
-            self._block(stmt.orelse, env)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self._infer(item.context_expr, env)
-                if item.optional_vars is not None:
-                    self._bind(item.optional_vars, _UNKNOWN, env)
-            self._block(stmt.body, env)
-        elif isinstance(stmt, ast.Try):
-            self._block(stmt.body, env)
-            for handler in stmt.handlers:
-                self._block(handler.body, env)
-            self._block(stmt.orelse, env)
-            self._block(stmt.finalbody, env)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._block(stmt.body, {})
-        elif isinstance(stmt, ast.ClassDef):
-            self._block(stmt.body, {})
-        elif isinstance(stmt, (ast.Raise, ast.Assert)):
-            for part in (
-                getattr(stmt, "exc", None),
-                getattr(stmt, "cause", None),
-                getattr(stmt, "test", None),
-                getattr(stmt, "msg", None),
-            ):
-                if part is not None:
-                    self._infer(part, env)
-        # Import / Pass / Break / Continue / Global / Delete: nothing.
-
-    def _bind(self, target: ast.expr, info: _Info, env: dict[str, _Info]) -> None:
-        if isinstance(target, ast.Name):
-            env[target.id] = info
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._bind(elt, _UNKNOWN, env)
-        elif isinstance(target, ast.Starred):
-            self._bind(target.value, _UNKNOWN, env)
-        # Attribute / Subscript stores: no tracking.
+    def join(self, a: _Info, b: _Info) -> _Info:
+        return _merge(a, b)
 
     # ------------------------------------------------------------------
     # guards — branch conditions that discharge taint for the body
     # ------------------------------------------------------------------
-    def _apply_guards(self, test: ast.expr, env: dict[str, _Info]) -> None:
-        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+    _NEGATED_OPS: dict[type[ast.cmpop], type[ast.cmpop]] = {
+        ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
+        ast.Lt: ast.GtE, ast.LtE: ast.Gt,
+        ast.Gt: ast.LtE, ast.GtE: ast.Lt,
+    }
+
+    def refine(self, test: ast.expr, env: dict[str, _Info], holds: bool) -> None:
+        if isinstance(test, ast.BoolOp) and isinstance(
+            test.op, ast.And if holds else ast.Or
+        ):
+            # ``a and b`` holds / ``a or b`` fails: so does every operand.
             for value in test.values:
-                self._apply_guards(value, env)
-            return
-        if (
+                self.refine(value, env, holds)
+        elif not holds:
+            # Early-exit conditionals: apply ``not test`` as a guard.
+            if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+                self.refine(test.operand, env, True)
+            elif isinstance(test, ast.Compare) and len(test.ops) == 1:
+                negated = self._NEGATED_OPS.get(type(test.ops[0]))
+                if negated is not None:
+                    self.refine(
+                        ast.Compare(
+                            left=test.left, ops=[negated()],
+                            comparators=test.comparators,
+                        ),
+                        env,
+                        True,
+                    )
+        elif (
             isinstance(test, ast.Call)
-            and self._np_call_name(test) == "all"
+            and self.np_attr(test.func) == "all"
             and test.args
         ):
             # ``np.all(cond)`` guards exactly what elementwise ``cond`` does.
-            self._apply_guards(test.args[0], env)
-            return
-        if isinstance(test, ast.Name):
+            self.refine(test.args[0], env, True)
+        elif isinstance(test, ast.Name):
             self._clear(test.id, env, zero=True)
-            return
-        if isinstance(test, ast.Compare) and len(test.ops) == 1:
+        elif isinstance(test, ast.Compare) and len(test.ops) == 1:
             left, op, right = test.left, test.ops[0], test.comparators[0]
             name, bound, flipped = None, None, False
             if isinstance(left, ast.Name) and isinstance(right, ast.Constant):
@@ -282,43 +183,14 @@ class _Checker:
                 self._clear(name, env, negative=True)
             elif isinstance(op, ast.NotEq) and bound == 0:
                 self._clear(name, env, zero=True)
-            return
-        # ``np.isfinite(x)`` / ``np.all(np.isfinite(x))`` discharge taint.
-        call = test
-        if (
-            isinstance(call, ast.Call)
-            and self._np_call_name(call) == "isfinite"
-            and call.args
-            and isinstance(call.args[0], ast.Name)
+        elif (
+            # ``np.isfinite(x)`` / ``np.all(np.isfinite(x))`` discharge taint.
+            isinstance(test, ast.Call)
+            and self.np_attr(test.func) == "isfinite"
+            and test.args
+            and isinstance(test.args[0], ast.Name)
         ):
-            self._clear(call.args[0].id, env, finite=True)
-
-    _NEGATED_OPS: dict[type[ast.cmpop], type[ast.cmpop]] = {
-        ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
-        ast.Lt: ast.GtE, ast.LtE: ast.Gt,
-        ast.Gt: ast.LtE, ast.GtE: ast.Lt,
-    }
-
-    def _apply_negated_guards(self, test: ast.expr, env: dict[str, _Info]) -> None:
-        """Apply ``not test`` as a guard — for early-exit conditionals."""
-        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or):
-            # not (a or b) == (not a) and (not b)
-            for value in test.values:
-                self._apply_negated_guards(value, env)
-            return
-        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-            self._apply_guards(test.operand, env)
-            return
-        if isinstance(test, ast.Compare) and len(test.ops) == 1:
-            negated = self._NEGATED_OPS.get(type(test.ops[0]))
-            if negated is not None:
-                self._apply_guards(
-                    ast.Compare(
-                        left=test.left, ops=[negated()],
-                        comparators=test.comparators,
-                    ),
-                    env,
-                )
+            self._clear(test.args[0].id, env, finite=True)
 
     def _clear(
         self,
@@ -338,135 +210,60 @@ class _Checker:
         )
 
     # ------------------------------------------------------------------
-    # expressions
+    # values
     # ------------------------------------------------------------------
-    def _infer(self, expr: ast.expr, env: dict[str, _Info]) -> _Info:
-        if isinstance(expr, ast.Constant):
-            value = expr.value
-            if isinstance(value, bool):
-                return _UNKNOWN
-            if isinstance(value, int):
-                return _Info(maybe_zero=value == 0, maybe_negative=value < 0)
-            if isinstance(value, float):
-                return _Info(
-                    maybe_zero=value == 0.0,
-                    maybe_negative=value < 0.0,
-                    nonfinite=value != value or value in (
-                        float("inf"), float("-inf")
-                    ),
-                    float_literal=True,
-                )
+    def constant(self, node: ast.Constant) -> _Info:
+        value = node.value
+        if isinstance(value, bool):
             return _UNKNOWN
-        if isinstance(expr, ast.Name):
-            return env.get(expr.id, _UNKNOWN)
-        if isinstance(expr, ast.Attribute):
-            self._infer(expr.value, env)
-            if (
-                isinstance(expr.value, ast.Name)
-                and expr.value.id in self.np_names
-            ):
-                if expr.attr in ("inf", "nan", "NINF", "NAN", "Inf", "NaN"):
-                    return _Info(nonfinite=True, float_literal=True)
-                if expr.attr in ("pi", "e", "euler_gamma"):
-                    return _Info(float_literal=True)
-            return _UNKNOWN
-        if isinstance(expr, ast.UnaryOp):
-            operand = self._infer(expr.operand, env)
-            if isinstance(expr.op, ast.USub):
-                return replace(operand, maybe_negative=True)
-            return operand if isinstance(expr.op, ast.UAdd) else _UNKNOWN
-        if isinstance(expr, ast.BinOp):
-            left = self._infer(expr.left, env)
-            right = self._infer(expr.right, env)
-            return self._binop_result(left, right, expr.op, expr)
-        if isinstance(expr, ast.BoolOp):
-            infos = [self._infer(v, env) for v in expr.values]
-            merged = infos[0]
-            for info in infos[1:]:
-                merged = _merge(merged, info)
-            if isinstance(expr.op, ast.Or):
-                last = expr.values[-1]
-                if (
-                    isinstance(last, ast.Constant)
-                    and isinstance(last.value, (int, float))
-                    and not isinstance(last.value, bool)
-                    and last.value > 0
-                ):
-                    # ``x or 1.0``: the result is either truthy x or the
-                    # positive fallback — zero is impossible.
-                    return replace(merged, maybe_zero=False)
-            return merged
-        if isinstance(expr, ast.Compare):
-            self._compare(expr, env)
-            return _UNKNOWN
-        if isinstance(expr, ast.Call):
-            return self._call(expr, env)
-        if isinstance(expr, ast.Subscript):
-            base = self._infer(expr.value, env)
-            self._infer(expr.slice, env)
-            return base if base.is_array else _UNKNOWN
-        if isinstance(expr, ast.IfExp):
-            self._infer(expr.test, env)
-            return _merge(
-                self._infer(expr.body, env), self._infer(expr.orelse, env)
+        if isinstance(value, int):
+            return _Info(maybe_zero=value == 0, maybe_negative=value < 0)
+        if isinstance(value, float):
+            return _Info(
+                maybe_zero=value == 0.0,
+                maybe_negative=value < 0.0,
+                nonfinite=value != value or value in (
+                    float("inf"), float("-inf")
+                ),
+                float_literal=True,
             )
-        if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-            for elt in expr.elts:
-                self._infer(elt, env)
-            return _UNKNOWN
-        if isinstance(expr, ast.Dict):
-            for part in [*expr.keys, *expr.values]:
-                if part is not None:
-                    self._infer(part, env)
-            return _UNKNOWN
-        if isinstance(expr, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            sub = dict(env)
-            for gen in expr.generators:
-                self._infer(gen.iter, sub)
-                self._bind(gen.target, _UNKNOWN, sub)
-                for cond in gen.ifs:
-                    self._infer(cond, sub)
-            self._infer(expr.elt, sub)
-            return _UNKNOWN
-        if isinstance(expr, ast.DictComp):
-            sub = dict(env)
-            for gen in expr.generators:
-                self._infer(gen.iter, sub)
-                self._bind(gen.target, _UNKNOWN, sub)
-            self._infer(expr.key, sub)
-            self._infer(expr.value, sub)
-            return _UNKNOWN
-        if isinstance(expr, ast.JoinedStr):
-            for part in expr.values:
-                if isinstance(part, ast.FormattedValue):
-                    self._infer(part.value, env)
-            return _UNKNOWN
-        if isinstance(expr, ast.Starred):
-            return self._infer(expr.value, env)
-        if isinstance(expr, ast.Slice):
-            for part in (expr.lower, expr.upper, expr.step):
-                if part is not None:
-                    self._infer(part, env)
-            return _UNKNOWN
-        if isinstance(expr, ast.NamedExpr):
-            value = self._infer(expr.value, env)
-            self._bind(expr.target, value, env)
-            return value
-        if isinstance(expr, ast.Lambda):
-            self._block([ast.Return(value=expr.body)], {})
-            return _UNKNOWN
         return _UNKNOWN
 
+    def attribute(self, node: ast.Attribute) -> _Info:
+        attr = self.np_attr(node)
+        if attr in ("inf", "nan", "NINF", "NAN", "Inf", "NaN"):
+            return _Info(nonfinite=True, float_literal=True)
+        if attr in ("pi", "e", "euler_gamma"):
+            return _Info(float_literal=True)
+        return _UNKNOWN
+
+    def unary(self, node: ast.UnaryOp, operand: _Info) -> _Info:
+        if isinstance(node.op, ast.USub):
+            return replace(operand, maybe_negative=True)
+        return operand if isinstance(node.op, ast.UAdd) else _UNKNOWN
+
+    def boolop(self, node: ast.BoolOp, values: list[_Info]) -> _Info:
+        merged = reduce(_merge, values)
+        if isinstance(node.op, ast.Or) and (literal_number(node.values[-1]) or 0) > 0:
+            # ``x or 1.0``: the result is either truthy x or the
+            # positive fallback — zero is impossible.
+            return replace(merged, maybe_zero=False)
+        return merged
+
+    def subscript(self, node: ast.Subscript, value: _Info) -> _Info:
+        return value if value.is_array else _UNKNOWN
+
     # ------------------------------------------------------------------
-    def _binop_result(
-        self, left: _Info, right: _Info, op: ast.operator, node: ast.AST
+    def binop(
+        self, node: ast.BinOp | ast.AugAssign, left: _Info, right: _Info
     ) -> _Info:
+        op = node.op
         if (
             left.dtype is not None
             and right.dtype is not None
             and _dtype_conflict(left.dtype, right.dtype)
         ):
-            self._flag(
+            self.flag(
                 NUM001,
                 node,
                 f"arithmetic mixes {left.dtype} and {right.dtype} operands — "
@@ -476,7 +273,7 @@ class _Checker:
                 "point the scalar code converts",
             )
         if isinstance(op, ast.MatMult) and (_is_float(left) or _is_float(right)):
-            self._flag(
+            self.flag(
                 NUM002,
                 node,
                 "matrix product on float operands uses pairwise accumulation "
@@ -487,7 +284,7 @@ class _Checker:
         nonfinite = left.nonfinite or right.nonfinite
         if isinstance(op, (ast.Div, ast.FloorDiv, ast.Mod)):
             if right.maybe_zero:
-                self._flag(
+                self.flag(
                     NUM003,
                     node,
                     "division by a value with zero evidence and no guard — "
@@ -497,15 +294,10 @@ class _Checker:
                 )
                 if isinstance(op, ast.Div):
                     nonfinite = True
-        dtype: str | None
-        if left.dtype == right.dtype:
-            dtype = left.dtype
-        elif left.dtype is not None and right.dtype is None:
-            dtype = left.dtype
-        elif right.dtype is not None and left.dtype is None:
+        if left.dtype is None or left.dtype == right.dtype:
             dtype = right.dtype
-        else:
-            dtype = None
+        else:  # an explicit dtype meeting an unknown one survives
+            dtype = left.dtype if right.dtype is None else None
         if isinstance(op, ast.Div) and dtype in _INT_DTYPES:
             dtype = "float64"
         is_array = left.is_array or right.is_array
@@ -548,17 +340,14 @@ class _Checker:
         )
 
     # ------------------------------------------------------------------
-    def _compare(self, expr: ast.Compare, env: dict[str, _Info]) -> None:
-        infos = [self._infer(expr.left, env)] + [
-            self._infer(c, env) for c in expr.comparators
-        ]
-        for position, op in enumerate(expr.ops):
-            left, right = infos[position], infos[position + 1]
+    def compare(self, node: ast.Compare, operands: list[_Info]) -> _Info:
+        for position, op in enumerate(node.ops):
+            left, right = operands[position], operands[position + 1]
             if isinstance(op, (ast.Eq, ast.NotEq)):
                 if _is_float(left) or _is_float(right):
-                    self._flag(
+                    self.flag(
                         NUM004,
-                        expr,
+                        node,
                         "exact float equality — rounding differences between "
                         "the scalar and vectorized paths make == / != on "
                         "floats a latent divergence",
@@ -568,37 +357,25 @@ class _Checker:
                     )
             elif isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
                 if left.nonfinite or right.nonfinite:
-                    self._flag(
+                    self.flag(
                         NUM005,
-                        expr,
+                        node,
                         "ordering comparison on a value that can carry "
                         "nan/inf — every comparison with nan is False and "
                         "the branch outcome is arbitrary",
                         hint="guard with np.isfinite first",
                     )
+        return _UNKNOWN
 
     # ------------------------------------------------------------------
     # calls
     # ------------------------------------------------------------------
-    def _np_call_name(self, call: ast.Call) -> str | None:
-        func = call.func
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id in self.np_names
-        ):
-            return func.attr
-        return None
-
     def _dtype_of(self, expr: ast.expr | None) -> str | None:
         if expr is None:
             return None
-        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-            if expr.value.id in self.np_names and (
-                expr.attr in _INT_DTYPES or expr.attr in _FLOAT_DTYPES
-            ):
-                return expr.attr
-            return None
+        if isinstance(expr, ast.Attribute):
+            attr = self.np_attr(expr)
+            return attr if attr in _INT_DTYPES | _FLOAT_DTYPES else None
         if isinstance(expr, ast.Name):
             return {"float": "float64", "int": "int64", "bool": None}.get(
                 expr.id
@@ -608,35 +385,30 @@ class _Checker:
             return name if name in _INT_DTYPES | _FLOAT_DTYPES else None
         return None
 
-    def _call(self, call: ast.Call, env: dict[str, _Info]) -> _Info:
-        args = [self._infer(a, env) for a in call.args]
-        kwargs = {
-            kw.arg: self._infer(kw.value, env)
-            for kw in call.keywords
-            if kw.arg is not None
-        }
-        del kwargs
+    def call(
+        self, node: ast.Call, callee: _Info, args: list[_Info], keywords: list[_Info]
+    ) -> _Info:
         dtype_kw = next(
-            (kw.value for kw in call.keywords if kw.arg == "dtype"), None
+            (kw.value for kw in node.keywords if kw.arg == "dtype"), None
         )
 
-        np_name = self._np_call_name(call)
+        np_name = self.np_attr(node.func)
         if np_name is not None:
-            return self._np_call(np_name, call, args, dtype_kw, env)
+            return self._np_call(np_name, node, args, dtype_kw)
 
-        func = call.func
+        func = node.func
         # method calls: x.astype(...), x.sum(), x.min() ...
-        if isinstance(func, ast.Attribute) and np_name is None:
-            base = self._infer(func.value, env)
-            if func.attr == "astype" and call.args:
-                dtype = self._dtype_of(call.args[0])
+        if isinstance(func, ast.Attribute):
+            base = callee
+            if func.attr == "astype" and node.args:
+                dtype = self._dtype_of(node.args[0])
                 return replace(
                     base, dtype=dtype or base.dtype, is_array=True
                 )
             if func.attr in _ORDER_SENSITIVE and _is_float(base):
-                self._flag(
+                self.flag(
                     NUM002,
-                    call,
+                    node,
                     f".{func.attr}() on a float array uses pairwise "
                     "accumulation — rounding depends on length and layout",
                     hint="use the cumsum left-fold idiom "
@@ -644,7 +416,7 @@ class _Checker:
                 )
                 return replace(base, is_array=False)
             if func.attr in _NAN_SINKS and base.nonfinite:
-                self._flag_nan_sink(func.attr, call)
+                self._flag_nan_sink(func.attr, node)
             if func.attr in ("cumsum", "cumprod", "copy", "ravel", "reshape",
                              "flatten", "squeeze"):
                 return base
@@ -654,7 +426,7 @@ class _Checker:
             if name in ("min", "max", "sorted") and any(
                 a.nonfinite for a in args
             ):
-                self._flag_nan_sink(name, call)
+                self._flag_nan_sink(name, node)
             if name == "float" and args:
                 return replace(args[0], is_array=False, dtype=None)
             if name == "abs" and args:
@@ -667,7 +439,6 @@ class _Checker:
         call: ast.Call,
         args: list[_Info],
         dtype_kw: ast.expr | None,
-        env: dict[str, _Info],
     ) -> _Info:
         first = args[0] if args else _UNKNOWN
         dtype = self._dtype_of(dtype_kw)
@@ -708,18 +479,14 @@ class _Checker:
             info = replace(first, is_array=True)
             if name in ("abs", "absolute"):
                 info = replace(info, maybe_negative=False)
-            if name == "clip" and len(call.args) > 1:
-                lo = call.args[1]
-                if (
-                    isinstance(lo, ast.Constant)
-                    and isinstance(lo.value, (int, float))
-                    and lo.value > 0
-                ):
-                    info = replace(info, maybe_zero=False, maybe_negative=False)
+            if name == "clip" and len(call.args) > 1 and (
+                literal_number(call.args[1]) or 0
+            ) > 0:
+                info = replace(info, maybe_zero=False, maybe_negative=False)
             return info
         if name == "sqrt":
             if first.maybe_negative:
-                self._flag(
+                self.flag(
                     NUM003,
                     call,
                     "np.sqrt of a value with negative evidence and no guard "
@@ -733,7 +500,7 @@ class _Checker:
             )
         if name in ("log", "log2", "log10"):
             if first.maybe_zero or first.maybe_negative:
-                self._flag(
+                self.flag(
                     NUM003,
                     call,
                     f"np.{name} of a value with zero/negative evidence and "
@@ -752,7 +519,7 @@ class _Checker:
             if any(_is_float(a) for a in operands) or (
                 name != "einsum" and _is_float(first)
             ):
-                self._flag(
+                self.flag(
                     NUM002,
                     call,
                     f"np.{name} on float operands uses pairwise accumulation "
@@ -776,14 +543,10 @@ class _Checker:
                 maybe_negative=any(a.maybe_negative for a in args),
                 nonfinite=any(a.nonfinite for a in args),
             )
-            if name == "maximum" and len(call.args) > 1:
-                other = call.args[1]
-                if (
-                    isinstance(other, ast.Constant)
-                    and isinstance(other.value, (int, float))
-                    and other.value > 0
-                ):
-                    info = replace(info, maybe_zero=False, maybe_negative=False)
+            if name == "maximum" and len(call.args) > 1 and (
+                literal_number(call.args[1]) or 0
+            ) > 0:
+                info = replace(info, maybe_zero=False, maybe_negative=False)
             return info
         if name in ("isfinite", "isnan", "isinf"):
             return _Info(is_array=first.is_array)
@@ -799,10 +562,8 @@ class _Checker:
             negated = False
             if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub):
                 value, negated = value.operand, True
-            if isinstance(value, ast.Constant) and isinstance(
-                value.value, (int, float)
-            ) and not isinstance(value.value, bool):
-                magnitude = value.value
+            magnitude = literal_number(value)
+            if magnitude is not None:
                 maybe_zero |= magnitude == 0
                 maybe_negative |= negated and magnitude != 0
                 if isinstance(magnitude, float):
@@ -813,7 +574,7 @@ class _Checker:
         )
 
     def _flag_nan_sink(self, sink: str, node: ast.AST) -> None:
-        self._flag(
+        self.flag(
             NUM005,
             node,
             f"{sink} consumes a value that can carry nan/inf without an "
@@ -831,7 +592,7 @@ class _Checker:
 
 def numeric_findings(source: str, rel_path: str) -> list[Diagnostic]:
     """NUM001-NUM005 findings for one module's source text."""
-    return _Checker(source, rel_path).run()
+    return _NumericWalker(source, rel_path).run()
 
 
 def analyze_numeric(root: Path | None = None) -> list[Diagnostic]:
@@ -846,11 +607,5 @@ def analyze_numeric(root: Path | None = None) -> list[Diagnostic]:
     base = root if root is not None else Path(__file__).resolve().parent.parent
     sim_dir = Path(base) / "sim"
     files = sorted(sim_dir.rglob("*.py")) if sim_dir.is_dir() else []
-    if not files:
-        raise ValueError(f"no sim/ modules to analyze under {base}")
-    diagnostics: list[Diagnostic] = []
-    for path in files:
-        rel = path.relative_to(Path(base)).as_posix()
-        diagnostics.extend(numeric_findings(path.read_text(), rel))
-    diagnostics.sort(key=lambda d: (d.rule_id, d.location, d.message))
-    return diagnostics
+    rels = [path.relative_to(Path(base)).as_posix() for path in files]
+    return sweep(base, rels, numeric_findings, "sim/ modules")

@@ -51,13 +51,12 @@ from __future__ import annotations
 import ast
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .callgraph import ModuleIndex, ModuleInfo
 from .invariants import UNI001, UNI002, UNI003, UNI004, UNI005, Diagnostic
-
-_SUPPRESS_RE = re.compile(r"#\s*unit-ok:\s*(UNI\d{3})")
+from .walker import Walker, literal_number, sweep
 
 #: A unit is a sorted tuple of (dimension, exponent) pairs; ``()`` is
 #: dimensionless and ``None`` is unknown.
@@ -238,7 +237,7 @@ def load_tables() -> UnitTables:
 # The abstract interpreter
 # ----------------------------------------------------------------------
 #: builtins / helpers that return their first argument's unit unchanged
-_PRESERVE_BUILTINS = frozenset({"float", "int", "abs", "round", "left_fold"})
+_PRESERVE_BUILTINS = frozenset({"float", "int", "abs", "round", "left_fold", "sum"})
 #: numpy functions that preserve the unit of their first argument
 _NP_PRESERVE = frozenset(
     {"sum", "cumsum", "abs", "ceil", "floor", "rint", "repeat", "asarray",
@@ -254,118 +253,86 @@ _METHOD_PRESERVE = frozenset(
 _NUMERIC_ANN = ("int", "float")
 
 
-def _is_numeric_annotation(ann: ast.expr | None) -> bool:
-    if ann is None:
-        return False
+def _is_numeric_annotation(ann: ast.expr) -> bool:
     text = ast.unparse(ann)
-    if text in _NUMERIC_ANN:
-        return True
-    if "ndarray" in text:
-        return True
-    return text.startswith("tuple[int") or text.startswith("tuple[float")
+    return (
+        text in _NUMERIC_ANN
+        or "ndarray" in text
+        or text.startswith(("tuple[int", "tuple[float"))
+    )
 
 
-class _Checker:
-    """One module's dimensional walk."""
+def _module_assignments(
+    tree: ast.Module,
+) -> Iterator[tuple[str, ast.expr | None, ast.stmt]]:
+    """``(name, value, statement)`` for each top-level ``NAME = value``."""
+    value: ast.expr | None
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+        elif isinstance(node, ast.AnnAssign):
+            target, value = node.target, node.value
+        else:
+            continue
+        if isinstance(target, ast.Name):
+            yield target.id, value, node
+
+
+def _unit_data(inferred: tuple | None, declared: tuple | None) -> tuple[tuple[str, str], ...]:
+    return (("inferred", format_unit(inferred)), ("declared", format_unit(declared)))
+
+
+class _UnitWalker(Walker[tuple | None]):
+    """UNI's lattice (unit exponent maps, ``None`` unknown) and rules."""
+
+    UNKNOWN = None
+    WAIVER = re.compile(r"#\s*unit-ok:\s*(UNI\d{3})")
 
     def __init__(self, source: str, rel_path: str, tables: UnitTables) -> None:
-        self.rel_path = rel_path
+        super().__init__(source, rel_path)
         self.tables = tables
-        self.tree = ast.parse(source, filename=rel_path)
-        self.diags: list[Diagnostic] = []
-        self.suppressed: dict[int, set[str]] = {}
-        for lineno, line in enumerate(source.splitlines(), start=1):
-            rules = set(_SUPPRESS_RE.findall(line))
-            if rules:
-                self.suppressed[lineno] = rules
-        #: local names bound to the numpy module
-        self.np_names: set[str] = set()
         #: module-level string constants (stream-name resolution, UNI005)
-        self.str_constants: dict[str, str] = {}
-        for node in self.tree.body:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy":
-                        self.np_names.add(alias.asname or "numpy")
-            elif (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, str)
-            ):
-                self.str_constants[node.targets[0].id] = node.value.value
-            elif (
-                isinstance(node, ast.AnnAssign)
-                and isinstance(node.target, ast.Name)
-                and isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, str)
-            ):
-                self.str_constants[node.target.id] = node.value.value
-        #: class currently being walked (for self.<field> resolution)
-        self.cls_name: str | None = None
+        self.str_constants: dict[str, str] = {
+            name: value.value
+            for name, value, _ in _module_assignments(self.tree)
+            if isinstance(value, ast.Constant) and isinstance(value.value, str)
+        }
 
-    # -- driver --------------------------------------------------------
     def run(self) -> list[Diagnostic]:
-        self._check_classes()
-        module_env: dict[str, tuple] = {}
-        for stmt in self.tree.body:
-            self._stmt(stmt, module_env)
-        self.diags.sort(key=lambda d: (d.rule_id, d.location, d.message))
-        return self.diags
-
-    def _flag(
-        self,
-        rule,
-        lineno: int,
-        message: str,
-        hint: str = "",
-        data: tuple[tuple[str, str], ...] = (),
-    ) -> None:
-        if rule.rule_id in self.suppressed.get(lineno, set()):
-            return
-        self.diags.append(
-            rule.diag(f"{self.rel_path}:{lineno}", message, hint=hint, data=data)
-        )
-
-    # -- UNI002: class field coverage ----------------------------------
-    def _check_classes(self) -> None:
         for node in ast.walk(self.tree):
             if isinstance(node, ast.ClassDef):
-                self._check_one_class(node)
+                self._check_class(node)
+        return super().run()
 
-    def _check_one_class(self, node: ast.ClassDef) -> None:
+    # -- UNI002: class field coverage ----------------------------------
+    def _check_class(self, node: ast.ClassDef) -> None:
         entry = self.tables.classes.get(node.name)
-        ann_fields: list[tuple[str, ast.expr | None, int]] = []
+        numeric: list[tuple[str, ast.AnnAssign]] = []
         members: set[str] = set()
         for stmt in node.body:
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                ann_fields.append((stmt.target.id, stmt.annotation, stmt.lineno))
                 members.add(stmt.target.id)
+                if _is_numeric_annotation(stmt.annotation):
+                    numeric.append((stmt.target.id, stmt))
             elif isinstance(stmt, ast.Assign):
                 for t in stmt.targets:
                     if isinstance(t, ast.Name):
                         members.add(t.id)
             elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 members.add(stmt.name)
-        numeric = [
-            (name, ann, lineno)
-            for name, ann, lineno in ann_fields
-            if _is_numeric_annotation(ann)
-        ]
-        suffixed = any(suffix_unit(name) is not None for name, _, _ in numeric)
+        suffixed = any(suffix_unit(name) is not None for name, _ in numeric)
         # A class participates in the units contract when the table names
         # it or when at least one field opted in via suffix; classes with
         # neither (e.g. ShapeTable's packed rows) are out of scope.
         if entry is None and not suffixed:
             return
         covered = entry or {}
-        for name, _, lineno in numeric:
+        for name, stmt in numeric:
             if suffix_unit(name) is not None or name in covered:
                 continue
-            self._flag(
+            self.flag(
                 UNI002,
-                lineno,
+                stmt,
                 f"numeric field '{node.name}.{name}' has no unit suffix and "
                 f"no UNIT_TABLE entry",
                 hint=f"rename with a unit suffix or add "
@@ -373,172 +340,57 @@ class _Checker:
             )
         for name in sorted(covered):
             if name not in members:
-                self._flag(
+                self.flag(
                     UNI002,
-                    node.lineno,
+                    node,
                     f"UNIT_TABLE[{node.name!r}] covers '{name}' but the class "
                     f"has no such member",
                     hint="drop the stale entry or restore the field",
                 )
 
-    # -- statements ----------------------------------------------------
-    def _stmt(self, node: ast.stmt, env: dict[str, tuple]) -> None:
-        if isinstance(node, ast.Assign):
-            self._assign(node, env)
-        elif isinstance(node, ast.AnnAssign):
-            unit = self._infer(node.value, env) if node.value else None
-            if isinstance(node.target, ast.Name):
-                self._bind_name(node.target.id, unit, env, node.lineno)
-        elif isinstance(node, ast.AugAssign):
-            self._augassign(node, env)
-        elif isinstance(node, ast.Return):
-            self._return(node, env)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._check_function(node)
-        elif isinstance(node, ast.ClassDef):
-            outer = self.cls_name
-            self.cls_name = node.name
-            for stmt in node.body:
-                self._stmt(stmt, {})
-            self.cls_name = outer
-        elif isinstance(node, (ast.If, ast.While)):
-            self._infer(node.test, env)
-            for stmt in node.body + node.orelse:
-                self._stmt(stmt, env)
-        elif isinstance(node, ast.For):
-            self._infer(node.iter, env)
-            for name in _target_names(node.target):
-                env.pop(name, None)
-            for stmt in node.body + node.orelse:
-                self._stmt(stmt, env)
-        elif isinstance(node, ast.With):
-            for item in node.items:
-                self._infer(item.context_expr, env)
-            for stmt in node.body:
-                self._stmt(stmt, env)
-        elif isinstance(node, ast.Try):
-            for stmt in node.body + node.orelse + node.finalbody:
-                self._stmt(stmt, env)
-            for handler in node.handlers:
-                for stmt in handler.body:
-                    self._stmt(stmt, env)
-        elif isinstance(node, ast.Expr):
-            self._infer(node.value, env)
-        elif isinstance(node, (ast.Raise, ast.Assert)):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.expr):
-                    self._infer(child, env)
+    # -- bindings and returns (UNI004) ---------------------------------
+    def join(self, a: tuple | None, b: tuple | None) -> tuple | None:
+        if a is None or b is None:
+            return a or b or None  # one known, dimensioned side survives
+        return a if a == b else None
 
-    def _assign(self, node: ast.Assign, env: dict[str, tuple]) -> None:
-        # Elementwise tuple-assign keeps alias bindings precise:
-        # ``e_nj, t_ns = energy_nj, latency_ns`` binds each name to the
-        # unit of its own value.
-        if (
-            len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Tuple)
-            and isinstance(node.value, ast.Tuple)
-            and len(node.targets[0].elts) == len(node.value.elts)
-        ):
-            for tgt, val in zip(node.targets[0].elts, node.value.elts):
-                unit = self._infer(val, env)
-                if isinstance(tgt, ast.Name):
-                    self._bind_name(tgt.id, unit, env, node.lineno)
-                else:
-                    for name in _target_names(tgt):
-                        env.pop(name, None)
-            return
-        unit = self._infer(node.value, env)
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                self._bind_name(target.id, unit, env, node.lineno)
-            else:
-                for name in _target_names(target):
-                    env.pop(name, None)
-
-    def _augassign(self, node: ast.AugAssign, env: dict[str, tuple]) -> None:
-        value = self._infer(node.value, env)
-        current = (
-            self._name_unit(node.target.id, env)
-            if isinstance(node.target, ast.Name)
-            else self._infer(node.target, env)
-        )
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            result = self._merge_add(current, value, node.lineno,
-                                     "augmented add/sub")
-        elif isinstance(node.op, ast.Mult):
-            result = unit_mul(current, value)
-        elif isinstance(node.op, (ast.Div, ast.FloorDiv)):
-            result = unit_div(current, value)
-        else:
-            result = None
-        if isinstance(node.target, ast.Name):
-            self._bind_name(node.target.id, result, env, node.lineno)
-
-    def _bind_name(
-        self, name: str, unit: tuple | None, env: dict[str, tuple], lineno: int
+    def bind_name(
+        self, name: str, value: tuple | None, env: dict[str, tuple | None], node: ast.AST
     ) -> None:
         declared = self._declared_for_name(name)
         if declared is not None:
-            if units_conflict(declared, unit):
-                self._flag(
+            if units_conflict(declared, value):
+                self.flag(
                     UNI004,
-                    lineno,
+                    node,
                     f"'{name}' declares unit {format_unit(declared)} but is "
-                    f"bound to a value of unit {format_unit(unit)}",
+                    f"bound to a value of unit {format_unit(value)}",
                     hint="convert the value or rename the variable",
-                    data=(
-                        ("inferred", format_unit(unit)),
-                        ("declared", format_unit(declared)),
-                    ),
+                    data=_unit_data(value, declared),
                 )
             env[name] = declared  # the declaration wins downstream
-        elif unit is not None:
-            env[name] = unit
+        elif value is not None:
+            env[name] = value
         else:
             env.pop(name, None)
 
-    def _return(self, node: ast.Return, env: dict[str, tuple]) -> None:
-        inferred = self._infer(node.value, env) if node.value else None
-        declared = self._current_return_unit
-        if units_conflict(declared, inferred):
-            self._flag(
+    def returned(self, node: ast.Return, value: tuple | None) -> None:
+        if self.func is None:
+            return
+        name = self.func.name
+        declared = suffix_unit(name)
+        if declared is None and self.cls is not None:
+            declared = self.tables.classes.get(self.cls.name, {}).get(name)
+        if units_conflict(declared, value):
+            self.flag(
                 UNI004,
-                node.lineno,
-                f"'{self._current_func}' declares return unit "
+                node,
+                f"'{name}' declares return unit "
                 f"{format_unit(declared)} but returns "
-                f"{format_unit(inferred)}",
+                f"{format_unit(value)}",
                 hint="convert the value or rename the function",
-                data=(
-                    ("inferred", format_unit(inferred)),
-                    ("declared", format_unit(declared)),
-                ),
+                data=_unit_data(value, declared),
             )
-
-    _current_return_unit: tuple | None = None
-    _current_func: str = ""
-
-    def _check_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        env: dict[str, tuple] = {}
-        args = node.args
-        for arg in (
-            list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        ):
-            declared = self._declared_for_name(arg.arg)
-            if declared is not None:
-                env[arg.arg] = declared
-        outer_ret = self._current_return_unit
-        outer_func = self._current_func
-        declared_ret = suffix_unit(node.name)
-        if declared_ret is None and self.cls_name is not None:
-            declared_ret = self.tables.classes.get(self.cls_name, {}).get(node.name)
-        self._current_return_unit = declared_ret
-        self._current_func = node.name
-        outer_cls = self.cls_name
-        for stmt in node.body:
-            self._stmt(stmt, env)
-        self.cls_name = outer_cls
-        self._current_return_unit = outer_ret
-        self._current_func = outer_func
 
     # -- name / attribute resolution -----------------------------------
     def _declared_for_name(self, name: str) -> tuple | None:
@@ -547,277 +399,171 @@ class _Checker:
             declared = suffix_unit(name)
         return declared
 
-    def _name_unit(self, name: str, env: dict[str, tuple]) -> tuple | None:
+    def lookup(self, name: str, env: dict[str, tuple | None]) -> tuple | None:
         if name in env:
             return env[name]
         return self._declared_for_name(name)
 
-    def _attr_unit(self, node: ast.Attribute) -> tuple | None:
+    def attribute(self, node: ast.Attribute) -> tuple | None:
         unit = suffix_unit(node.attr)
         if (
             unit is None
-            and self.cls_name is not None
+            and self.cls is not None
             and isinstance(node.value, ast.Name)
             and node.value.id == "self"
         ):
-            unit = self.tables.classes.get(self.cls_name, {}).get(node.attr)
+            unit = self.tables.classes.get(self.cls.name, {}).get(node.attr)
         if unit is None:
             unit = self.tables.attrs.get(node.attr)
         return unit
 
     # -- expressions ---------------------------------------------------
     def _merge_add(
-        self, a: tuple | None, b: tuple | None, lineno: int, kind: str
+        self, a: tuple | None, b: tuple | None, node: ast.AST, kind: str
     ) -> tuple | None:
         if units_conflict(a, b):
-            self._flag(
+            self.flag(
                 UNI001,
-                lineno,
+                node,
                 f"{kind} mixes units {format_unit(a)} and {format_unit(b)}",
                 hint="convert one operand via a named constant in "
                 "repro.sim.units_constants",
             )
             return None
         if a is None or b is None:
-            known = a if b is None else b
-            return known if known else None
-        if not a:
-            return b
-        return a
+            return a or b or None
+        return a or b  # a dimensioned side wins over a dimensionless one
+
+    def _merge_all(
+        self, units: list[tuple | None], node: ast.AST, kind: str
+    ) -> tuple | None:
+        running: tuple | None = None
+        for unit in units:
+            running = self._merge_add(running, unit, node, kind)
+        return running
 
     def _bare_conversion(
-        self, node: ast.expr, other: tuple | None, lineno: int
+        self, literal: ast.expr, other: tuple | None, node: ast.AST
     ) -> None:
-        if not isinstance(node, ast.Constant):
-            return
-        value = node.value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return
-        if value <= 0 or math.isinf(value) or math.isnan(value):
+        value = literal_number(literal)
+        if value is None or value <= 0 or math.isinf(value) or math.isnan(value):
             return
         exponent = math.log10(value)
         if abs(exponent - round(exponent)) > 1e-9 or abs(round(exponent)) < 3:
             return
         if not other:  # unknown or dimensionless partner: no conversion
             return
-        self._flag(
+        self.flag(
             UNI003,
-            lineno,
+            node,
             f"bare literal {value!r} scales a value of unit "
             f"{format_unit(other)} — an undeclared unit conversion",
             hint="name the factor in repro.sim.units_constants and declare "
             "it in CONVERSION_UNITS",
         )
 
-    def _infer(self, node: ast.expr | None, env: dict[str, tuple]) -> tuple | None:
-        if node is None:
-            return None
-        if isinstance(node, ast.Constant):
-            return None  # literals are unit-polymorphic
-        if isinstance(node, ast.Name):
-            return self._name_unit(node.id, env)
-        if isinstance(node, ast.Attribute):
-            self._infer(node.value, env)
-            return self._attr_unit(node)
-        if isinstance(node, ast.BinOp):
-            return self._binop(node, env)
-        if isinstance(node, ast.UnaryOp):
-            inner = self._infer(node.operand, env)
-            if isinstance(node.op, ast.Not):
-                return ()
-            return inner
-        if isinstance(node, ast.Compare):
-            running = self._infer(node.left, env)
-            for op, comparator in zip(node.ops, node.comparators):
-                other = self._infer(comparator, env)
-                if isinstance(
-                    op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
-                ):
-                    running = self._merge_add(
-                        running, other, node.lineno, "comparison"
-                    )
-                else:
-                    running = None
-            return ()
-        if isinstance(node, ast.BoolOp):
-            units = [self._infer(v, env) for v in node.values]
-            first = units[0]
-            return first if all(u == first for u in units) else None
-        if isinstance(node, ast.IfExp):
-            self._infer(node.test, env)
-            body = self._infer(node.body, env)
-            orelse = self._infer(node.orelse, env)
-            if body == orelse:
-                return body
-            if body is None or orelse is None:
-                known = body if orelse is None else orelse
-                return known if known else None
-            return None
-        if isinstance(node, ast.Call):
-            return self._call(node, env)
-        if isinstance(node, ast.Subscript):
-            # Indexing an array/sequence of X yields X.
-            unit = self._infer(node.value, env)
-            self._infer(node.slice, env)
-            return unit
-        if isinstance(node, ast.Starred):
-            return self._infer(node.value, env)
-        if isinstance(node, ast.JoinedStr):
-            for value in node.values:
-                if isinstance(value, ast.FormattedValue):
-                    self._infer(value.value, env)
-            return None
-        if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
-            self._comp_elt_unit(node, env)
-            return None
-        if isinstance(node, ast.DictComp):
-            child = self._comp_env(node.generators, env)
-            self._infer(node.key, child)
-            self._infer(node.value, child)
-            return None
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            for elt in node.elts:
-                self._infer(elt, env)
-            return None
-        if isinstance(node, ast.Dict):
-            for value in node.values:
-                self._infer(value, env)
-            return None
-        return None
+    def constant(self, node: ast.Constant) -> tuple | None:
+        return None  # literals are unit-polymorphic
 
-    def _binop(self, node: ast.BinOp, env: dict[str, tuple]) -> tuple | None:
-        left = self._infer(node.left, env)
-        right = self._infer(node.right, env)
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            return self._merge_add(
-                left, right, node.lineno,
-                "addition" if isinstance(node.op, ast.Add) else "subtraction",
-            )
-        if isinstance(node.op, ast.Mult):
-            self._bare_conversion(node.left, right, node.lineno)
-            self._bare_conversion(node.right, left, node.lineno)
+    def unary(self, node: ast.UnaryOp, operand: tuple | None) -> tuple | None:
+        return () if isinstance(node.op, ast.Not) else operand
+
+    def binop(
+        self, node: ast.BinOp | ast.AugAssign, left: tuple | None, right: tuple | None
+    ) -> tuple | None:
+        if isinstance(node, ast.AugAssign):
+            lhs, rhs = node.target, node.value
+            add_kind = sub_kind = "augmented add/sub"
+        else:
+            lhs, rhs = node.left, node.right
+            add_kind, sub_kind = "addition", "subtraction"
+        op = node.op
+        if isinstance(op, (ast.Add, ast.Sub)):
+            kind = add_kind if isinstance(op, ast.Add) else sub_kind
+            return self._merge_add(left, right, node, kind)
+        if isinstance(op, ast.Mult):
+            self._bare_conversion(lhs, right, node)
+            self._bare_conversion(rhs, left, node)
             return unit_mul(left, right)
-        if isinstance(node.op, (ast.Div, ast.FloorDiv)):
-            self._bare_conversion(node.right, left, node.lineno)
+        if isinstance(op, (ast.Div, ast.FloorDiv)):
+            self._bare_conversion(rhs, left, node)
             return unit_div(left, right)
-        if isinstance(node.op, ast.Mod):
+        if isinstance(op, ast.Mod):
             if left == right:
                 return left
             return left if right is None else None
-        if isinstance(node.op, ast.Pow):
-            if isinstance(node.right, ast.Constant) and isinstance(
-                node.right.value, int
-            ):
-                return unit_pow(left, node.right.value)
+        if isinstance(op, ast.Pow):
+            if isinstance(rhs, ast.Constant) and isinstance(rhs.value, int):
+                return unit_pow(left, rhs.value)
             return () if left == () else None
-        if isinstance(node.op, ast.MatMult):
+        if isinstance(op, ast.MatMult):
             return unit_mul(left, right)
         return None
 
-    def _comp_env(
-        self, generators: list[ast.comprehension], env: dict[str, tuple]
-    ) -> dict[str, tuple]:
-        child = dict(env)
-        for gen in generators:
-            self._infer(gen.iter, env)
-            for name in _target_names(gen.target):
-                child.pop(name, None)
-        return child
+    def compare(self, node: ast.Compare, operands: list[tuple | None]) -> tuple | None:
+        running = operands[0]
+        for op, other in zip(node.ops, operands[1:]):
+            if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)):
+                running = self._merge_add(running, other, node, "comparison")
+            else:
+                running = None
+        return ()
 
-    def _comp_elt_unit(
+    def boolop(self, node: ast.BoolOp, values: list[tuple | None]) -> tuple | None:
+        first = values[0]
+        return first if all(u == first for u in values) else None
+
+    def subscript(self, node: ast.Subscript, value: tuple | None) -> tuple | None:
+        # Indexing an array/sequence of X yields X.
+        return value
+
+    def comprehension(self, node: ast.expr, element: tuple | None) -> tuple | None:
+        # A sequence of X carries X, as arrays do: ``sum(e_nj for ...)`` is nJ.
+        return element
+
+    def call(
         self,
-        node: "ast.GeneratorExp | ast.ListComp | ast.SetComp",
-        env: dict[str, tuple],
+        node: ast.Call,
+        callee: tuple | None,
+        args: list[tuple | None],
+        keywords: list[tuple | None],
     ) -> tuple | None:
-        child = self._comp_env(node.generators, env)
-        return self._infer(node.elt, child)
-
-    def _call(self, node: ast.Call, env: dict[str, tuple]) -> tuple | None:
         func = node.func
-        # --- UNI005: tracer stream emission -------------------------------
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "counter"
-            and len(node.args) >= 2
-        ):
-            self._infer(func.value, env)
-            self._infer(node.args[0], env)
-            for extra in node.args[2:]:
-                self._infer(extra, env)
-            for kw in node.keywords:
-                self._infer(kw.value, env)
-            self._counter_call(node, env)
+        if isinstance(func, ast.Attribute) and func.attr == "counter" and len(args) >= 2:
+            self._counter_call(node, args[1])
             return None
-        # --- min/max/np.minimum/np.maximum/np.where: unit merge -----------
         if isinstance(func, ast.Name) and func.id in ("min", "max"):
-            return self._merge_args(node.args, env, node.lineno, func.id)
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id in self.np_names
-        ):
-            return self._np_call(func.attr, node, env)
-        arg_units = [self._infer(a, env) for a in node.args]
-        self._keyword_check(node, env)
+            return self._merge_all(args, node, func.id)
+        self._keyword_check(node, keywords)
+        np_name = self.np_attr(func)
+        if np_name is not None:
+            return self._np_call(np_name, node, args)
         if isinstance(func, ast.Name):
-            name = func.id
-            if name in _PRESERVE_BUILTINS:
-                return arg_units[0] if arg_units else None
-            if name == "sum" and node.args:
-                first = node.args[0]
-                if isinstance(first, (ast.GeneratorExp, ast.ListComp)):
-                    return self._comp_elt_unit(first, env)
-                return arg_units[0]
-            if name in self.tables.classes:
+            if func.id in _PRESERVE_BUILTINS:
+                return args[0] if args else None
+            if func.id in self.tables.classes:
                 return None  # composite result object
-            return self._name_unit(name, env)
+            return callee
         if isinstance(func, ast.Attribute):
-            receiver = self._infer(func.value, env)
             if func.attr in _METHOD_PRESERVE:
-                return receiver
-            return self._attr_unit(func)
+                return callee
+            return self.attribute(func)
         return None
 
     def _np_call(
-        self, attr: str, node: ast.Call, env: dict[str, tuple]
+        self, attr: str, node: ast.Call, args: list[tuple | None]
     ) -> tuple | None:
-        arg_units = [self._infer(a, env) for a in node.args]
-        self._keyword_check(node, env)
         if attr in ("minimum", "maximum"):
-            return self._merge_args(node.args, env, node.lineno, f"np.{attr}",
-                                    precomputed=arg_units)
+            return self._merge_all(args, node, f"np.{attr}")
         if attr == "where":
-            return self._merge_args(
-                node.args[1:], env, node.lineno, "np.where",
-                precomputed=arg_units[1:],
-            )
+            return self._merge_all(args[1:], node, "np.where")
         if attr == "dot":
-            if len(arg_units) >= 2:
-                return unit_mul(arg_units[0], arg_units[1])
-            return None
+            return unit_mul(args[0], args[1]) if len(args) >= 2 else None
         if attr in _NP_PRESERVE:
-            return arg_units[0] if arg_units else None
+            return args[0] if args else None
         return None
 
-    def _merge_args(
-        self,
-        args: list[ast.expr],
-        env: dict[str, tuple],
-        lineno: int,
-        kind: str,
-        precomputed: "list[tuple | None] | None" = None,
-    ) -> tuple | None:
-        units = (
-            precomputed
-            if precomputed is not None
-            else [self._infer(a, env) for a in args]
-        )
-        running: tuple | None = None
-        for unit in units:
-            running = self._merge_add(running, unit, lineno, kind)
-        return running
-
-    def _keyword_check(self, node: ast.Call, env: dict[str, tuple]) -> None:
+    def _keyword_check(self, node: ast.Call, keywords: list[tuple | None]) -> None:
         """UNI004 on constructor/call keywords with declared units."""
         callee = None
         if isinstance(node.func, ast.Name):
@@ -825,28 +571,24 @@ class _Checker:
         elif isinstance(node.func, ast.Attribute):
             callee = node.func.attr
         table = self.tables.classes.get(callee or "", {})
-        for kw in node.keywords:
-            inferred = self._infer(kw.value, env)
+        for kw, inferred in zip(node.keywords, keywords):
             if kw.arg is None:
                 continue
             declared = table.get(kw.arg)
             if declared is None:
                 declared = suffix_unit(kw.arg)
             if units_conflict(declared, inferred):
-                self._flag(
+                self.flag(
                     UNI004,
-                    node.lineno,
+                    node,
                     f"keyword '{kw.arg}' of {callee or 'call'} declares unit "
                     f"{format_unit(declared)} but receives "
                     f"{format_unit(inferred)}",
                     hint="convert the value before passing it",
-                    data=(
-                        ("inferred", format_unit(inferred)),
-                        ("declared", format_unit(declared)),
-                    ),
+                    data=_unit_data(inferred, declared),
                 )
 
-    def _counter_call(self, node: ast.Call, env: dict[str, tuple]) -> None:
+    def _counter_call(self, node: ast.Call, inferred: tuple | None) -> None:
         stream_node = node.args[0]
         stream: str | None = None
         if isinstance(stream_node, ast.Constant) and isinstance(
@@ -858,33 +600,16 @@ class _Checker:
         if stream is None:
             return
         declared = self.tables.streams.get(stream)
-        inferred = self._infer(node.args[1], env)
         if units_conflict(declared, inferred):
-            self._flag(
+            self.flag(
                 UNI005,
-                node.lineno,
+                node,
                 f"stream '{stream}' declares unit {format_unit(declared)} "
                 f"but the emitted value has unit {format_unit(inferred)}",
                 hint="emit the declared dimension or register a new stream "
                 "in UNIT_TABLE['obs.streams']",
-                data=(
-                    ("inferred", format_unit(inferred)),
-                    ("declared", format_unit(declared)),
-                ),
+                data=_unit_data(inferred, declared),
             )
-
-
-def _target_names(node: ast.expr) -> list[str]:
-    if isinstance(node, ast.Name):
-        return [node.id]
-    if isinstance(node, (ast.Tuple, ast.List)):
-        names: list[str] = []
-        for elt in node.elts:
-            names.extend(_target_names(elt))
-        return names
-    if isinstance(node, ast.Starred):
-        return _target_names(node.value)
-    return []
 
 
 # ----------------------------------------------------------------------
@@ -896,32 +621,20 @@ def units_findings(
     """Run the dimensional walk over one module's source text."""
     if tables is None:
         tables = load_tables()
-    return _Checker(source, rel_path, tables).run()
+    return _UnitWalker(source, rel_path, tables).run()
 
 
-def _conversion_drift(mod: ModuleInfo, rel: str, tables: UnitTables) -> list[Diagnostic]:
+def _conversion_drift(tree: ast.Module, rel: str, tables: UnitTables) -> list[Diagnostic]:
     """UNI002 both ways between CONVERSION_UNITS and the module's
     numeric constants — an undeclared conversion factor is exactly as
     unverifiable as a bare literal."""
     present: dict[str, int] = {}
     table_lineno = 1
-    for node in mod.node.body:
-        target = None
-        value = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign):
-            target, value = node.target, node.value
-        if not isinstance(target, ast.Name):
-            continue
-        if target.id == "CONVERSION_UNITS":
+    for name, value, node in _module_assignments(tree):
+        if name == "CONVERSION_UNITS":
             table_lineno = node.lineno
-        if (
-            isinstance(value, ast.Constant)
-            and isinstance(value.value, (int, float))
-            and not isinstance(value.value, bool)
-        ):
-            present[target.id] = node.lineno
+        if literal_number(value) is not None:
+            present[name] = node.lineno
     out: list[Diagnostic] = []
     for name, lineno in sorted(present.items()):
         if name not in tables.conversions:
@@ -950,27 +663,22 @@ def analyze_units(root: Path | None = None) -> list[Diagnostic]:
 
     ``root`` defaults to the installed ``repro`` package directory; pass
     a fixture tree (or ``repro check --units --source <dir>``) to scan
-    another layout with the same module paths.  The unit *declarations*
-    (UNIT_TABLE, CONVERSION_UNITS) always come from the installed
-    package — the contract is fixed; only the scanned sources vary.
-    Raises :class:`ValueError` when none of the scope modules exist
-    under ``root`` — a silent no-op would report a clean bill it never
-    earned.
+    another layout with the same module paths.  Only the
+    :data:`SCOPE_MODULES` files are read, so a module outside the scope
+    never affects the result.  The unit *declarations* (UNIT_TABLE,
+    CONVERSION_UNITS) always come from the installed package — the
+    contract is fixed; only the scanned sources vary.  Raises
+    :class:`ValueError` when none of the scope modules exist under
+    ``root`` — a silent no-op would report a clean bill it never earned.
     """
     base = root if root is not None else Path(__file__).resolve().parent.parent
     tables = load_tables()
-    index = ModuleIndex.from_package(Path(base), "repro")
-    diagnostics: list[Diagnostic] = []
-    found = False
-    for dotted, rel in SCOPE_MODULES:
-        module = index.modules.get(dotted)
-        if module is None:
-            continue
-        found = True
-        diagnostics.extend(units_findings(module.source, rel, tables=tables))
-        if dotted == "repro.sim.units_constants":
-            diagnostics.extend(_conversion_drift(module, rel, tables))
-    if not found:
-        raise ValueError(f"no cost-model modules to analyze under {base}")
-    diagnostics.sort(key=lambda d: (d.rule_id, d.location, d.message))
-    return diagnostics
+
+    def check(source: str, rel: str) -> list[Diagnostic]:
+        walker = _UnitWalker(source, rel, tables)
+        diagnostics = walker.run()
+        if rel == "sim/units_constants.py":
+            diagnostics.extend(_conversion_drift(walker.tree, rel, tables))
+        return diagnostics
+
+    return sweep(base, [rel for _, rel in SCOPE_MODULES], check, "cost-model modules")
