@@ -8,8 +8,6 @@ walrus, or a ``lambda`` as it is under a plain ``if`` or ``for``.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.numeric import numeric_findings
 from repro.analysis.units import analyze_units, units_findings
 
@@ -210,9 +208,3 @@ class TestUnitsScope:
         (tmp_path / "serve").mkdir()
         (tmp_path / "serve" / "broken.py").write_text("def broken(:\n")
         assert [d.rule_id for d in analyze_units(tmp_path)] == ["UNI001"]
-
-    def test_no_scope_module_is_an_error(self, tmp_path):
-        (tmp_path / "serve").mkdir()
-        (tmp_path / "serve" / "engine.py").write_text("x = 1\n")
-        with pytest.raises(ValueError, match="no cost-model modules"):
-            analyze_units(tmp_path)
