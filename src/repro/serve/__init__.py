@@ -4,13 +4,14 @@ The paper maps one workload once; this package serves many.  A
 :class:`~repro.serve.scenario.Scenario` describes tenants (model +
 strategy + arrival process + SLO) co-located on one accelerator via
 :func:`repro.core.allocation.allocate_multi_network`;
-:func:`~repro.serve.engine.simulate` drives a deterministic
-discrete-event loop with service times from
-:mod:`repro.sim.pipeline`, per-tenant queueing/batching, and a
-drift-triggered re-allocation policy (Algorithm 1 re-pack with weight
-replication); :func:`~repro.serve.report.build_report` rolls latencies
-up into the p50/p95/p99 + SLO-attainment document ``repro serve``
-prints.  See docs/serving.md.
+:func:`~repro.serve.engine.simulate` runs them in two deterministic
+passes: one over the merged arrivals computes the drift-triggered
+re-allocation schedule (Algorithm 1 re-pack with weight replication),
+then each tenant runs as an independent FIFO conveyor with service
+times from :mod:`repro.sim.pipeline`.
+:func:`~repro.serve.report.build_report` rolls latencies up into the
+p50/p95/p99 + SLO-attainment document ``repro serve`` prints.  See
+docs/serving.md.
 """
 
 from .engine import ServeResult, TenantResult, initial_allocation, simulate

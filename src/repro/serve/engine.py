@@ -1,49 +1,48 @@
-"""Deterministic discrete-event serving simulator.
+"""Deterministic two-pass serving simulator.
 
-Drives request-level multi-tenant traffic (:mod:`repro.serve.scenario`)
-across models co-located by
+Serves request-level multi-tenant traffic (:mod:`repro.serve.scenario`)
+on models co-located by
 :func:`repro.core.allocation.allocate_multi_network`, with service times
-taken from the PipeLayer-style stage model in :mod:`repro.sim.pipeline`.
+from the PipeLayer-style stage model in :mod:`repro.sim.pipeline`.
+Tenants interact only through re-allocation decisions, which read
+arrivals alone, so a run takes two passes (docs/serving.md):
 
-Queueing model (docs/serving.md):
+* **Pass 1** walks the merged arrivals once, consults the policy
+  (:mod:`repro.serve.policy`) every ``check_every`` arrivals once a
+  ``window`` has filled, and yields the re-allocation schedule.
+* **Pass 2** runs each tenant as an independent FIFO conveyor over its
+  own arrivals and that schedule.  A queue bounded by ``queue_cap``
+  (overflow is *rejected*) feeds a pipeline whose input admits one
+  request every ``bottleneck_ns``: a batch of ``k <= max_batch``
+  dispatched at ``now`` frees the input at ``now + k * bottleneck_ns``
+  and its ``j``-th request completes at ``now + j * bottleneck_ns +
+  fill_ns`` (the batch law of :class:`repro.sim.pipeline.PipelineReport`).
+  A re-allocation re-times the pipeline and stalls dispatch for
+  ``stall_ns``; batches in flight drain on the old weights.
 
-* Each tenant owns a FIFO queue (bounded by ``queue_cap``; overflowing
-  arrivals are *rejected*) in front of its layer pipeline.
-* The pipeline is weight-stationary and streams: its input admits one
-  request every ``bottleneck_ns`` and each admitted request completes
-  ``fill_ns`` after entering.  Dispatch happens in batches of up to
-  ``max_batch`` — a batch of ``k`` occupies the input conveyor for
-  ``k * bottleneck_ns`` and its ``j``-th request completes at
-  ``dispatch + j * bottleneck_ns + fill_ns`` (exactly the
-  ``fill + (N-1) * bottleneck`` batch law of
-  :class:`repro.sim.pipeline.PipelineReport`).
-* A re-allocation (policy hook, :mod:`repro.serve.policy`) re-packs the
-  accelerator with per-tenant weight replication, re-times every
-  pipeline, and stalls dispatch for the configured weight-rewrite cost;
-  batches already in flight drain on the old weights.
-
-Determinism is a contract, not an accident: the event heap is ordered
-by ``(time, insertion sequence)``, all randomness flows from
-per-tenant blake2b-derived :class:`random.Random` streams, and nothing
-reads a wall clock — the same scenario and seed reproduce the event
-log byte for byte (``tests/serve/test_event_loop.py`` proves it with
-hypothesis).  Tracing is read-only: a live tracer adds ``serve.*``
-records but never changes an outcome.
+The merged ``event_log`` is ordered by time.  At equal times, arrivals
+come first in request order, each followed by the dispatch it starts and
+the re-allocation it triggers; then completions; then the dispatches a
+conveyor starts on its own.  Remaining ties go by tenant, then by the
+tenant's own order.  Arrivals come from per-tenant blake2b-seeded
+streams and nothing reads a wall clock, so a scenario and seed reproduce
+the log byte for byte.  Tracing is read-only: the ``serve.*`` records
+are replayed from the finished log.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import inf, nextafter
+from operator import itemgetter
 from typing import Any
 
-from ..arch.config import DEFAULT_CONFIG, CrossbarShape, HardwareConfig
+from ..arch.config import DEFAULT_CONFIG, HardwareConfig
 from ..core.allocation.multi_model import (
     MultiModelAllocation,
     allocate_multi_network,
 )
-from ..models.graph import Network
 from ..models.zoo import get_model
 from ..obs import current_tracer
 from ..obs.metrics import (
@@ -55,46 +54,7 @@ from ..obs.metrics import (
 from ..sim.pipeline import pipeline_report
 from ..sim.units_constants import NS_PER_S
 from .policy import DriftReallocationPolicy, ReallocationPolicy
-from .scenario import Scenario, generate_arrivals
-
-#: event kinds, in heap payload position 2 (tie-break is insertion seq)
-_ARRIVAL = 0
-_INPUT_FREE = 1
-_COMPLETE = 2
-_WAKE = 3
-
-
-@dataclass
-class _TenantState:
-    """Mutable per-tenant serving state."""
-
-    index: int
-    name: str
-    network: Network
-    strategy: tuple[CrossbarShape, ...]
-    slo_ns: float
-    bottleneck_ns: float
-    fill_ns: float
-    replication: int = 1
-    queue: deque = field(default_factory=deque)
-    input_busy: bool = False
-    stall_until_ns: float = 0.0
-    arrivals: int = 0
-    completed: int = 0
-    rejected: int = 0
-    latencies: list[float] = field(default_factory=list)
-    waits: list[float] = field(default_factory=list)
-
-    def retime(self, replication: int) -> None:
-        """Re-derive pipeline service times for a new replication factor."""
-        report = pipeline_report(
-            self.network,
-            self.strategy,
-            replication=[replication] * self.network.num_layers,
-        )
-        self.replication = replication
-        self.bottleneck_ns = report.bottleneck_ns
-        self.fill_ns = report.fill_ns
+from .scenario import Scenario, TenantSpec, generate_arrivals
 
 
 @dataclass(frozen=True)
@@ -144,75 +104,177 @@ class ServeResult:
         return sum(t.rejected for t in self.tenants)
 
 
+class _Conveyor:
+    """Pass 2: one tenant's FIFO queue in front of its streaming pipeline.
+
+    Before each input (an own arrival or a scheduled re-allocation) at
+    time ``t``, the conveyor advances on its own through the wake-ups,
+    input-frees and completions strictly before ``t``.  Log entries go
+    to ``stream`` as ``(t, rank, tenant, seq, entry)``, a key that sorts
+    into the module's merge order; ``events`` counts everything but
+    arrivals processed up to the horizon.
+    """
+
+    def __init__(
+        self, index: int, spec: TenantSpec, scenario: Scenario, n_arrivals: int
+    ) -> None:
+        self.index, self.name, self.scenario = index, spec.name, scenario
+        self.network = get_model(spec.model)
+        self.strategy = spec.strategy_shapes(self.network.num_layers)
+        self.rank = n_arrivals  # completions rank after every arrival
+        self._retime(1)
+        self.queue: deque = deque()     # (req_id, arrival_ns)
+        self.inflight: deque = deque()  # (done_ns, req_id, arrival_ns, fill_ns)
+        self.wakes: deque = deque()     # pending wake-ups, non-decreasing
+        self.free_at = inf              # pending input-free; inf when idle
+        self.stall_until = 0.0
+        self.rejected = self.events = 0
+        self.latencies: list[float] = []
+        self.waits: list[float] = []
+        self.stream: list[tuple] = []
+
+    def _retime(self, replication: int) -> None:
+        report = pipeline_report(
+            self.network,
+            self.strategy,
+            replication=[replication] * self.network.num_layers,
+        )
+        self.replication = replication
+        self.bottleneck_ns, self.fill_ns = report.bottleneck_ns, report.fill_ns
+
+    def run(self, times, req_ids, schedule, horizon: float) -> None:
+        """Serve the tenant's arrivals under the ``(req_id, t, decision)``
+        schedule; a decision applies right after the arrival that
+        triggered it.  Nothing at or past ``horizon`` is processed."""
+        pending = deque(schedule)
+        cap = self.scenario.queue_cap
+        for t, req_id in zip(times, req_ids):
+            while pending and pending[0][0] < req_id:
+                self._realloc(*pending.popleft())
+            self._advance(t)
+            kind = "reject" if cap and len(self.queue) >= cap else "arrival"
+            self.stream.append(
+                (t, req_id, self.index, len(self.stream),
+                 {"t": t, "kind": kind, "tenant": self.name, "req": req_id})
+            )
+            if kind == "reject":
+                self.rejected += 1
+                continue
+            self.queue.append((req_id, t))
+            if self.free_at == inf and t >= self.stall_until:
+                self._dispatch(t, req_id)
+        for item in pending:
+            self._realloc(*item)
+        self._advance(horizon)
+
+    def _realloc(self, req_id: int, t: float, decision) -> None:
+        self._advance(t)
+        if decision.replication[self.index] != self.replication:
+            self._retime(decision.replication[self.index])
+        self.stall_until = t + self.scenario.realloc.stall_ns
+        if self.free_at == inf:
+            # An idle input needs a wake-up once the weight rewrite ends.
+            self.wakes.append(self.stall_until)
+
+    def _advance(self, limit: float) -> None:
+        """Process wake-ups, input-frees and completions before ``limit``.
+
+        Wake-ups are only scheduled while the input idles, and nothing
+        dispatches before their stall ends, so they never tie with an
+        input-free.
+        """
+        while True:
+            wake = self.wakes[0] if self.wakes else inf
+            now = min(wake, self.free_at)
+            if now >= limit:
+                break
+            self.events += 1
+            if wake <= self.free_at:
+                self.wakes.popleft()
+                if self.free_at < inf or now < self.stall_until:
+                    continue
+            else:
+                self.free_at = inf
+                if now < self.stall_until:
+                    self.wakes.append(self.stall_until)
+                    continue
+            if self.queue:
+                self._dispatch(now, self.rank + 1)
+        self._complete(limit)
+
+    def _dispatch(self, now: float, rank: int) -> None:
+        """Admit up to ``max_batch`` queued requests into the pipeline."""
+        self._complete(now)
+        queue, inflight = self.queue, self.inflight
+        k = min(self.scenario.max_batch, len(queue))
+        b, fill = self.bottleneck_ns, self.fill_ns
+        overtakes = inflight and inflight[-1][0] > now + fill
+        for j in range(k):
+            inflight.append((now + j * b + fill, *queue.popleft(), fill))
+        if overtakes:
+            # A re-time shortened the pipeline: this batch overtakes
+            # requests still draining on the old weights.
+            self.inflight = deque(sorted(inflight, key=itemgetter(0)))
+        self.free_at = now + k * b
+        self.stream.append(
+            (now, rank, self.index, len(self.stream),
+             {"t": now, "kind": "dispatch", "tenant": self.name, "batch": k})
+        )
+
+    def _complete(self, bound: float) -> None:
+        """Retire the in-flight requests that finish before ``bound``."""
+        inflight = self.inflight
+        while inflight and inflight[0][0] < bound:
+            done, req_id, arrival, fill = inflight.popleft()
+            latency = done - arrival
+            self.latencies.append(latency)
+            # (arrival + fill) - arrival rounds below fill for large
+            # arrival times; the queueing share is never negative.
+            self.waits.append(max(0.0, latency - fill))
+            self.events += 1
+            self.stream.append(
+                (done, self.rank, self.index, len(self.stream),
+                 {"t": done, "kind": "complete", "tenant": self.name,
+                  "req": req_id, "latency_ns": latency})
+            )
+
+
 def simulate(
     scenario: Scenario,
     *,
     config: HardwareConfig = DEFAULT_CONFIG,
     policy: ReallocationPolicy | None = None,
     tracer=None,
-    record_events: bool = True,
 ) -> ServeResult:
     """Run one serving scenario to completion.
 
     ``policy`` overrides the default drift policy built from
     ``scenario.realloc`` (pass one to plug in a custom re-allocation
     strategy; it is only consulted when ``scenario.realloc.enabled``).
-    ``record_events`` keeps the full event log (on by default; the
-    throughput benchmark leaves it on too — logging is part of the
-    simulator's contract, not overhead to shed).
     """
     tracer = current_tracer() if tracer is None else tracer
     capacity = config.logical_xbars_per_tile
-
-    # --- static setup: tenants, initial Algorithm-1 packing -----------
-    tenants: list[_TenantState] = []
-    for index, spec in enumerate(scenario.tenants):
-        network = get_model(spec.model)
-        strategy = spec.strategy_shapes(network.num_layers)
-        state = _TenantState(
-            index=index,
-            name=spec.name,
-            network=network,
-            strategy=strategy,
-            slo_ns=spec.slo_ns,
-            bottleneck_ns=0.0,
-            fill_ns=0.0,
-        )
-        state.retime(1)
-        tenants.append(state)
-
-    workloads = [(t.network, t.strategy) for t in tenants]
-    allocation = allocate_multi_network(workloads, capacity)
-    initial_tiles = allocation.occupied_tiles
-    tile_budget = int(scenario.realloc.headroom * initial_tiles)
-
     realloc_cfg = scenario.realloc
     if policy is None:
         policy = DriftReallocationPolicy(
             threshold=realloc_cfg.threshold,
             cooldown_ns=realloc_cfg.cooldown_ns,
         )
-
-    # --- arrivals ------------------------------------------------------
-    heap: list[tuple[float, int, int, int, int, float]] = []
-    seq = 0
-
-    def push(t: float, kind: int, tenant: int, req: int, arrival: float):
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, tenant, req, arrival))
-        seq += 1
-
     per_tenant_arrivals = [
         generate_arrivals(spec, scenario.duration_ns, scenario.seed)
         for spec in scenario.tenants
     ]
     merged = sorted(
-        (t, idx)
-        for idx, times in enumerate(per_tenant_arrivals)
-        for t in times
+        (t, idx) for idx, times in enumerate(per_tenant_arrivals) for t in times
     )
-    for req_id, (t, idx) in enumerate(merged):
-        push(t, _ARRIVAL, idx, req_id, t)
+    conveyors = [
+        _Conveyor(index, spec, scenario, len(merged))
+        for index, spec in enumerate(scenario.tenants)
+    ]
+    n = len(conveyors)
+    workloads = [(c.network, c.strategy) for c in conveyors]
+    initial_tiles = allocate_multi_network(workloads, capacity).occupied_tiles
+    tile_budget = int(realloc_cfg.headroom * initial_tiles)
 
     # Provisioned mix: what the initial allocation was sized for.
     expected_rates = [
@@ -221,54 +283,42 @@ def simulate(
     ]
     rate_total = sum(expected_rates)
     provisioned_share = [
-        (r / rate_total if rate_total else 1.0 / len(tenants))
-        for r in expected_rates
+        (r / rate_total if rate_total else 1.0 / n) for r in expected_rates
     ]
 
-    # --- event loop ----------------------------------------------------
-    log: list[dict[str, Any]] = []
-    realloc_log: list[dict[str, Any]] = []
+    # --- pass 1: the re-allocation schedule, from arrivals alone -------
+    req_ids: list[list[int]] = [[] for _ in range(n)]
+    schedule = []
     window: deque = deque(maxlen=realloc_cfg.window)
-    arrivals_seen = 0
-    last_realloc_ns = float("-inf")
-    current_replication = [1] * len(tenants)
-    events_processed = 0
-    end_ns = scenario.duration_ns
-    traced = tracer.enabled
-
-    def dispatch(state: _TenantState, now: float) -> None:
-        """Admit up to ``max_batch`` queued requests into the pipeline."""
-        if state.input_busy or now < state.stall_until_ns or not state.queue:
-            return
-        k = min(scenario.max_batch, len(state.queue))
-        b = state.bottleneck_ns
-        for j in range(k):
-            req_id, arrival = state.queue.popleft()
-            done = now + j * b + state.fill_ns
-            push(done, _COMPLETE, state.index, req_id, arrival)
-        state.input_busy = True
-        push(now + k * b, _INPUT_FREE, state.index, -1, now)
-        if record_events:
-            log.append(
-                {"t": now, "kind": "dispatch", "tenant": state.name, "batch": k}
-            )
-        if traced:
-            emit_serve_batch(tracer, tenant=state.name, batch_size=k)
-
-    def apply_realloc(decision, now: float) -> None:
-        nonlocal last_realloc_ns, provisioned_share, current_replication
-        last_realloc_ns = now
-        provisioned_share = list(decision.observed_share)
-        current_replication = list(decision.replication)
-        for state, reps in zip(tenants, decision.replication):
-            if state.replication != reps:
-                state.retime(reps)
-            state.stall_until_ns = now + realloc_cfg.stall_ns
-            # Idle tenants need a wake-up once the weight rewrite ends.
-            if not state.input_busy:
-                push(now + realloc_cfg.stall_ns, _WAKE, state.index, -1, now)
-        entry = {
-            "t": now,
+    last_realloc_ns = -inf
+    replication = [1] * n
+    for req_id, (t, idx) in enumerate(merged):
+        req_ids[idx].append(req_id)
+        window.append(idx)
+        if (
+            not realloc_cfg.enabled
+            or len(window) < realloc_cfg.window
+            or (req_id + 1) % realloc_cfg.check_every
+        ):
+            continue
+        decision = policy.decide(
+            now_ns=t,
+            observed_share=[window.count(i) / len(window) for i in range(n)],
+            provisioned_share=provisioned_share,
+            current_replication=replication,
+            workloads=workloads,
+            tile_capacity=capacity,
+            tile_budget=tile_budget,
+            last_realloc_ns=last_realloc_ns,
+        )
+        if decision is not None:
+            last_realloc_ns = t
+            provisioned_share = list(decision.observed_share)
+            replication = list(decision.replication)
+            schedule.append((req_id, t, decision))
+    realloc_log = tuple(
+        {
+            "t": t,
             "kind": "realloc",
             "replication": list(decision.replication),
             "tiles": decision.allocation.occupied_tiles,
@@ -276,132 +326,78 @@ def simulate(
             "drift": decision.drift,
             "observed_share": list(decision.observed_share),
         }
-        realloc_log.append(entry)
-        if record_events:
-            log.append(dict(entry))
-        if traced:
-            tracer.event(
-                EVENT_SERVE_REALLOC,
-                tiles=decision.allocation.occupied_tiles,
-                drift=decision.drift,
-                replication=",".join(map(str, decision.replication)),
-            )
-
-    def maybe_realloc(now: float) -> None:
-        if not realloc_cfg.enabled or len(window) < realloc_cfg.window:
-            return
-        if arrivals_seen % realloc_cfg.check_every:
-            return
-        counts = [0] * len(tenants)
-        for idx in window:
-            counts[idx] += 1
-        observed = [c / len(window) for c in counts]
-        decision = policy.decide(
-            now_ns=now,
-            observed_share=observed,
-            provisioned_share=provisioned_share,
-            current_replication=current_replication,
-            workloads=workloads,
-            tile_capacity=capacity,
-            tile_budget=tile_budget,
-            last_realloc_ns=last_realloc_ns,
-        )
-        if decision is not None:
-            apply_realloc(decision, now)
-
-    while heap:
-        t, _, kind, idx, req_id, arrival = heapq.heappop(heap)
-        if not scenario.drain and t > scenario.duration_ns:
-            break
-        events_processed += 1
-        state = tenants[idx]
-        if kind == _ARRIVAL:
-            state.arrivals += 1
-            arrivals_seen += 1
-            window.append(idx)
-            if scenario.queue_cap and len(state.queue) >= scenario.queue_cap:
-                state.rejected += 1
-                if record_events:
-                    log.append(
-                        {"t": t, "kind": "reject", "tenant": state.name,
-                         "req": req_id}
-                    )
-                if traced:
-                    tracer.event(EVENT_SERVE_REJECT, tenant=state.name)
-            else:
-                state.queue.append((req_id, arrival))
-                if record_events:
-                    log.append(
-                        {"t": t, "kind": "arrival", "tenant": state.name,
-                         "req": req_id}
-                    )
-                dispatch(state, t)
-            maybe_realloc(t)
-        elif kind == _INPUT_FREE:
-            state.input_busy = False
-            if t < state.stall_until_ns:
-                # Weight rewrite in progress: resume when it ends.
-                push(state.stall_until_ns, _WAKE, state.index, -1, t)
-            else:
-                dispatch(state, t)
-        elif kind == _COMPLETE:
-            state.completed += 1
-            latency = t - arrival
-            # (arrival + fill) - arrival rounds below fill for large
-            # arrival times; the queueing share is never negative.
-            wait = max(0.0, latency - state.fill_ns)
-            state.latencies.append(latency)
-            state.waits.append(wait)
-            if record_events:
-                log.append(
-                    {"t": t, "kind": "complete", "tenant": state.name,
-                     "req": req_id, "latency_ns": latency}
-                )
-            if traced:
-                emit_serve_request(
-                    tracer,
-                    tenant=state.name,
-                    latency_ns=latency,
-                    wait_ns=wait,
-                    queue_depth=len(state.queue),
-                )
-            if scenario.drain and t > end_ns:
-                end_ns = t
-        else:  # _WAKE after a re-allocation stall
-            dispatch(state, t)
-
-    if any(r != 1 for r in current_replication):
-        final_tiles = allocate_multi_network(
-            workloads, capacity, replication=current_replication
-        ).occupied_tiles
-    else:
-        final_tiles = initial_tiles
-
-    results = tuple(
-        TenantResult(
-            name=s.name,
-            model=spec.model,
-            slo_ns=s.slo_ns,
-            arrivals=s.arrivals,
-            completed=s.completed,
-            rejected=s.rejected,
-            replication=s.replication,
-            latencies_ns=tuple(s.latencies),
-            waits_ns=tuple(s.waits),
-        )
-        for s, spec in zip(tenants, scenario.tenants)
+        for _, t, decision in schedule
     )
+
+    # --- pass 2: one independent conveyor per tenant -------------------
+    horizon = inf if scenario.drain else nextafter(scenario.duration_ns, inf)
+    for conveyor, times, ids in zip(conveyors, per_tenant_arrivals, req_ids):
+        conveyor.run(times, ids, schedule, horizon)
+
+    # --- merge: the streams are in order, so sorting merges runs -------
+    items = [item for c in conveyors for item in c.stream]
+    items.extend(
+        (entry["t"], req_id, n, 0, dict(entry))
+        for (req_id, _, _), entry in zip(schedule, realloc_log)
+    )
+    items.sort()  # (rank, tenant, seq) is unique: entries never compare
+    log = tuple(item[-1] for item in items)
+    if tracer.enabled:
+        _emit_trace(tracer, log, conveyors)
+
+    # A drained run ends with its last completion, the latest logged event.
+    end_ns = scenario.duration_ns
+    if scenario.drain and log:
+        end_ns = max(end_ns, log[-1]["t"])
     return ServeResult(
         scenario=scenario,
-        tenants=results,
-        event_log=tuple(log),
-        realloc_events=tuple(realloc_log),
+        tenants=tuple(
+            TenantResult(
+                name=c.name,
+                model=spec.model,
+                slo_ns=spec.slo_ns,
+                arrivals=len(times),
+                completed=len(c.latencies),
+                rejected=c.rejected,
+                replication=c.replication,
+                latencies_ns=tuple(c.latencies),
+                waits_ns=tuple(c.waits),
+            )
+            for c, spec, times in zip(
+                conveyors, scenario.tenants, per_tenant_arrivals
+            )
+        ),
+        event_log=log,
+        realloc_events=realloc_log,
         end_ns=end_ns,
-        events_processed=events_processed,
+        events_processed=len(merged) + sum(c.events for c in conveyors),
         initial_tiles=initial_tiles,
-        final_tiles=final_tiles,
+        final_tiles=realloc_log[-1]["tiles"] if realloc_log else initial_tiles,
         tile_budget=tile_budget,
     )
+
+
+def _emit_trace(tracer, log, conveyors) -> None:
+    """Replay a finished event log as ``serve.*`` trace records."""
+    depth = {c.name: 0 for c in conveyors}
+    waits = {c.name: iter(c.waits) for c in conveyors}
+    for e in log:
+        kind, name = e["kind"], e.get("tenant")
+        if kind == "realloc":
+            replication = ",".join(map(str, e["replication"]))
+            tracer.event(EVENT_SERVE_REALLOC, tiles=e["tiles"],
+                         drift=e["drift"], replication=replication)
+        elif kind == "reject":
+            tracer.event(EVENT_SERVE_REJECT, tenant=name)
+        elif kind == "arrival":
+            depth[name] += 1
+        elif kind == "dispatch":
+            depth[name] -= e["batch"]
+            emit_serve_batch(tracer, tenant=name, batch_size=e["batch"])
+        else:
+            emit_serve_request(tracer, tenant=name, latency_ns=e["latency_ns"],
+                               wait_ns=next(waits[name]),
+                               queue_depth=depth[name])
 
 
 def initial_allocation(

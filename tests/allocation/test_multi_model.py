@@ -86,3 +86,9 @@ class TestAllocateMultiNetwork:
         result = allocate_multi_network(simple_workloads(shape), capacity)
         result.allocation.validate()
         assert result.occupied_tiles <= result.separate_tiles
+        # One copy each packs like no replication at all, so a serving
+        # re-pack back to all-ones reports the initial tile count.
+        ones = allocate_multi_network(
+            simple_workloads(shape), capacity, replication=[1, 1]
+        )
+        assert ones.occupied_tiles == result.occupied_tiles

@@ -11,6 +11,9 @@ Three families of invariants over randomly generated scenarios:
 * **Ordering / monotonicity** — latencies are non-negative, the event
   log is time-ordered, and a probe request's latency is monotone in the
   amount of traffic queued ahead of it (FIFO + conveyor admission).
+* **Arrivals-only re-allocation** — the re-allocation schedule does not
+  move when only the queueing knobs change, the premise that lets the
+  engine compute it in a pass of its own.
 """
 
 import json
@@ -197,3 +200,36 @@ class TestOrdering:
         # FIFO + in-order completions: the probe (latest arrival)
         # finishes last, so its latency is the final one recorded.
         return tenant.latencies_ns[-1]
+
+
+class TestReallocPremise:
+    # Most drawn scenarios never drift enough to re-pack; 40 examples
+    # keep a handful that do.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scenario=scenarios(),
+        queue_cap=st.sampled_from([0, 1, 4, 64]),
+        max_batch=st.integers(1, 8),
+        stall_ns=st.sampled_from([0.0, 5e4, 1e6]),
+        drain=st.booleans(),
+    )
+    def test_realloc_events_read_arrivals_only(
+        self, scenario, queue_cap, max_batch, stall_ns, drain
+    ):
+        """Queue bound, batch size, stall and drain never move a decision."""
+        import dataclasses
+
+        base = dataclasses.replace(
+            scenario,
+            realloc=dataclasses.replace(scenario.realloc, enabled=True),
+        )
+        varied = dataclasses.replace(
+            base,
+            queue_cap=queue_cap,
+            max_batch=max_batch,
+            drain=drain,
+            realloc=dataclasses.replace(base.realloc, stall_ns=stall_ns),
+        )
+        assert simulate(varied).realloc_events == (
+            simulate(base).realloc_events
+        )

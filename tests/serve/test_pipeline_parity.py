@@ -155,6 +155,9 @@ class TestReplicatedParity:
         assert len(result.realloc_events) == 1
         assert result.realloc_events[0]["replication"] == [2]
         assert tenant.completed == N_REQUESTS + 1
+        # The lead request entered the pipeline the instant it arrived,
+        # before the re-pack; it waited for nothing.
+        assert tenant.waits_ns[0] == 0.0
 
         wave = tenant.latencies_ns[1:]
         for j, latency in enumerate(wave):
