@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable
 
 from .invariants import (
     LNT001,
@@ -362,8 +361,3 @@ def lint_tree(root: Path | str | None = None) -> list[Diagnostic]:
     for path in sorted(base.rglob("*.py")):
         out.extend(lint_path(path, base))
     return out
-
-
-def iter_python_files(root: Path | str) -> Iterable[Path]:
-    """Public helper for tools that want the same file discovery."""
-    return sorted(Path(root).rglob("*.py"))

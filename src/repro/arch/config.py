@@ -231,9 +231,9 @@ class HardwareConfig:
         )
         if diags:
             raise InvariantViolation(diags, "HardwareConfig")
-        # Configs key several hot-path memos (shape tables, network
-        # constants, pooling totals), so the 35-field tuple hash is paid
-        # multiple times per Simulator.evaluate.  Stash it once; every
+        # Configs key the simulator's per-config memo records, so the
+        # 35-field tuple hash is paid on every Simulator.evaluate.  Stash
+        # it once; every
         # field is an int or float, whose hashes Python computes by a
         # deterministic numeric algorithm (no per-process randomisation),
         # so the stashed value survives pickling across processes.
@@ -245,6 +245,10 @@ class HardwareConfig:
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        # Fields only: the simulator's per-instance memo never rides along.
+        return (HardwareConfig, tuple(getattr(self, f.name) for f in fields(self)))
 
     def validate_for_candidates(self, shapes: Iterable[CrossbarShape]) -> None:
         """Reject an ADC resolution inconsistent with the candidate rows.
@@ -421,9 +425,6 @@ UNIT_TABLE: dict[str, dict[str, str]] = {
         "adder_tree": "nJ",
         "buffer": "nJ",
         "bus": "nJ",
-    },
-    "_NetworkConstants": {
-        "phase_factor": "count",
     },
     "obs.streams": {
         "sim.utilization": "fraction",

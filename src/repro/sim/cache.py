@@ -35,9 +35,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
 from hashlib import blake2b
-from typing import Hashable, Mapping
+from typing import Callable, Hashable, Mapping, TypeVar
 
 from ..analysis.invariants import CAC004, Diagnostic
 from ..arch.config import CrossbarShape, HardwareConfig
@@ -45,6 +44,42 @@ from ..models.graph import Network
 
 #: A cache key: every component pre-reduced to a compact hashable value.
 CacheKey = Hashable
+
+_T = TypeVar("_T")
+
+#: Most values one instance's memo holds; a full memo is emptied first.
+_MEMO_BOUND = 64
+
+
+def _memo(owner: object, key: Hashable, build: Callable[[], _T]) -> _T:
+    """``owner``'s memoised value for ``key``; ``build()`` on a miss.
+
+    The one per-instance memo of the simulator's hot paths: a dict in
+    ``owner.__dict__``, so a lookup never hashes ``owner``.  Contract:
+
+    * a value is a pure function of ``owner``'s fingerprinted fields
+      (:data:`FINGERPRINTED_FIELDS`) and ``key``, so it never goes stale;
+    * it is never pickled: the owners that are pickled (``Network``,
+      ``HardwareConfig``) reduce to their fields;
+    * it is bounded: a memo holding :data:`_MEMO_BOUND` values is emptied
+      before the next insert (only per-config keys grow that far).
+
+    Two threads missing one key both build equal values; the lost write
+    is benign.
+    """
+    memo: dict[Hashable, object] | None = owner.__dict__.get("_memo")
+    if memo is None:
+        memo = {}
+        object.__setattr__(owner, "_memo", memo)
+    try:
+        return memo[key]  # type: ignore[return-value]
+    except KeyError:
+        pass
+    value = build()
+    if len(memo) >= _MEMO_BOUND:
+        memo.clear()
+    memo[key] = value
+    return value
 
 # ----------------------------------------------------------------------
 # Fingerprint coverage contract
@@ -119,7 +154,6 @@ def _stable_digest(payload: object) -> int:
     return int.from_bytes(blake2b(encoded, digest_size=16).digest(), "big")
 
 
-@lru_cache(maxsize=1024)
 def config_fingerprint(config: HardwareConfig) -> int:
     """Stable content fingerprint of a hardware configuration.
 
@@ -127,12 +161,11 @@ def config_fingerprint(config: HardwareConfig) -> int:
     distinct objects (e.g. round-tripped through JSON), and the digest is
     identical across processes and interpreter runs.
     """
-    return _stable_digest(
+    return _memo(config, "fingerprint", lambda: _stable_digest(
         tuple(getattr(config, name) for name in _CONFIG_FIELDS)
-    )
+    ))
 
 
-@lru_cache(maxsize=1024)
 def network_fingerprint(network: Network) -> int:
     """Stable content fingerprint of a network's search-relevant identity.
 
@@ -143,6 +176,10 @@ def network_fingerprint(network: Network) -> int:
     same model share a fingerprint; two models differing only in
     feature-map size do not.
     """
+    return _memo(network, "fingerprint", lambda: _network_digest(network))
+
+
+def _network_digest(network: Network) -> int:
     entries: list[tuple[object, ...]] = []
     for stage in network.stages:
         if stage.layer is not None:
@@ -255,12 +292,14 @@ class EvaluationCache:
         Everything :meth:`Simulator.evaluate` reads goes in: the config
         and network content fingerprints, the per-layer shapes, and the
         flags that change the result (``tile_shared``, ``detailed``) or
-        the feasibility verdict (``enforce_capacity``).
+        the feasibility verdict (``enforce_capacity``).  The shapes go in
+        as themselves: their hash is stashed at construction, so a key
+        builds and hashes faster than one of ``(rows, cols)`` pairs.
         """
         return (
             config_fingerprint(config),
             network_fingerprint(network),
-            tuple((s.rows, s.cols) for s in strategy),
+            tuple(strategy),
             tile_shared,
             detailed,
             enforce_capacity,

@@ -54,6 +54,7 @@ from ..arch.config import CrossbarShape, HardwareConfig
 from ..core.allocation.summary import AllocationSummary, summarize_counts
 from ..models.graph import Network
 from ..obs.trace import NULL_TRACER, Tracer
+from .cache import _memo
 from .metrics import EnergyBreakdown, LayerCost, SystemMetrics
 from .units_constants import NW_NS_TO_NJ
 
@@ -72,7 +73,6 @@ __all__ = [
     "batch_layer_latency_ns",
     "batch_tile_area_um2",
     "batch_utilization",
-    "pooling_totals",
     "left_fold",
     "area_from_layer_runs",
     "ShapeTable",
@@ -232,7 +232,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def network_arrays(network: Network) -> NetworkArrays:
-    """Extract the per-layer constant arrays of one network."""
+    """The per-layer constant arrays of one network, memoised on it."""
+    return _memo(network, "arrays", lambda: _network_arrays(network))
+
+
+def _network_arrays(network: Network) -> NetworkArrays:
     layers = network.layers
 
     def as_i64(values: list[int]) -> np.ndarray:
@@ -262,77 +266,30 @@ def network_arrays(network: Network) -> NetworkArrays:
     )
 
 
-def cached_network_arrays(network: Network) -> NetworkArrays:
-    """Per-network memo of :func:`network_arrays`.
-
-    Stored on the (frozen, immutable) ``Network`` instance itself rather
-    than in an ``lru_cache``: the dataclass hash of a network recursively
-    hashes every layer spec (~10µs for VGG16), which would dominate the
-    per-evaluate budget.  ``object.__setattr__`` bypasses the frozen
-    guard; the record is a pure function of the instance, so the stash
-    can never go stale.
-    """
-    record = network.__dict__.get("_kernel_arrays")
-    if record is None:
-        record = network_arrays(network)
-        object.__setattr__(network, "_kernel_arrays", record)
-    return record
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _NetworkConstants:
-    """Geometry-independent cost terms of one (network, config) pair.
+    """Everything an evaluation reuses from one (network, config) pair.
 
-    Every field is a deterministic function of :class:`NetworkArrays` and
-    the config, computed with exactly the scalar reference's operations —
-    caching them changes nothing bit-wise, it only stops the per-evaluate
-    recomputation of terms no strategy can affect.
+    The pooling totals fold the per-stage pooled-element counts in layer
+    order, replaying ``energy.pooling_energy`` /
+    ``latency.pooling_latency_ns``; ``table`` is the pair's
+    :class:`ShapeTable`, built and extended on demand by
+    :func:`shape_table`.
     """
 
-    phase_factor: np.ndarray    #: ``mvm_ops * input_cycles * xbars_per_group``
-    crossbar_nj: np.ndarray     #: full crossbar-read energy term
-    buffer_nj: np.ndarray       #: full buffer energy term
-    movement_buffer_ns: np.ndarray  #: buffer half of the movement latency
     pool_energy_nj: float
     pool_latency_ns: float
+    table: ShapeTable | None = None
 
 
 def network_constants(
     net: NetworkArrays, config: HardwareConfig
 ) -> _NetworkConstants:
-    """Memoised per-``(net, config)`` constants (dict on the net record)."""
-    cache: dict[HardwareConfig, _NetworkConstants]
-    cache = net.__dict__.get("_constants")  # type: ignore[assignment]
-    if cache is None:
-        cache = {}
-        object.__setattr__(net, "_constants", cache)
-    record = cache.get(config)
-    if record is None:
-        phase_factor = (
-            net.mvm_ops * config.input_cycles * config.xbars_per_group
-        )
-        out_bytes = net.out_channels
-        pooled = net.pooled_elems
-        record = _NetworkConstants(
-            phase_factor=_frozen(phase_factor),
-            crossbar_nj=_frozen(
-                phase_factor * net.weight_counts * config.energy_cell_read_nj
-            ),
-            buffer_nj=_frozen(
-                net.mvm_ops
-                * (net.in_bytes + out_bytes)
-                * config.energy_buffer_nj_per_byte
-            ),
-            movement_buffer_ns=_frozen(
-                (net.in_bytes + out_bytes) * config.latency_buffer_ns_per_byte
-            ),
-            pool_energy_nj=float(left_fold(pooled * config.energy_pool_nj)),
-            pool_latency_ns=float(left_fold(pooled * config.latency_pool_ns)),
-        )
-        if len(cache) >= 64:  # bound sweep workloads with many configs
-            cache.clear()
-        cache[config] = record
-    return record
+    """The memoised record of one ``(net, config)`` pair, keyed by config."""
+    return _memo(net, config, lambda: _NetworkConstants(
+        pool_energy_nj=float(left_fold(net.pooled_elems * config.energy_pool_nj)),
+        pool_latency_ns=float(left_fold(net.pooled_elems * config.latency_pool_ns)),
+    ))
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,7 +365,7 @@ def extract_mapping_batch(
     network: Network, strategy: Sequence[CrossbarShape]
 ) -> MappingBatch:
     """SoA mapping of one strategy — ``(L,)`` arrays, no LayerMapping."""
-    net = cached_network_arrays(network)
+    net = network_arrays(network)
     if len(strategy) != net.num_layers:
         raise ValueError(
             f"strategy length {len(strategy)} != layer count {net.num_layers}"
@@ -434,7 +391,7 @@ def extract_strategy_batch(
     network: Network, strategies: Sequence[Sequence[CrossbarShape]]
 ) -> MappingBatch:
     """SoA mapping of a candidate batch — ``(S, L)`` arrays."""
-    net = cached_network_arrays(network)
+    net = network_arrays(network)
     for strategy in strategies:
         if len(strategy) != net.num_layers:
             raise ValueError(
@@ -482,8 +439,7 @@ def batch_energy_terms(
 ) -> EnergyTerms:
     """Vectorized ``energy.layer_dynamic_energy`` over every layer."""
     net = batch.net
-    const = network_constants(net, config)
-    phase_factor = const.phase_factor
+    phase_factor = net.mvm_ops * config.input_cycles * config.xbars_per_group
 
     used_cols = batch.used_columns_total
     adc_cols = used_cols + config.idle_line_energy_fraction * (
@@ -509,12 +465,14 @@ def batch_energy_terms(
     return EnergyTerms(
         adc=full(phase_adc_cols * config.energy_adc_nj()),
         dac=full(phase_factor * dac_rows * config.energy_dac_nj),
-        crossbar=full(const.crossbar_nj),
+        crossbar=full(phase_factor * net.weight_counts * config.energy_cell_read_nj),
         shift_add=full(phase_adc_cols * config.energy_shift_add_nj),
         adder_tree=full(
             net.mvm_ops * batch.partial_sum_adds * config.energy_adder_nj
         ),
-        buffer=full(const.buffer_nj),
+        buffer=full(
+            net.mvm_ops * (net.in_bytes + out_bytes) * config.energy_buffer_nj_per_byte
+        ),
         bus=full(
             net.mvm_ops
             * (net.in_bytes * batch.col_groups + out_bytes)
@@ -552,7 +510,6 @@ def batch_layer_latency_ns(
 ) -> np.ndarray:
     """Vectorized ``latency.layer_latency_ns`` over every layer."""
     net = batch.net
-    const = network_constants(net, config)
     chain = np.minimum(
         config.adc_sharing, batch.used_columns_per_crossbar_max
     )
@@ -564,7 +521,7 @@ def batch_layer_latency_ns(
     )
     tree = batch.adder_tree_depth * config.latency_adder_ns
     out_bytes = net.out_channels
-    movement = const.movement_buffer_ns + (
+    movement = (net.in_bytes + out_bytes) * config.latency_buffer_ns_per_byte + (
         net.in_bytes * batch.col_groups + out_bytes
     ) * config.latency_bus_ns_per_byte
     mvm_latency = (
@@ -614,19 +571,6 @@ def area_from_layer_runs(
     if expanded.size == 0:
         return 0.0
     return float(np.cumsum(expanded)[-1])
-
-
-def pooling_totals(
-    net: NetworkArrays, config: HardwareConfig
-) -> tuple[float, float]:
-    """``(pooling energy nJ, pooling latency ns)`` for the whole network.
-
-    Folds the memoised per-stage pooled-element counts in layer order,
-    replaying ``energy.pooling_energy`` / ``latency.pooling_latency_ns``.
-    Memoised per ``(net, config)`` via :func:`network_constants`.
-    """
-    const = network_constants(net, config)
-    return const.pool_energy_nj, const.pool_latency_ns
 
 
 # ----------------------------------------------------------------------
@@ -679,13 +623,15 @@ class ShapeTable:
     ``floats`` is ``(10, C, L)`` — the seven dynamic-energy components,
     layer latency, tile area, and Eq. 4 intra-array utilization;
     ``ints`` is ``(3, C, L)`` — crossbar counts and ADC/DAC conversion
-    counts.  ``C`` indexes :attr:`shapes`; ``L`` is the layer axis.
+    counts.  ``C`` indexes :attr:`shapes`; ``L`` is the layer axis, and
+    ``layers`` is ``arange(L)`` for gathering along it.
     """
 
     shapes: tuple[CrossbarShape, ...]
     index: dict[CrossbarShape, int]
     floats: np.ndarray
     ints: np.ndarray
+    layers: np.ndarray
 
 
 def _build_table(
@@ -738,6 +684,7 @@ def _build_table(
         index={shape: i for i, shape in enumerate(shapes)},
         floats=_frozen(floats),
         ints=_frozen(ints),
+        layers=_frozen(np.arange(layers)),
     )
 
 
@@ -748,36 +695,22 @@ def shape_table(
 ) -> ShapeTable:
     """The (extended-on-demand) shape table of one ``(net, config)`` pair.
 
-    Tables are stashed on the net record keyed by config.  A strategy
-    mentioning an unknown shape triggers a rebuild with the union of
-    shapes — immutable snapshots swapped by a single dict assignment, so
-    a concurrent rebuild is a benign lost update (both snapshots carry
-    correct values; the loser's extra shapes are recomputed on next use).
+    The table lives in the pair's :func:`network_constants` record.  A
+    strategy mentioning an unknown shape triggers a rebuild with the
+    union of shapes — immutable snapshots swapped by a single attribute
+    assignment, so a concurrent rebuild is a benign lost update (both
+    snapshots carry correct values; the loser's extra shapes are
+    recomputed on next use).
     """
-    tables: dict[HardwareConfig, ShapeTable]
-    tables = net.__dict__.get("_shape_tables")  # type: ignore[assignment]
-    if tables is None:
-        tables = {}
-        object.__setattr__(net, "_shape_tables", tables)
-    table = tables.get(config)
+    record = network_constants(net, config)
+    table = record.table
     known = table.index if table is not None else {}
     missing = dict.fromkeys(s for s in shapes_needed if s not in known)
     if table is None or missing:
         shapes = (table.shapes if table is not None else ()) + tuple(missing)
         table = _build_table(net, config, shapes)
-        if len(tables) >= 64:  # bound config-sweep workloads
-            tables.clear()
-        tables[config] = table
+        record.table = table
     return table
-
-
-def _layer_range(net: NetworkArrays) -> np.ndarray:
-    """Cached ``arange(L)`` used as the layer axis of table gathers."""
-    rng = net.__dict__.get("_layer_range")
-    if rng is None:
-        rng = _frozen(np.arange(net.num_layers))
-        object.__setattr__(net, "_layer_range", rng)
-    return rng
 
 
 def strategy_view(
@@ -789,13 +722,12 @@ def strategy_view(
     and ``ints`` of shape ``(3, L)`` (row order: the ``_F_*`` / ``_I_*``
     constants).
     """
-    net = cached_network_arrays(network)
+    net = network_arrays(network)
     if len(strategy) != net.num_layers:
         raise ValueError(
             f"strategy length {len(strategy)} != layer count {net.num_layers}"
         )
-    tables = net.__dict__.get("_shape_tables")
-    table = tables.get(config) if tables is not None else None
+    table = network_constants(net, config).table
     if table is None:
         table = shape_table(net, config, strategy)
     try:
@@ -808,8 +740,7 @@ def strategy_view(
         idx = np.fromiter(
             (table.index[s] for s in strategy), np.int64, net.num_layers
         )
-    layer_axis = _layer_range(net)
-    return net, table.floats[:, idx, layer_axis], table.ints[:, idx, layer_axis]
+    return net, table.floats[:, idx, table.layers], table.ints[:, idx, table.layers]
 
 
 # ----------------------------------------------------------------------
@@ -902,8 +833,8 @@ def _assemble_metrics(
     """
     (adc_t, dac_t, xbar_t, shift_t, tree_t, buf_t, bus_t,
      dynamic_latency) = totals
-    pool_e, pool_t = pooling_totals(net, config)
-    latency = dynamic_latency + pool_t
+    const = network_constants(net, config)
+    latency = dynamic_latency + const.pool_latency_ns
     leak = float(
         _leakage_energy_nj(
             summary.occupied_tiles,
@@ -921,7 +852,7 @@ def _assemble_metrics(
         adder_tree=tree_t,
         buffer=buf_t,
         bus=bus_t,
-        pooling=pool_e,
+        pooling=const.pool_energy_nj,
         leakage=leak,
     )
     layer_costs: tuple[LayerCost, ...] = ()
@@ -1001,7 +932,7 @@ def score_strategy_batch(
     cached sentinels must compare equal across paths).
     """
     strategies = [tuple(s) for s in strategies]
-    net = cached_network_arrays(network)
+    net = network_arrays(network)
     for strategy in strategies:
         if len(strategy) != net.num_layers:
             raise ValueError(
@@ -1016,9 +947,8 @@ def score_strategy_batch(
         [[index[s] for s in strategy] for strategy in strategies],
         dtype=np.int64,
     ).reshape(len(strategies), net.num_layers)
-    layer_axis = _layer_range(net)
-    floats = table.floats[:, idx, layer_axis]   # (10, S, L)
-    ints = table.ints[:, idx, layer_axis]       # (3, S, L)
+    floats = table.floats[:, idx, table.layers]   # (10, S, L)
+    ints = table.ints[:, idx, table.layers]       # (3, S, L)
     # (8, S) folds — each (strategy, component) row folds independently.
     totals = left_fold(floats[:_F_AREA])
     totals_rows = totals.T.tolist()

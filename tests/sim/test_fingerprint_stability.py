@@ -5,19 +5,25 @@ with ``PYTHONHASHSEED`` — so process-pool workers and serialized cache
 stats were not comparable across runs — and (b) omitted feature-map
 geometry (``input_size`` / ``stride`` / ``padding``) and pooling stages,
 so two workloads with identical channel structure silently shared cached
-metrics.  These tests pin both fixes.
+metrics.  These tests pin both fixes, the digest values themselves, and
+the per-instance memo: a network hashes once, at construction, and
+neither that hash nor any memo travels in a pickle.
 """
 
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.arch.config import DEFAULT_CONFIG, CrossbarShape
 from repro.models.datasets import DatasetSpec
 from repro.models.graph import Network
-from repro.models.layers import LayerSpec, PoolSpec
-from repro.sim.cache import EvaluationCache, network_fingerprint
+from repro.models.layers import LayerSpec, LayerType, PoolSpec, Stage
+from repro.models.zoo import vgg16
+from repro.sim.cache import _LAYER_FIELDS, EvaluationCache, network_fingerprint
 from repro.sim.simulator import Simulator
 
 _FINGERPRINT_SNIPPET = """
@@ -29,9 +35,46 @@ print(network_fingerprint(lenet()))
 """
 
 
-def _fingerprints_under_seed(seed: str) -> list[str]:
+#: Pickles a VGG16 after one cached evaluation has filled its memo, plus
+#: a never-evaluated VGG16 and the config the evaluation fingerprinted.
+_PICKLE_SNIPPET = """
+import pickle
+from repro.arch.config import DEFAULT_CONFIG, CrossbarShape, HardwareConfig
+from repro.models.zoo import vgg16
+from repro.sim.cache import EvaluationCache
+from repro.sim.simulator import Simulator
+net = vgg16()
+Simulator(cache=EvaluationCache()).evaluate(
+    net, [CrossbarShape(64, 64)] * net.num_layers
+)
+print(pickle.dumps(net).hex())
+print(len(pickle.dumps(net)), len(pickle.dumps(vgg16())))
+print(len(pickle.dumps(DEFAULT_CONFIG)), len(pickle.dumps(HardwareConfig())))
+"""
+
+#: Loads that pickle in another process and checks it against a fresh
+#: build: equality, hash, set membership and a shared cache entry.
+_UNPICKLE_SNIPPET = """
+import pickle, sys
+from repro.arch.config import CrossbarShape
+from repro.models.zoo import vgg16
+from repro.sim.cache import EvaluationCache
+from repro.sim.simulator import Simulator
+loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+fresh = vgg16()
+sim = Simulator(cache=EvaluationCache())
+strategy = [CrossbarShape(64, 64)] * fresh.num_layers
+sim.evaluate(fresh, strategy)
+sim.evaluate(loaded, strategy)
+print(loaded == fresh, hash(loaded) == hash(fresh), loaded in {fresh})
+print(sim.cache.stats().hits, len(sim.cache))
+"""
+
+
+def _run_under_seed(seed: str, snippet: str, stdin: str | None = None) -> list[str]:
     result = subprocess.run(
-        [sys.executable, "-c", _FINGERPRINT_SNIPPET],
+        [sys.executable, "-c", snippet],
+        input=stdin,
         capture_output=True,
         text=True,
         env={
@@ -63,10 +106,52 @@ def sized_network(image_size: int, name: str = "probe") -> Network:
 class TestProcessStability:
     def test_fingerprints_survive_hash_randomization(self):
         # Same content, different PYTHONHASHSEED, different processes:
-        # the blake2b digests must agree where hash() would not.
-        a = _fingerprints_under_seed("0")
-        b = _fingerprints_under_seed("12345")
-        assert a == b
+        # the blake2b digests must agree where hash() would not — and
+        # never move, so serialized keys stay comparable across releases.
+        a = _run_under_seed("0", _FINGERPRINT_SNIPPET)
+        b = _run_under_seed("12345", _FINGERPRINT_SNIPPET)
+        assert a == b == [
+            "283341760812732799070070788050498697255",
+            "205032546278138791386130391980593604203",
+        ]
+
+    def test_pickled_network_carries_no_memo_across_hash_seeds(self):
+        payload, *sizes = _run_under_seed("1", _PICKLE_SNIPPET)
+        net_size, fresh_net_size, config_size, fresh_config_size = sizes
+        # The memo and the construction-time hash (which folds per-process
+        # str hashes) stay out of the pickle.
+        assert net_size == fresh_net_size
+        assert config_size == fresh_config_size
+        equal, same_hash, member, hits, entries = _run_under_seed(
+            "2", _UNPICKLE_SNIPPET, stdin=payload
+        )
+        assert (equal, same_hash, member) == ("True", "True", "True")
+        assert (hits, entries) == ("1", "1")
+
+
+def _with_layer_field(net: Network, name: str) -> Network:
+    """``net`` with one field of its first CONV (or, for ``layer_type``,
+    its first FC) layer changed, bypassing size propagation."""
+    kind = LayerType.FC if name == "layer_type" else LayerType.CONV
+    pos = next(
+        i for i, stage in enumerate(net.stages)
+        if stage.layer is not None and stage.layer.layer_type is kind
+    )
+    layer = net.stages[pos].layer
+    value = LayerType.CONV if name == "layer_type" else getattr(layer, name) + 1
+    stages = list(net.stages)
+    stages[pos] = Stage(layer=dataclasses.replace(layer, **{name: value}))
+    return Network(net.name, net.dataset, tuple(stages))
+
+
+def _with_pool_field(net: Network, name: str) -> Network:
+    pos = next(i for i, stage in enumerate(net.stages) if stage.pool is not None)
+    pool = net.stages[pos].pool
+    stages = list(net.stages)
+    stages[pos] = Stage(
+        pool=dataclasses.replace(pool, **{name: getattr(pool, name) + 1})
+    )
+    return Network(net.name, net.dataset, tuple(stages))
 
 
 class TestCollisionRegression:
@@ -108,6 +193,20 @@ class TestCollisionRegression:
             sized_network(12)
         )
 
+    @pytest.mark.parametrize("name", _LAYER_FIELDS)
+    def test_network_fingerprint_tracks_every_layer_field(self, name):
+        net = sized_network(12)
+        assert network_fingerprint(_with_layer_field(net, name)) != (
+            network_fingerprint(net)
+        )
+
+    @pytest.mark.parametrize("name", ["window", "stride"])
+    def test_network_fingerprint_tracks_every_pool_field(self, name):
+        net = sized_network(12)
+        assert network_fingerprint(_with_pool_field(net, name)) != (
+            network_fingerprint(net)
+        )
+
     def test_config_fingerprint_tracks_every_field(self):
         fp = EvaluationCache.make_key(
             DEFAULT_CONFIG, sized_network(12), (), tile_shared=True,
@@ -119,3 +218,27 @@ class TestCollisionRegression:
             detailed=True, enforce_capacity=True,
         )[0]
         assert fp != fp2
+
+
+class TestHashOnce:
+    def test_keying_a_built_network_hashes_no_stage_or_layer(self, monkeypatch):
+        # The generated dataclass hash re-walks every stage and layer spec
+        # on each call; a built network must never pay it again.
+        net = vgg16()
+        strategy = (CrossbarShape(64, 64),) * net.num_layers
+        calls = []
+        for cls in (LayerSpec, Stage):
+            original = cls.__hash__
+
+            def counted(self, _original=original):
+                calls.append(type(self).__name__)
+                return _original(self)
+
+            monkeypatch.setattr(cls, "__hash__", counted)
+        hash(net)
+        network_fingerprint(net)
+        EvaluationCache.make_key(
+            DEFAULT_CONFIG, net, strategy, tile_shared=True, detailed=True,
+            enforce_capacity=True,
+        )
+        assert calls == []
