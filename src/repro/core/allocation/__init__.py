@@ -5,6 +5,7 @@ from .multi_model import (
     ModelSlice,
     MultiModelAllocation,
     allocate_multi_network,
+    multi_network_tile_counts,
 )
 from .tile_based import (
     allocate_tile_based,
@@ -33,6 +34,7 @@ __all__ = [
     "clear_summary_cache",
     "layer_empty_fraction",
     "layer_tiles_needed",
+    "multi_network_tile_counts",
     "plan_tile_sharing",
     "summarize_allocation",
     "summarize_counts",

@@ -11,6 +11,13 @@ namespace) so the standard :class:`Allocation` machinery and its
 invariants apply unchanged; the result records which global index range
 belongs to which model, plus the tile savings relative to giving every
 model its own accelerator.
+
+:func:`multi_network_tile_counts` answers the same packing question with
+two integers and no tiles: Algorithm 1 over per-layer crossbar counts
+(:func:`~repro.core.allocation.summary.summarize_counts`).  Callers that
+only compare tile counts — the serving re-allocation policy trying
+replication vectors — use it; :func:`allocate_multi_network` builds the
+deployable plan.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from typing import Sequence
 from ...arch.config import CrossbarShape
 from ...arch.mapping import LayerMapping, map_layer
 from ...models.graph import Network
+from .summary import summarize_counts
 from .tile_based import allocate_tile_based
 from .tile_shared import apply_tile_sharing
 from .tiles import Allocation
@@ -78,7 +86,10 @@ class MultiModelAllocation:
 
     def model_tiles(self, name: str) -> int:
         """Tiles holding at least one crossbar of the named model."""
-        sl = next(s for s in self.slices if s.name == name)
+        sl = next((s for s in self.slices if s.name == name), None)
+        if sl is None:
+            known = ", ".join(repr(s.name) for s in self.slices)
+            raise KeyError(f"no model {name!r} in this allocation; known: {known}")
         return sum(
             1
             for tile in self.allocation.tiles
@@ -86,8 +97,81 @@ class MultiModelAllocation:
         )
 
 
+Workloads = Sequence[tuple[Network, Sequence[CrossbarShape]]]
+
+
+def _checked_replication(
+    workloads: Workloads, replication: Sequence[int] | None
+) -> list[int]:
+    """Reject what neither packing path accepts; the replication vector."""
+    if not workloads:
+        raise ValueError("need at least one workload")
+    if replication is None:
+        replication = [1] * len(workloads)
+    if len(replication) != len(workloads):
+        raise ValueError("replication length must equal workload count")
+    if any(r < 1 for r in replication):
+        raise ValueError("replication factors must be >= 1")
+    for network, strategy in workloads:
+        if len(strategy) != network.num_layers:
+            raise ValueError(
+                f"{network.name}: strategy length {len(strategy)} != "
+                f"{network.num_layers} layers"
+            )
+    return list(replication)
+
+
+def _occupied_tiles(
+    shapes: Sequence[CrossbarShape],
+    counts: Sequence[int],
+    tile_capacity: int,
+    tile_shared: bool,
+) -> int:
+    """Tiles Algorithm 1 occupies for per-layer ``(shape, crossbars)``."""
+    # Weight cells only feed the summary's utilization, never read here.
+    return summarize_counts(
+        shapes, counts, 0, tile_capacity, tile_shared=tile_shared
+    ).occupied_tiles
+
+
+def multi_network_tile_counts(
+    workloads: Workloads,
+    tile_capacity: int,
+    *,
+    tile_shared: bool = True,
+    replication: Sequence[int] | None = None,
+) -> tuple[int, int]:
+    """``(occupied_tiles, separate_tiles)`` of :func:`allocate_multi_network`.
+
+    The same packing, validation and result integers, computed from each
+    layer's crossbar shape and count without building a tile: model
+    ``m``'s per-layer list is repeated ``replication[m]`` times, and the
+    concatenation (and each model on its own, for ``separate_tiles``) goes
+    through :func:`~repro.core.allocation.summary.summarize_counts`, whose
+    parity with the materialised Algorithm 1 is property-tested.
+    """
+    replication = _checked_replication(workloads, replication)
+    shapes: list[CrossbarShape] = []
+    counts: list[int] = []
+    separate = 0
+    for (network, strategy), reps in zip(workloads, replication):
+        strategy = tuple(strategy)
+        model_shapes = strategy * reps
+        model_counts = tuple(
+            map_layer(layer, shape).num_crossbars
+            for layer, shape in zip(network.layers, strategy)
+        ) * reps
+        separate += _occupied_tiles(
+            model_shapes, model_counts, tile_capacity, tile_shared
+        )
+        shapes.extend(model_shapes)
+        counts.extend(model_counts)
+    occupied = _occupied_tiles(shapes, counts, tile_capacity, tile_shared)
+    return occupied, separate
+
+
 def allocate_multi_network(
-    workloads: Sequence[tuple[Network, Sequence[CrossbarShape]]],
+    workloads: Workloads,
     tile_capacity: int,
     *,
     tile_shared: bool = True,
@@ -104,28 +188,16 @@ def allocate_multi_network(
     (PipeLayer-style duplication, see :mod:`repro.sim.pipeline`); each
     copy gets its own global layer-index block so the plan invariants
     hold unchanged, and the model's :class:`ModelSlice` spans all copies.
-    The serving layer's re-allocation policy uses this to re-pack tiles
-    when a tenant needs more pipeline bandwidth.
+    A serving re-allocation packs this way when a tenant needs more
+    pipeline bandwidth.  ``separate_tiles`` comes from per-layer counts,
+    as in :func:`multi_network_tile_counts`.
     """
-    if not workloads:
-        raise ValueError("need at least one workload")
-    if replication is None:
-        replication = [1] * len(workloads)
-    if len(replication) != len(workloads):
-        raise ValueError("replication length must equal workload count")
-    if any(r < 1 for r in replication):
-        raise ValueError("replication factors must be >= 1")
+    replication = _checked_replication(workloads, replication)
     mappings: list[LayerMapping] = []
     slices: list[ModelSlice] = []
     offset = 0
     separate = 0
     for (network, strategy), reps in zip(workloads, replication):
-        strategy = tuple(strategy)
-        if len(strategy) != network.num_layers:
-            raise ValueError(
-                f"{network.name}: strategy length {len(strategy)} != "
-                f"{network.num_layers} layers"
-            )
         model_mappings = [
             map_layer(
                 layer.with_index(offset + copy * network.num_layers + i),
@@ -144,10 +216,12 @@ def allocate_multi_network(
             )
         )
         offset += reps * network.num_layers
-        solo = allocate_tile_based(model_mappings, tile_capacity)
-        if tile_shared:
-            solo = apply_tile_sharing(solo)
-        separate += solo.occupied_tiles
+        separate += _occupied_tiles(
+            [m.shape for m in model_mappings],
+            [m.num_crossbars for m in model_mappings],
+            tile_capacity,
+            tile_shared,
+        )
 
     combined = allocate_tile_based(mappings, tile_capacity)
     if tile_shared:

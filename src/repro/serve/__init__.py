@@ -2,13 +2,17 @@
 
 The paper maps one workload once; this package serves many.  A
 :class:`~repro.serve.scenario.Scenario` describes tenants (model +
-strategy + arrival process + SLO) co-located on one accelerator via
-:func:`repro.core.allocation.allocate_multi_network`;
-:func:`~repro.serve.engine.simulate` runs them in two deterministic
-passes: one over the merged arrivals computes the drift-triggered
-re-allocation schedule (Algorithm 1 re-pack with weight replication),
-then each tenant runs as an independent FIFO conveyor with service
-times from :mod:`repro.sim.pipeline`.
+strategy + arrival process + SLO) co-located on one accelerator by
+Algorithm 1 (:func:`~repro.serve.engine.initial_allocation` builds the
+plan); :func:`~repro.serve.engine.simulate` runs them in two
+deterministic passes: one over the merged arrivals computes the
+drift-triggered re-allocation schedule (Algorithm 1 re-packs with weight
+replication, sized from per-layer crossbar counts by
+:func:`repro.core.allocation.multi_network_tile_counts`; a
+:class:`~repro.serve.policy.ReallocDecision` carries the replication
+vector and its tile counts, never tiles), then each tenant runs as an
+independent FIFO conveyor with service times from
+:mod:`repro.sim.pipeline`.
 :func:`~repro.serve.report.build_report` rolls latencies up into the
 p50/p95/p99 + SLO-attainment document ``repro serve`` prints.  See
 docs/serving.md.

@@ -1,9 +1,11 @@
 """Deterministic two-pass serving simulator.
 
 Serves request-level multi-tenant traffic (:mod:`repro.serve.scenario`)
-on models co-located by
-:func:`repro.core.allocation.allocate_multi_network`, with service times
-from the PipeLayer-style stage model in :mod:`repro.sim.pipeline`.
+on models co-located by Algorithm 1, with service times from the
+PipeLayer-style stage model in :mod:`repro.sim.pipeline`.  A run reads
+only tile counts (:func:`repro.core.allocation.multi_network_tile_counts`)
+and builds no tiles; :func:`initial_allocation` returns the materialised
+plan.
 Tenants interact only through re-allocation decisions, which read
 arrivals alone, so a run takes two passes (docs/serving.md):
 
@@ -42,6 +44,7 @@ from ..arch.config import DEFAULT_CONFIG, HardwareConfig
 from ..core.allocation.multi_model import (
     MultiModelAllocation,
     allocate_multi_network,
+    multi_network_tile_counts,
 )
 from ..models.zoo import get_model
 from ..obs import current_tracer
@@ -273,7 +276,7 @@ def simulate(
     ]
     n = len(conveyors)
     workloads = [(c.network, c.strategy) for c in conveyors]
-    initial_tiles = allocate_multi_network(workloads, capacity).occupied_tiles
+    initial_tiles, _ = multi_network_tile_counts(workloads, capacity)
     tile_budget = int(realloc_cfg.headroom * initial_tiles)
 
     # Provisioned mix: what the initial allocation was sized for.
@@ -321,8 +324,8 @@ def simulate(
             "t": t,
             "kind": "realloc",
             "replication": list(decision.replication),
-            "tiles": decision.allocation.occupied_tiles,
-            "tiles_saved": decision.allocation.tiles_saved,
+            "tiles": decision.occupied_tiles,
+            "tiles_saved": decision.tiles_saved,
             "drift": decision.drift,
             "observed_share": list(decision.observed_share),
         }

@@ -6,9 +6,10 @@ tiles "become available for … other models".  In an online setting the
 motivation, PAPERS.md).  A :class:`ReallocationPolicy` watches the
 observed per-tenant arrival mix and, when it drifts from the mix the
 current allocation was provisioned for, proposes a new packing — here,
-per-tenant PipeLayer-style weight replication re-packed through
-:func:`repro.core.allocation.allocate_multi_network` (Algorithm 1
-merging partially-filled tiles across tenants and replicas alike).
+per-tenant PipeLayer-style weight replication sized by
+:func:`repro.core.allocation.multi_network_tile_counts` (Algorithm 1
+merging partially-filled tiles across tenants and replicas alike, counted
+from per-layer crossbar counts without building tiles).
 
 The contract (docs/serving.md): ``decide`` is a pure function of its
 arguments — no wall clock, no global RNG — so serving runs stay
@@ -16,7 +17,10 @@ seed-deterministic.  Returning ``None`` means "keep the current
 allocation"; returning a :class:`ReallocDecision` makes the engine
 re-time every tenant's pipeline from the decision's replication vector,
 stall dispatch for the configured weight-rewrite cost, and log a
-``serve.realloc`` event.
+``serve.realloc`` event with the decision's tile counts.  A policy that
+wants the deployable plan behind a decision builds it with
+:func:`repro.core.allocation.allocate_multi_network` over the same
+workloads and replication vector.
 """
 
 from __future__ import annotations
@@ -26,20 +30,42 @@ from typing import Protocol, Sequence
 
 from ..arch.config import CrossbarShape
 from ..core.allocation.multi_model import (
-    MultiModelAllocation,
     allocate_multi_network,
+    multi_network_tile_counts,
 )
 from ..models.graph import Network
+
+__all__ = [
+    "DriftReallocationPolicy",
+    "ReallocDecision",
+    "ReallocationPolicy",
+    "allocate_multi_network",
+    "mix_drift",
+    "multi_network_tile_counts",
+]
 
 
 @dataclass(frozen=True)
 class ReallocDecision:
-    """A proposed re-packing: per-tenant replication plus its allocation."""
+    """A proposed re-packing: per-tenant replication plus its tile counts.
+
+    ``occupied_tiles`` and ``separate_tiles`` are the two integers of
+    :func:`~repro.core.allocation.multi_network_tile_counts` for
+    ``replication``; the plan itself is
+    ``allocate_multi_network(workloads, tile_capacity,
+    replication=replication)``.
+    """
 
     replication: tuple[int, ...]
-    allocation: MultiModelAllocation
+    occupied_tiles: int     #: tiles the re-packed accelerator occupies
+    separate_tiles: int     #: tiles if every tenant had its own accelerator
     drift: float            #: observed total-variation drift that triggered it
     observed_share: tuple[float, ...]
+
+    @property
+    def tiles_saved(self) -> int:
+        """Tiles saved by cross-tenant sharing vs separate accelerators."""
+        return self.separate_tiles - self.occupied_tiles
 
 
 class ReallocationPolicy(Protocol):
@@ -105,12 +131,13 @@ class DriftReallocationPolicy:
         )
         if tuple(replication) == tuple(current_replication):
             return None
-        allocation = allocate_multi_network(
+        occupied, separate = multi_network_tile_counts(
             workloads, tile_capacity, replication=replication
         )
         return ReallocDecision(
             replication=tuple(replication),
-            allocation=allocation,
+            occupied_tiles=occupied,
+            separate_tiles=separate,
             drift=drift,
             observed_share=tuple(observed_share),
         )
@@ -138,10 +165,10 @@ class DriftReallocationPolicy:
                     continue
                 trial = list(replication)
                 trial[idx] += 1
-                packed = allocate_multi_network(
+                occupied, _ = multi_network_tile_counts(
                     workloads, tile_capacity, replication=trial
                 )
-                if packed.occupied_tiles <= tile_budget:
+                if occupied <= tile_budget:
                     replication = trial
                     granted = True
                 break  # only ever try the single best candidate per round

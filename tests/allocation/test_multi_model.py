@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.config import CrossbarShape, DEFAULT_CANDIDATES
-from repro.core.allocation import allocate_multi_network
+from repro.core.allocation import (
+    allocate_multi_network,
+    multi_network_tile_counts,
+)
 from repro.models import lenet, tiny_cnn
+from repro.models.zoo import get_model
 
 
 def simple_workloads(shape=CrossbarShape(72, 64)):
@@ -52,6 +56,11 @@ class TestAllocateMultiNetwork:
         # host layers from both models.
         assert len(shared) >= 1
 
+    def test_model_tiles_unknown_name_raises_key_error(self):
+        result = allocate_multi_network(simple_workloads(), 4)
+        with pytest.raises(KeyError, match="'ResNet'.*'LeNet', 'TinyCNN'"):
+            result.model_tiles("ResNet")
+
     def test_model_tiles_breakdown(self):
         result = allocate_multi_network(simple_workloads(), 4)
         for sl in result.slices:
@@ -92,3 +101,65 @@ class TestAllocateMultiNetwork:
             simple_workloads(shape), capacity, replication=[1, 1]
         )
         assert ones.occupied_tiles == result.occupied_tiles
+
+
+PARITY_MODELS = ("lenet", "tinycnn", "alexnet")
+
+
+@st.composite
+def packing_inputs(draw):
+    """1-3 models with per-layer strategies, a capacity and replication."""
+    names = draw(st.lists(st.sampled_from(PARITY_MODELS), min_size=1, max_size=3))
+    workloads = []
+    for name in names:
+        net = get_model(name)
+        strategy = draw(
+            st.lists(
+                st.sampled_from(DEFAULT_CANDIDATES),
+                min_size=net.num_layers,
+                max_size=net.num_layers,
+            )
+        )
+        workloads.append((net, tuple(strategy)))
+    capacity = draw(st.sampled_from((2, 4, 8, 16)))
+    replication = draw(
+        st.lists(st.integers(1, 4), min_size=len(names), max_size=len(names))
+    )
+    return workloads, capacity, replication, draw(st.booleans())
+
+
+class TestTileCountParity:
+    """``multi_network_tile_counts`` is the materialised packing, counted."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(packing_inputs())
+    def test_counts_equal_materialised(self, inputs):
+        workloads, capacity, replication, tile_shared = inputs
+        plan = allocate_multi_network(
+            workloads, capacity, tile_shared=tile_shared, replication=replication
+        )
+        counts = multi_network_tile_counts(
+            workloads, capacity, tile_shared=tile_shared, replication=replication
+        )
+        assert counts == (plan.occupied_tiles, plan.separate_tiles)
+
+    @pytest.mark.parametrize(
+        "workloads,capacity,replication",
+        [
+            pytest.param([], 4, None, id="empty"),
+            pytest.param(
+                [(lenet(), (CrossbarShape(32, 32),))], 4, None,
+                id="strategy-length",
+            ),
+            pytest.param(simple_workloads(), 4, [1], id="replication-length"),
+            pytest.param(simple_workloads(), 4, [1, 0], id="replication-zero"),
+            pytest.param(simple_workloads(), 0, None, id="capacity-zero"),
+        ],
+    )
+    def test_both_paths_reject_alike(self, workloads, capacity, replication):
+        errors = []
+        for pack in (allocate_multi_network, multi_network_tile_counts):
+            with pytest.raises(ValueError) as info:
+                pack(workloads, capacity, replication=replication)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]

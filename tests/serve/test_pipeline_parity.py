@@ -21,7 +21,7 @@ from typing import Sequence
 import pytest
 
 from repro.arch.config import CrossbarShape
-from repro.core.allocation.multi_model import allocate_multi_network
+from repro.core.allocation.multi_model import multi_network_tile_counts
 from repro.models.graph import Network
 from repro.models.zoo import get_model
 from repro.serve import (
@@ -114,11 +114,13 @@ class ForceReplication:
     ) -> ReallocDecision | None:
         if tuple(current_replication) == self.target:
             return None
+        occupied, separate = multi_network_tile_counts(
+            workloads, tile_capacity, replication=list(self.target)
+        )
         return ReallocDecision(
             replication=self.target,
-            allocation=allocate_multi_network(
-                workloads, tile_capacity, replication=list(self.target)
-            ),
+            occupied_tiles=occupied,
+            separate_tiles=separate,
             drift=1.0,
             observed_share=tuple(observed_share),
         )
