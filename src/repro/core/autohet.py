@@ -173,8 +173,9 @@ class AutoHet:
                 t2 = time.perf_counter()
                 # ---- learning stage (steps 8-12): pool + pair-network
                 # update.
-                agent.observe_episode(result.transitions)
-                agent.learn()
+                with tracer.span(obs_metrics.SPAN_LEARN, episode=episode):
+                    agent.observe_episode(result.transitions)
+                    agent.learn()
                 t3 = time.perf_counter()
 
             t_decide += t1 - t0

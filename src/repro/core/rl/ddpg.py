@@ -12,8 +12,10 @@ Implementation notes:
   agent applies an automatic reward scale — the reciprocal of the first
   observed |reward| — before TD learning.  Scaling a reward by a positive
   constant leaves the optimal policy unchanged.
-* The critic target is ``r`` at terminal transitions and
-  ``r + gamma * Q'(s', mu'(s'))`` otherwise.
+* With ``bootstrap=True`` the critic target is ``r`` at terminal
+  transitions and ``r + gamma * Q'(s', mu'(s'))`` otherwise.  The default
+  bandit form regresses ``r`` directly, reads no target network, and so
+  builds none.
 * The actor ascends ``Q(s, mu(s))`` by backpropagating ``dQ/da`` through
   the critic's action input into the actor.
 """
@@ -87,7 +89,7 @@ class DDPGConfig:
 
 
 class DDPGAgent:
-    """Actor-critic pair with target networks and an experience pool."""
+    """Actor-critic pair, experience pool, and targets when bootstrapping."""
 
     def __init__(
         self, config: DDPGConfig = DDPGConfig(), *, tracer: Tracer | None = None
@@ -108,21 +110,23 @@ class DDPGAgent:
         # later learns the peak is interior.
         self.actor = MLP.create(sizes_a, output_activation="linear", rng=rng)
         self.critic = MLP.create(sizes_c, rng=rng)
-        self.actor_target = self.actor.clone()
-        self.critic_target = self.critic.clone()
+        # Only a bootstrapping critic reads target networks, so the
+        # bandit form builds none (and never Polyak-averages one).
+        self.actor_target: MLP | None = None
+        self.critic_target: MLP | None = None
+        if config.bootstrap:
+            self.actor_target = self.actor.clone()
+            self.critic_target = self.critic.clone()
         self.actor_opt = Adam(self.actor.params, lr=config.actor_lr)
         self.critic_opt = Adam(self.critic.params, lr=config.critic_lr)
         #: ``(online, target, optimiser)`` per critic; TD3 adds a twin.
+        #: The target is ``None`` unless the critic bootstraps.
         self._critics = [(self.critic, self.critic_target, self.critic_opt)]
         #: critic updates per actor update (TD3's delayed policy updates).
         self._policy_delay = 1
         self._update_count = 0
-        # Mini-batch buffers reused by every update: the critic inputs
-        # [s, a] and [s, mu(s)], and the dMean/dQ upstream of the actor step.
-        batch, width = config.batch_size, config.state_dim + 1
-        self._sa = np.empty((batch, width))
-        self._sa_mu = np.empty((batch, width))
-        self._mean_grad = np.ones((batch, 1)) / batch
+        #: dMean/dQ, the upstream of the actor step's pass through a critic.
+        self._mean_grad = np.ones((config.batch_size, 1)) / config.batch_size
         self.pool = ExperiencePool(config.pool_capacity, seed=config.seed)
         self.noise = TruncatedNormalNoise(
             sigma=config.noise_sigma, decay=config.noise_decay, seed=config.seed
@@ -182,23 +186,45 @@ class DDPGAgent:
         cfg = self.config
         # Sampling is with replacement, so a pool smaller than the batch
         # size is still usable; only an empty pool (or warmup) blocks.
-        if self.episodes <= cfg.warmup_episodes or len(self.pool) == 0:
+        if (
+            self.episodes <= cfg.warmup_episodes
+            or len(self.pool) == 0
+            or cfg.updates_per_episode == 0
+        ):
             return None
-        loss = None
-        for _ in range(cfg.updates_per_episode):
-            loss = self._update_once()
-        if loss is not None:
-            tracer = self._effective_tracer()
-            if tracer.enabled:
+        # One draw serves every update of this call: the pool, the reward
+        # scale and the baseline only change between episodes, and one
+        # draw of n * B indices is the same stream as n draws of B.
+        batch = cfg.batch_size
+        states, next_states, actions, rewards, dones = self.pool.sample(
+            cfg.updates_per_episode * batch
+        )
+        rewards *= self.reward_scale or 1.0
+        if cfg.use_baseline and self.reward_baseline is not None:
+            rewards -= self.reward_baseline
+        # Critic inputs [s, a] and [s, mu(s)]; each actor step writes its
+        # mu(s) over the action column of its own rows.
+        sa = np.concatenate([states, actions], axis=1)
+        sa_mu = sa.copy()
+        for start in range(0, len(sa), batch):
+            rows = slice(start, start + batch)
+            loss = self._update_once(
+                states[rows],
+                next_states[rows],
+                rewards[rows],
+                dones[rows],
+                sa[rows],
+                sa_mu[rows],
+            )
+        tracer = self._effective_tracer()
+        if tracer.enabled:
+            tracer.counter(obs_metrics.CRITIC_LOSS, loss, episode=self.episodes)
+            if self._last_actor_objective is not None:
                 tracer.counter(
-                    obs_metrics.CRITIC_LOSS, loss, episode=self.episodes
+                    obs_metrics.ACTOR_LOSS,
+                    self._last_actor_objective,
+                    episode=self.episodes,
                 )
-                if self._last_actor_objective is not None:
-                    tracer.counter(
-                        obs_metrics.ACTOR_LOSS,
-                        self._last_actor_objective,
-                        episode=self.episodes,
-                    )
         return loss
 
     def _effective_tracer(self) -> Tracer:
@@ -217,15 +243,17 @@ class DDPGAgent:
             q = np.minimum(q, target.forward(sa))
         return q
 
-    def _update_once(self) -> float:
+    def _update_once(
+        self,
+        states: np.ndarray,
+        next_states: np.ndarray,
+        rewards: np.ndarray,
+        dones: np.ndarray,
+        sa: np.ndarray,
+        sa_mu: np.ndarray,
+    ) -> float:
+        """One critic step per critic, then (every ``_policy_delay``) an actor step."""
         cfg = self.config
-        states, next_states, actions, rewards, dones = self.pool.sample(
-            cfg.batch_size
-        )
-        rewards *= self.reward_scale or 1.0
-        if cfg.use_baseline and self.reward_baseline is not None:
-            rewards -= self.reward_baseline
-
         if cfg.bootstrap:
             # ---- classic DDPG: TD target from the target networks.
             target = rewards + cfg.gamma * (1.0 - dones) * self._target_q(
@@ -235,9 +263,6 @@ class DDPGAgent:
             # ---- bandit form: the broadcast episode reward *is* the
             # value of every (state, action) pair in the episode.
             target = rewards
-        sa = self._sa
-        sa[:, :-1] = states
-        sa[:, -1:] = actions
         losses = [
             self._critic_step(critic, opt, sa, target)
             for critic, _, opt in self._critics
@@ -247,10 +272,11 @@ class DDPGAgent:
         self._update_count += 1
         if self._update_count % self._policy_delay == 0:
             # ---- actor update, then soft target updates.
-            self._actor_step(states)
-            self.actor_target.soft_update_from(self.actor, cfg.tau)
-            for critic, critic_target, _ in self._critics:
-                critic_target.soft_update_from(critic, cfg.tau)
+            self._actor_step(states, sa_mu)
+            if cfg.bootstrap:
+                self.actor_target.soft_update_from(self.actor, cfg.tau)
+                for critic, critic_target, _ in self._critics:
+                    critic_target.soft_update_from(critic, cfg.tau)
         self.critic_losses.append(loss)
         return loss
 
@@ -264,19 +290,22 @@ class DDPGAgent:
         opt.step(critic.grads)
         return float(np.mean(td_error**2))
 
-    def _actor_step(self, states: np.ndarray) -> None:
-        """Ascend min over critics of Q(s, mu(s)) with inverting gradients."""
+    def _actor_step(self, states: np.ndarray, sa_mu: np.ndarray) -> None:
+        """Ascend min over critics of Q(s, mu(s)) with inverting gradients.
+
+        ``sa_mu`` holds ``states`` in all but its last column, which this
+        step overwrites with the clipped actions mu(s).
+        """
         mu_raw = self.actor.forward(states)
-        sa_mu = self._sa_mu
-        sa_mu[:, :-1] = states
         np.clip(mu_raw, 0.0, 1.0, out=sa_mu[:, -1:])
         # dMean(Q)/d[s, a] through the critic; its last column is dQ/da.
+        # The critics' own parameter gradients are not needed here.
         q = self.critic.forward(sa_mu)
-        dq_da = self.critic.backward(self._mean_grad)[:, -1:]
+        dq_da = self.critic.input_grad(self._mean_grad)[:, -1:]
         for critic, _, _ in self._critics[1:]:
             # The actor follows whichever critic is lower per sample.
             q_k = critic.forward(sa_mu)
-            dq_da_k = critic.backward(self._mean_grad)[:, -1:]
+            dq_da_k = critic.input_grad(self._mean_grad)[:, -1:]
             dq_da = np.where(q <= q_k, dq_da, dq_da_k)
             q = np.minimum(q, q_k)
         self._last_actor_objective = -float(np.mean(q))

@@ -3,9 +3,10 @@
 The DDPG agent (§3.2) needs an actor and a critic — small MLPs.  No deep
 learning framework is available offline, so this module implements exactly
 what DDPG requires: dense layers, ReLU/tanh/sigmoid activations, forward
-passes that keep their activations, reverse-mode gradients (including the
-gradient with respect to the *input*, which the actor update needs through
-the critic), an Adam optimizer, and Polyak (soft) target-network updates.
+passes that keep their activations, reverse-mode gradients with respect
+to the parameters (:meth:`MLP.backward`) or, separately, to the *input*
+(:meth:`MLP.input_grad`, which the actor update needs through the critic),
+an Adam optimizer, and Polyak (soft) target-network updates.
 
 Every parameter of a network lives in one flat buffer (``MLP.params``),
 with a twin flat gradient buffer (``MLP.grads``); the per-layer weights
@@ -130,7 +131,8 @@ class MLP:
         return self.weights + self.biases
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass; keeps the activations for the next :meth:`backward`.
+        """Forward pass; keeps the activations for the next :meth:`backward`
+        or :meth:`input_grad`.
 
         The input and the returned output are kept by reference, so the
         caller must not overwrite either before that backward pass.
@@ -145,12 +147,8 @@ class MLP:
         self._activations = activations
         return a
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
-        """Reverse-mode pass through the last :meth:`forward`.
-
-        ``upstream`` is dLoss/dOutput of shape (batch, out).  Fills
-        ``grads`` with dLoss/dParams and returns dLoss/dInput.
-        """
+    def _output_delta(self, upstream: np.ndarray) -> np.ndarray:
+        """``upstream`` as a 2-D dLoss/dOutput checked against the last forward."""
         activations = self._activations
         if activations is None:
             raise RuntimeError("backward needs a forward pass first")
@@ -160,19 +158,45 @@ class MLP:
                 f"upstream shape {delta.shape} does not match the last "
                 f"forward output {activations[-1].shape}"
             )
-        last = len(self.weights) - 1
-        for i in range(last, -1, -1):
-            grad = _act_grad(self._activation_names[i], activations[i + 1])
-            if grad is not None:
-                # The output layer's delta is the caller's array; every
-                # deeper delta is a fresh matmul result, safe to scale in place.
-                if i == last:
-                    delta = delta * grad
-                else:
-                    delta *= grad
+        return delta
+
+    def _layer_delta(self, i: int, delta: np.ndarray) -> np.ndarray:
+        """dLoss/dPre-activation of layer ``i`` from dLoss/dOutput of it.
+
+        The output layer's delta is the caller's array; every deeper delta
+        is a fresh matmul result, safe to scale in place.
+        """
+        grad = _act_grad(self._activation_names[i], self._activations[i + 1])
+        if grad is None:
+            return delta
+        if i == len(self.weights) - 1:
+            return delta * grad
+        delta *= grad
+        return delta
+
+    def backward(self, upstream: np.ndarray) -> None:
+        """Fill ``grads`` with dLoss/dParams through the last :meth:`forward`.
+
+        ``upstream`` is dLoss/dOutput of shape (batch, out).  The gradient
+        with respect to the input is not formed; see :meth:`input_grad`.
+        """
+        delta = self._output_delta(upstream)
+        activations = self._activations
+        for i in range(len(self.weights) - 1, -1, -1):
+            delta = self._layer_delta(i, delta)
             np.matmul(activations[i].T, delta, out=self._grad_w[i])
             np.add.reduce(delta, axis=0, out=self._grad_b[i])
-            delta = delta @ self.weights[i].T
+            if i:
+                delta = delta @ self.weights[i].T
+
+    def input_grad(self, upstream: np.ndarray) -> np.ndarray:
+        """dLoss/dInput through the last :meth:`forward`; ``grads`` is untouched.
+
+        ``upstream`` is dLoss/dOutput of shape (batch, out).
+        """
+        delta = self._output_delta(upstream)
+        for i in range(len(self.weights) - 1, -1, -1):
+            delta = self._layer_delta(i, delta) @ self.weights[i].T
         return delta
 
     # ------------------------------------------------------------------

@@ -28,8 +28,9 @@ class ExperiencePool:
     """Fixed-capacity ring buffer with uniform sampling.
 
     Stored as one array per field (struct of arrays), allocated on the
-    first :meth:`add` once the state width is known.  Rows past the fill
-    level are never written, so unused capacity stays untouched memory.
+    first :meth:`add` once the state width is known; every state and next
+    state must be 1-D of that width.  Rows past the fill level are never
+    written, so unused capacity stays untouched memory.
     """
 
     def __init__(self, capacity: int, *, seed: int = 0) -> None:
@@ -60,6 +61,14 @@ class ExperiencePool:
             self._actions = np.empty((self.capacity, 1))
             self._rewards = np.empty((self.capacity, 1))
             self._dones = np.empty((self.capacity, 1))
+        width = self._states.shape[1]
+        for name in ("state", "next_state"):
+            shape = np.shape(getattr(transition, name))
+            if shape != (width,):
+                raise ValueError(
+                    f"transition {name} has shape {shape}; the pool stores "
+                    f"1-D states of width {width}"
+                )
         i = self._cursor
         self._states[i] = transition.state
         self._next_states[i] = transition.next_state

@@ -54,7 +54,7 @@ class TD3Agent(DDPGAgent):
         rng = np.random.default_rng(config.seed + 7919)
         sizes_c = (config.state_dim + 1, *config.hidden, 1)
         self.critic2 = MLP.create(sizes_c, rng=rng)
-        self.critic2_target = self.critic2.clone()
+        self.critic2_target = self.critic2.clone() if config.bootstrap else None
         self.critic2_opt = Adam(self.critic2.params, lr=config.critic_lr)
         self._critics.append((self.critic2, self.critic2_target, self.critic2_opt))
         self._policy_delay = config.policy_delay

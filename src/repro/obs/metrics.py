@@ -26,6 +26,7 @@ SPAN_ALLOCATE = "sim.allocate"        #: allocation / summary (Algorithm 1)
 SPAN_COST = "sim.cost"                #: energy/latency/area rollup
 SPAN_SEARCH = "search"                #: one whole strategy search
 SPAN_EPISODE = "search.episode"       #: one RL episode (decide+eval+learn)
+SPAN_LEARN = "search.learn"           #: one episode's pool insert + updates
 
 # -- event names -----------------------------------------------------
 EVENT_CACHE_HIT = "cache.hit"

@@ -276,3 +276,32 @@ class TestValidateRecord:
         record = {"v": 1, "type": "event", "name": "e", "seq": 0,
                   "attrs": {"shape": [64, 64]}}
         assert any("non-scalar" in p for p in validate_record(record))
+
+
+class TestSearchSpans:
+    def test_one_learn_span_inside_each_episode(self, lenet_net):
+        from repro.arch.config import DEFAULT_CANDIDATES
+        from repro.core.autohet import autohet_search
+        from repro.obs import metrics as obs_metrics
+
+        sink = InMemorySink()
+        rounds = 6
+        autohet_search(
+            lenet_net, DEFAULT_CANDIDATES, rounds=rounds, seed=1,
+            tracer=Tracer([sink]),
+        )
+        spans = [r for r in sink.records if r["type"] == "span"]
+        episodes = [r for r in spans if r["name"] == obs_metrics.SPAN_EPISODE]
+        learns = [r for r in spans if r["name"] == obs_metrics.SPAN_LEARN]
+        assert len(episodes) == rounds
+        assert [r["attrs"]["episode"] for r in learns] == list(range(rounds))
+        for learn, episode in zip(learns, episodes):
+            # A span is recorded when it closes, so each learn span
+            # precedes the episode span that encloses it.
+            assert learn["seq"] < episode["seq"]
+            assert learn["depth"] == episode["depth"] + 1
+            assert episode["start_ns"] <= learn["start_ns"]
+            assert (
+                learn["start_ns"] + learn["dur_ns"]
+                <= episode["start_ns"] + episode["dur_ns"]
+            )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.rl.ddpg import DDPGAgent, DDPGConfig
+from repro.core.rl.networks import MLP
 from repro.core.rl.replay import Transition
 
 
@@ -142,7 +143,7 @@ class TestLearningMachinery:
         assert loss is not None and loss >= 0.0
 
     def test_target_networks_track_online(self):
-        agent = make_agent(warmup_episodes=0, tau=1.0)
+        agent = make_agent(warmup_episodes=0, tau=1.0, bootstrap=True)
         rng = np.random.default_rng(0)
         for _ in range(3):
             transitions, _ = synthetic_episode(agent, rng, lambda s: 0.5)
@@ -152,6 +153,34 @@ class TestLearningMachinery:
             agent.actor.parameters(), agent.actor_target.parameters()
         ):
             assert np.allclose(online, target)
+
+    def test_bandit_mode_builds_and_updates_no_target(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("bandit mode must not Polyak-average")
+
+        monkeypatch.setattr(MLP, "soft_update_from", refuse)
+        agent = make_agent(warmup_episodes=0)
+        assert agent.actor_target is None and agent.critic_target is None
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            transitions, _ = synthetic_episode(agent, rng, lambda s: 0.5)
+            agent.observe_episode(transitions)
+        assert agent.learn() is not None
+        assert len(agent.critic_losses) == agent.config.updates_per_episode
+
+    def test_learn_samples_the_pool_once(self, monkeypatch):
+        agent = make_agent(warmup_episodes=0, updates_per_episode=7)
+        rng = np.random.default_rng(0)
+        transitions, _ = synthetic_episode(agent, rng, lambda s: 0.5)
+        agent.observe_episode(transitions)
+        draws = []
+        sample = agent.pool.sample
+        monkeypatch.setattr(
+            agent.pool, "sample", lambda n: draws.append(n) or sample(n)
+        )
+        agent.learn()
+        assert draws == [7 * agent.config.batch_size]
+        assert len(agent.critic_losses) == 7
 
 
 class TestConvergence:

@@ -94,7 +94,7 @@ class TestBackward:
         x = rng.normal(size=(2, 3))
         upstream = np.ones((2, 1))
         net.forward(x)
-        dx = net.backward(upstream)
+        dx = net.input_grad(upstream)
         eps = 1e-6
         for i in range(2):
             for j in range(3):
@@ -135,6 +135,45 @@ class TestBackward:
         with pytest.raises(ValueError):
             net.backward(np.ones((3, 1)))
 
+    def test_backward_returns_none(self):
+        net = MLP.create([3, 4, 2], rng=np.random.default_rng(6))
+        net.forward(np.ones((2, 3)))
+        assert net.backward(np.ones((2, 2))) is None
+
+    @pytest.mark.parametrize("out_act", ["linear", "tanh"])
+    def test_input_grad_leaves_grads_untouched(self, out_act):
+        rng = np.random.default_rng(7)
+        net = MLP.create([3, 4, 4, 2], output_activation=out_act, rng=rng)
+        net.grads[:] = rng.normal(size=net.grads.shape)
+        before = net.grads.copy()
+        net.forward(rng.normal(size=(5, 3)))
+        net.input_grad(rng.normal(size=(5, 2)))
+        assert np.array_equal(net.grads, before)
+
+    def test_backward_and_input_grad_share_one_forward(self):
+        """One forward serves both passes, in either order, bit for bit."""
+        rng = np.random.default_rng(8)
+        net = MLP.create([3, 6, 1], hidden_activation="tanh", rng=rng)
+        x, upstream = rng.normal(size=(4, 3)), rng.normal(size=(4, 1))
+        net.forward(x)
+        dx = net.input_grad(upstream)
+        net.backward(upstream)
+        grads = net.grads.copy()
+        net.forward(x)
+        net.backward(upstream)
+        assert np.array_equal(net.grads, grads)
+        assert np.array_equal(net.input_grad(upstream), dx)
+
+    def test_input_grad_before_forward_raises(self):
+        with pytest.raises(RuntimeError):
+            MLP.create([2, 3, 1]).input_grad(np.ones((1, 1)))
+
+    def test_input_grad_rejects_mismatched_upstream(self):
+        net = MLP.create([2, 3, 1])
+        net.forward(np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            net.input_grad(np.ones((3, 1)))
+
     def test_backward_leaves_upstream_untouched(self):
         rng = np.random.default_rng(5)
         net = MLP.create([3, 4, 2], output_activation="tanh", rng=rng)
@@ -142,6 +181,15 @@ class TestBackward:
         before = upstream.copy()
         net.forward(rng.normal(size=(6, 3)))
         net.backward(upstream)
+        assert np.array_equal(upstream, before)
+
+    def test_input_grad_leaves_upstream_untouched(self):
+        rng = np.random.default_rng(5)
+        net = MLP.create([3, 4, 2], output_activation="tanh", rng=rng)
+        upstream = rng.normal(size=(6, 2))
+        before = upstream.copy()
+        net.forward(rng.normal(size=(6, 3)))
+        net.input_grad(upstream)
         assert np.array_equal(upstream, before)
 
 

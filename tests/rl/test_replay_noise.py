@@ -131,6 +131,39 @@ class TestExperiencePool:
         _, _, _, _, d = pool.sample(4)
         assert np.all(d == 1.0)
 
+    @pytest.mark.parametrize("size", [5, 64, 1000, 20_000])
+    def test_one_large_draw_equals_consecutive_draws(self, size):
+        """The agent draws ``n * B`` rows once per ``learn()`` instead of
+        ``n`` batches of ``B``; both see the same rows in the same order."""
+        one, many = ExperiencePool(size, seed=9), ExperiencePool(size, seed=9)
+        for pool in (one, many):
+            pool.extend(make_transition(i) for i in range(size))
+        whole = one.sample(20 * 64)
+        parts = [many.sample(64) for _ in range(20)]
+        for field, chunks in zip(whole, zip(*parts)):
+            assert np.array_equal(field, np.concatenate(chunks))
+
+    def test_rejects_state_narrower_than_pool(self):
+        pool = ExperiencePool(4)
+        pool.add(Transition(np.zeros(3), np.zeros(3), 0.5, 1.0, False))
+        with pytest.raises(ValueError, match=r"transition state .*\(1,\).*width 3"):
+            pool.add(Transition(np.array([7.0]), np.zeros(3), 0.5, 1.0, False))
+        assert len(pool) == 1
+
+    def test_rejects_first_next_state_of_other_width(self):
+        pool = ExperiencePool(4)
+        with pytest.raises(
+            ValueError, match=r"transition next_state .*\(2,\).*width 3"
+        ):
+            pool.add(Transition(np.zeros(3), np.zeros(2), 0.5, 1.0, False))
+        assert len(pool) == 0
+
+    def test_rejects_two_dimensional_state(self):
+        pool = ExperiencePool(4)
+        pool.add(make_transition(0))
+        with pytest.raises(ValueError, match=r"\(1, 4\)"):
+            pool.add(Transition(np.zeros((1, 4)), np.zeros(4), 0.5, 1.0, False))
+
 
 class TestTruncatedNormalNoise:
     def test_stays_in_bounds(self):

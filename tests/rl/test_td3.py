@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.autohet import AutoHet
 from repro.core.rl.ddpg import DDPGAgent
+from repro.core.rl.networks import MLP
 from repro.core.rl.replay import Transition
 from repro.core.rl.td3 import TD3Agent, TD3Config
 from repro.models import lenet
@@ -99,6 +100,30 @@ class TestUpdates:
         q1 = agent.critic_target.forward(sa)
         q2 = agent.critic2_target.forward(sa)
         assert np.allclose(q, np.minimum(q1, q2))
+
+    def test_bandit_mode_builds_and_updates_no_target(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("bandit mode must not Polyak-average")
+
+        monkeypatch.setattr(MLP, "soft_update_from", refuse)
+        agent = make_agent(policy_delay=2, updates_per_episode=4)
+        assert agent.actor_target is None
+        assert agent.critic_target is None and agent.critic2_target is None
+        feed_episodes(agent)
+        actor = agent.actor.params.copy()
+        assert agent.learn() is not None
+        assert not np.array_equal(agent.actor.params, actor)
+
+    def test_bootstrap_mode_updates_every_target(self):
+        agent = make_agent(bootstrap=True, policy_delay=1, tau=1.0)
+        feed_episodes(agent)
+        agent.learn()
+        for online, target in (
+            (agent.actor, agent.actor_target),
+            (agent.critic, agent.critic_target),
+            (agent.critic2, agent.critic2_target),
+        ):
+            assert np.array_equal(online.params, target.params)
 
     def test_losses_recorded(self):
         agent = make_agent()
