@@ -185,7 +185,8 @@ class DDPGAgent:
         """Run the configured number of gradient updates; returns last loss."""
         cfg = self.config
         # Sampling is with replacement, so a pool smaller than the batch
-        # size is still usable; only an empty pool (or warmup) blocks.
+        # size is still usable; only an empty pool (or warmup, or zero
+        # updates) blocks.
         if (
             self.episodes <= cfg.warmup_episodes
             or len(self.pool) == 0
