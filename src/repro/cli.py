@@ -306,11 +306,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The whole-tree ``repro check`` passes, in run order: (flag, narration,
+#: ``repro.analysis`` entry point).  Each runs under its flag, or in the
+#: default sweep.
+_TREE_PASSES = (
+    (
+        "cache_safety",
+        "checking cache-key soundness of the memoized simulator",
+        "analyze_cache_safety",
+    ),
+    (
+        "concurrency",
+        "checking concurrency safety of the worker fan-out paths",
+        "analyze_concurrency",
+    ),
+    (
+        "numeric",
+        "checking numeric safety of the simulator tree",
+        "analyze_numeric",
+    ),
+    (
+        "kernel_parity",
+        "checking scalar/vectorized kernel parity",
+        "analyze_kernel_parity",
+    ),
+    (
+        "units",
+        "checking dimensional consistency of the cost model",
+        "analyze_units",
+    ),
+)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     """Run the static verification passes and report diagnostics."""
     import json
     from pathlib import Path
 
+    from . import analysis
     from .analysis.checkers import (
         check_candidate_set,
         check_config,
@@ -364,18 +397,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     say = (lambda *a, **k: None) if args.format == "json" else print
 
     report = Report()
-    targeted = (
-        args.cache_safety
-        or args.concurrency
-        or args.numeric
-        or args.kernel_parity
-        or args.units
-        or any(
-            v is not None
-            for v in (
-                args.config, args.shapes, args.model, args.plan, args.source
-            )
-        )
+    targeted = any(getattr(args, flag) for flag, _, _ in _TREE_PASSES) or any(
+        v is not None
+        for v in (args.config, args.shapes, args.model, args.plan, args.source)
     )
 
     shapes = (
@@ -438,48 +462,18 @@ def cmd_check(args: argparse.Namespace) -> int:
             check_plan_dict(load_input(args.plan, lambda: load_plan_dict(args.plan)))
         )
 
+    # An explicit --source DIR points every tree pass at that tree (it
+    # must be laid out like the repro package); default is the installed
+    # package itself.
+    root = Path(args.source) if args.source else None
     if args.source is not None or not targeted:
-        root = Path(args.source) if args.source else None
         say(f"linting source tree: {root or 'repro package'}")
         report.extend(lint_tree(root))
 
-    if args.cache_safety or not targeted:
-        from .analysis.dataflow import analyze_cache_safety
-
-        # An explicit --source DIR points the analysis at that tree (it
-        # must be laid out like the repro package); default is the
-        # installed package itself.
-        analysis_root = Path(args.source) if args.source else None
-        say("checking cache-key soundness of the memoized simulator")
-        report.extend(analyze_cache_safety(analysis_root))
-
-    if args.concurrency or not targeted:
-        from .analysis.concurrency import analyze_concurrency
-
-        analysis_root = Path(args.source) if args.source else None
-        say("checking concurrency safety of the worker fan-out paths")
-        report.extend(analyze_concurrency(analysis_root))
-
-    if args.numeric or not targeted:
-        from .analysis.numeric import analyze_numeric
-
-        analysis_root = Path(args.source) if args.source else None
-        say("checking numeric safety of the simulator tree")
-        report.extend(analyze_numeric(analysis_root))
-
-    if args.kernel_parity or not targeted:
-        from .analysis.kernel_parity import analyze_kernel_parity
-
-        analysis_root = Path(args.source) if args.source else None
-        say("checking scalar/vectorized kernel parity")
-        report.extend(analyze_kernel_parity(analysis_root))
-
-    if args.units or not targeted:
-        from .analysis.units import analyze_units
-
-        analysis_root = Path(args.source) if args.source else None
-        say("checking dimensional consistency of the cost model")
-        report.extend(analyze_units(analysis_root))
+    for flag, narration, entry_point in _TREE_PASSES:
+        if getattr(args, flag) or not targeted:
+            say(narration)
+            report.extend(getattr(analysis, entry_point)(root))
 
     exit_code = report.exit_code
     violations: list[str] = []

@@ -90,9 +90,8 @@ def simulated_annealing(
     # Start from the best *feasible* uniform strategy (cheap,
     # deterministic), reusing the probe's metrics rather than paying a
     # second evaluation of the chosen start.  The probes are mutually
-    # independent, so they run as one kernel batch; no search events are
-    # emitted per probe, so this is safe under a live tracer too (the
-    # batched path falls back to the serial loop itself in that case).
+    # independent, so they run as one kernel batch, traced or not; no
+    # search events are emitted per probe.
     uniform_probes = sim.evaluate_many(
         network,
         [tuple(candidates[i] for _ in range(n)) for i in range(len(candidates))],

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -161,21 +161,18 @@ def greedy_reward_strategy(
             best_reward = -math.inf
             # Each layer sweep scores |candidates| one-shape-changed
             # variants — a natural (S, L) batch for the kernel scorer.
-            # With a live tracer the per-candidate loop is kept so the
-            # EVENT_CANDIDATE stream interleaves exactly as before;
-            # either way the winner is the first strict maximum in
-            # candidate order, and the counters are identical.
-            if tr.enabled:
-                for shape in candidates:
-                    trial = list(strategy)
-                    trial[i] = shape
-                    evaluations += 1
-                    metrics = sim.try_evaluate(
-                        network,
-                        tuple(trial),
-                        tile_shared=tile_shared,
-                        detailed=False,
-                    )
+            # The winner is the first strict maximum in candidate order.
+            trials = []
+            for shape in candidates:
+                trial = list(strategy)
+                trial[i] = shape
+                trials.append(tuple(trial))
+            evaluations += len(trials)
+            scored = sim.evaluate_many(
+                network, trials, tile_shared=tile_shared, detailed=False
+            )
+            for shape, metrics in zip(candidates, scored):
+                if tr.enabled:
                     tr.event(
                         obs_metrics.EVENT_CANDIDATE,
                         search="greedy",
@@ -184,29 +181,12 @@ def greedy_reward_strategy(
                         feasible=metrics is not None,
                         reward=None if metrics is None else metrics.reward,
                     )
-                    if metrics is None:
-                        infeasible += 1
-                        continue
-                    if metrics.reward > best_reward:
-                        best_reward = metrics.reward
-                        best_shape = shape
-            else:
-                trials = []
-                for shape in candidates:
-                    trial = list(strategy)
-                    trial[i] = shape
-                    trials.append(tuple(trial))
-                evaluations += len(trials)
-                scored = sim.evaluate_many(
-                    network, trials, tile_shared=tile_shared, detailed=False
-                )
-                for shape, metrics in zip(candidates, scored):
-                    if metrics is None:
-                        infeasible += 1
-                        continue
-                    if metrics.reward > best_reward:
-                        best_reward = metrics.reward
-                        best_shape = shape
+                if metrics is None:
+                    infeasible += 1
+                    continue
+                if metrics.reward > best_reward:
+                    best_reward = metrics.reward
+                    best_shape = shape
             strategy[i] = best_shape
     if tr.enabled:
         tr.event(
@@ -258,12 +238,11 @@ def random_search(
             )
             for _ in range(rounds)
         ]
-        if tr.enabled:
-            scored = []
-            for round_index, strategy in enumerate(samples):
-                metrics = sim.try_evaluate(
-                    network, strategy, tile_shared=tile_shared, detailed=False
-                )
+        scored = sim.evaluate_many(
+            network, samples, tile_shared=tile_shared, detailed=False
+        )
+        for round_index, (strategy, metrics) in enumerate(zip(samples, scored)):
+            if tr.enabled:
                 tr.event(
                     obs_metrics.EVENT_CANDIDATE,
                     search="random",
@@ -271,12 +250,6 @@ def random_search(
                     feasible=metrics is not None,
                     reward=None if metrics is None else metrics.reward,
                 )
-                scored.append(metrics)
-        else:
-            scored = sim.evaluate_many(
-                network, samples, tile_shared=tile_shared, detailed=False
-            )
-        for strategy, metrics in zip(samples, scored):
             if metrics is None:
                 infeasible += 1
                 continue

@@ -21,6 +21,7 @@ from .trace import Tracer
 
 # -- span names ------------------------------------------------------
 SPAN_EVALUATE = "sim.evaluate"        #: one cold Simulator.evaluate
+SPAN_SCORE_BATCH = "sim.score_batch"  #: one (S, L) kernel pass of evaluate_many
 SPAN_MAP = "sim.map"                  #: weight-matrix -> crossbar mapping
 SPAN_ALLOCATE = "sim.allocate"        #: allocation / summary (Algorithm 1)
 SPAN_COST = "sim.cost"                #: energy/latency/area rollup
@@ -96,6 +97,31 @@ def emit_system_metrics(
             layer=cost.layer_index,
             shape=cost.shape_str,
         )
+
+
+def emit_cache_lookup(
+    tracer: Tracer,
+    hit: Any,
+    *,
+    network: str = "",
+    infeasible: bool = False,
+) -> None:
+    """Record one evaluation-cache lookup.
+
+    ``hit`` is the cached value, ``None`` on a miss.  A miss emits
+    ``cache.miss``; a hit emits ``cache.hit`` (flagged ``infeasible``
+    when the cached verdict is a bank overflow) and, for a feasible hit,
+    the aggregate counters of the served ``SystemMetrics``.
+    """
+    if not tracer.enabled:
+        return
+    if hit is None:
+        tracer.event(EVENT_CACHE_MISS, network=network)
+    elif infeasible:
+        tracer.event(EVENT_CACHE_HIT, network=network, infeasible=True)
+    else:
+        tracer.event(EVENT_CACHE_HIT, network=network)
+        emit_system_metrics(tracer, hit, network=network, include_layers=False)
 
 
 def emit_cache_stats(tracer: Tracer, stats: Any, *, context: str = "") -> None:

@@ -10,8 +10,6 @@ from .cache import CacheStats, EvaluationCache, config_fingerprint, network_fing
 from .kernels import (
     MappingBatch,
     NetworkArrays,
-    extract_mapping_batch,
-    extract_strategy_batch,
     score_strategy_batch,
 )
 from .energy import (
@@ -36,8 +34,6 @@ __all__ = [
     "network_fingerprint",
     "MappingBatch",
     "NetworkArrays",
-    "extract_mapping_batch",
-    "extract_strategy_batch",
     "score_strategy_batch",
     "layer_adc_conversions",
     "layer_dac_conversions",

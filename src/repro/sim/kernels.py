@@ -67,8 +67,6 @@ __all__ = [
     "SHAPE_TABLE_FLOAT_ROWS",
     "SHAPE_TABLE_INT_ROWS",
     "network_arrays",
-    "extract_mapping_batch",
-    "extract_strategy_batch",
     "batch_energy_terms",
     "batch_layer_latency_ns",
     "batch_tile_area_um2",
@@ -359,60 +357,6 @@ def _group_counts(
     row_groups = np.where(kernel_split, dense, plain)
     col_groups = _ceil_div(net.out_channels, cols)
     return row_groups, col_groups, kernel_split
-
-
-def extract_mapping_batch(
-    network: Network, strategy: Sequence[CrossbarShape]
-) -> MappingBatch:
-    """SoA mapping of one strategy — ``(L,)`` arrays, no LayerMapping."""
-    net = network_arrays(network)
-    if len(strategy) != net.num_layers:
-        raise ValueError(
-            f"strategy length {len(strategy)} != layer count {net.num_layers}"
-        )
-    rows = np.fromiter(
-        (s.rows for s in strategy), dtype=np.int64, count=net.num_layers
-    )
-    cols = np.fromiter(
-        (s.cols for s in strategy), dtype=np.int64, count=net.num_layers
-    )
-    row_groups, col_groups, kernel_split = _group_counts(net, rows, cols)
-    return MappingBatch(
-        net=net,
-        rows=rows,
-        cols=cols,
-        row_groups=row_groups,
-        col_groups=col_groups,
-        kernel_split=kernel_split,
-    )
-
-
-def extract_strategy_batch(
-    network: Network, strategies: Sequence[Sequence[CrossbarShape]]
-) -> MappingBatch:
-    """SoA mapping of a candidate batch — ``(S, L)`` arrays."""
-    net = network_arrays(network)
-    for strategy in strategies:
-        if len(strategy) != net.num_layers:
-            raise ValueError(
-                f"strategy length {len(strategy)} != layer count "
-                f"{net.num_layers}"
-            )
-    rows = np.array(
-        [[s.rows for s in strategy] for strategy in strategies], dtype=np.int64
-    ).reshape(len(strategies), net.num_layers)
-    cols = np.array(
-        [[s.cols for s in strategy] for strategy in strategies], dtype=np.int64
-    ).reshape(len(strategies), net.num_layers)
-    row_groups, col_groups, kernel_split = _group_counts(net, rows, cols)
-    return MappingBatch(
-        net=net,
-        rows=rows,
-        cols=cols,
-        row_groups=row_groups,
-        col_groups=col_groups,
-        kernel_split=kernel_split,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -186,10 +186,8 @@ class Simulator:
             claimed = outcome == "claimed"
             if isinstance(hit, _Infeasible):
                 if tracer.enabled:
-                    tracer.event(
-                        obs_metrics.EVENT_CACHE_HIT,
-                        network=network.name,
-                        infeasible=True,
+                    obs_metrics.emit_cache_lookup(
+                        tracer, hit, network=network.name, infeasible=True
                     )
                 raise CapacityError(hit.message)
             if hit is not None:
@@ -204,13 +202,12 @@ class Simulator:
                         tracer=tracer,
                     )
                 if tracer.enabled:
-                    tracer.event(obs_metrics.EVENT_CACHE_HIT, network=network.name)
-                    obs_metrics.emit_system_metrics(
-                        tracer, hit, network=network.name, include_layers=False
+                    obs_metrics.emit_cache_lookup(
+                        tracer, hit, network=network.name
                     )
                 return hit  # type: ignore[return-value]
             if tracer.enabled:
-                tracer.event(obs_metrics.EVENT_CACHE_MISS, network=network.name)
+                obs_metrics.emit_cache_lookup(tracer, None, network=network.name)
         try:
             with tracer.span(
                 obs_metrics.SPAN_EVALUATE,
@@ -423,19 +420,20 @@ class Simulator:
         if tracer is None:
             tracer = obs_trace._AMBIENT
         # Batches take the (S, L) kernel scorer when nothing needs the
-        # per-call evaluate machinery: no tracer events to interleave, no
-        # audit sampling to replay, and infeasible entries collapse to
-        # ``None`` (``skip_infeasible``).  Anything else falls through to
-        # the loop below — results are bit-identical either way.
+        # per-call evaluate machinery: no audit sampling to replay, and
+        # infeasible entries collapse to ``None`` (``skip_infeasible``).
+        # The tracer never picks the path; it observes either one.
+        # Anything else falls through to the loop below — results are
+        # bit-identical either way.
         if (
             self.memoize_costs
             and skip_infeasible
             and len(batch) > 1
-            and not tracer.enabled
             and (self.cache is None or self.cache.audit_interval <= 0)
         ):
             return self._evaluate_many_batched(
-                network, batch, tile_shared=tile_shared, detailed=detailed
+                network, batch, tile_shared=tile_shared, detailed=detailed,
+                tracer=tracer,
             )
         evaluate = self.try_evaluate if skip_infeasible else self.evaluate
         return [
@@ -450,26 +448,27 @@ class Simulator:
         *,
         tile_shared: bool,
         detailed: bool,
+        tracer: Tracer,
     ) -> list[SystemMetrics | None]:
         """Serial batch evaluation through the ``(S, L)`` kernel scorer.
 
         Replicates the serial loop's cache protocol — one lookup per
         strategy, one insert per cold unique strategy, duplicate
         occurrences resolving to hits — while scoring every cold strategy
-        in a single kernel pass.
+        in a single kernel pass.  A live tracer sees what the serial loop
+        would report: one ``cache.hit``/``cache.miss`` per lookup, and
+        ``alloc.group``, ``sim.infeasible`` and metric counters per scored
+        strategy, with one ``sim.score_batch`` span in place of the
+        per-strategy ``sim.evaluate`` spans.
         """
         results: list[SystemMetrics | None] = [None] * len(batch)
         if self.cache is None:
             unique: dict[Strategy, list[int]] = {}
             for i, strategy in enumerate(batch):
                 unique.setdefault(strategy, []).append(i)
-            scored = kernels.score_strategy_batch(
-                network,
-                list(unique),
-                self.config,
-                tile_shared=tile_shared,
-                enforce_capacity=self.enforce_capacity,
-                detailed=detailed,
+            scored = self._score_batch(
+                network, list(unique),
+                tile_shared=tile_shared, detailed=detailed, tracer=tracer,
             )
             for positions, outcome in zip(unique.values(), scored):
                 value = (
@@ -492,6 +491,17 @@ class Simulator:
             )
             for strategy in batch
         ]
+        cache = self.cache
+
+        def lookup(key: object) -> tuple[object, bool]:
+            hit = cache.get(key)
+            infeasible = isinstance(hit, _Infeasible)
+            if tracer.enabled:
+                obs_metrics.emit_cache_lookup(
+                    tracer, hit, network=network.name, infeasible=infeasible
+                )
+            return hit, infeasible
+
         to_score: list[int] = []
         pending: set[object] = set()
         # Duplicates of a cold key defer their lookup until after the
@@ -502,32 +512,26 @@ class Simulator:
             if key in pending:
                 deferred.append(i)
                 continue
-            hit = self.cache.get(key)
-            if isinstance(hit, _Infeasible):
-                results[i] = None
-            elif hit is not None:
-                results[i] = hit  # type: ignore[assignment]
-            else:
+            hit, infeasible = lookup(key)
+            if hit is None:
                 pending.add(key)
                 to_score.append(i)
+            elif not infeasible:
+                results[i] = hit  # type: ignore[assignment]
         if to_score:
-            scored = kernels.score_strategy_batch(
-                network,
-                [batch[i] for i in to_score],
-                self.config,
-                tile_shared=tile_shared,
-                enforce_capacity=self.enforce_capacity,
-                detailed=detailed,
+            scored = self._score_batch(
+                network, [batch[i] for i in to_score],
+                tile_shared=tile_shared, detailed=detailed, tracer=tracer,
             )
             for i, outcome in zip(to_score, scored):
                 if isinstance(outcome, kernels.InfeasibleScore):
-                    self.cache.put(keys[i], _Infeasible(outcome.message))
+                    cache.put(keys[i], _Infeasible(outcome.message))
                     results[i] = None
                 else:
-                    self.cache.put(keys[i], outcome)
+                    cache.put(keys[i], outcome)
                     results[i] = outcome
         for i in deferred:
-            hit = self.cache.get(keys[i])
+            hit, infeasible = lookup(keys[i])
             if hit is None:
                 # Evicted between the insert and this lookup (a cache
                 # smaller than the batch) — re-evaluate like the serial
@@ -535,9 +539,49 @@ class Simulator:
                 results[i] = self.try_evaluate(
                     network, batch[i], tile_shared=tile_shared, detailed=detailed
                 )
-            else:
-                results[i] = None if isinstance(hit, _Infeasible) else hit  # type: ignore[assignment]
+            elif not infeasible:
+                results[i] = hit  # type: ignore[assignment]
         return results
+
+    def _score_batch(
+        self,
+        network: Network,
+        strategies: list[Strategy],
+        *,
+        tile_shared: bool,
+        detailed: bool,
+        tracer: Tracer,
+    ) -> list[SystemMetrics | kernels.InfeasibleScore]:
+        """One kernel pass, traced like the serial misses it replaces."""
+        with tracer.span(
+            obs_metrics.SPAN_SCORE_BATCH,
+            network=network.name,
+            strategies=len(strategies),
+            tile_shared=tile_shared,
+            detailed=detailed,
+        ):
+            scored = kernels.score_strategy_batch(
+                network,
+                strategies,
+                self.config,
+                tile_shared=tile_shared,
+                enforce_capacity=self.enforce_capacity,
+                detailed=detailed,
+                tracer=tracer,
+            )
+        if tracer.enabled:
+            for outcome in scored:
+                if isinstance(outcome, kernels.InfeasibleScore):
+                    tracer.event(
+                        obs_metrics.EVENT_INFEASIBLE,
+                        network=network.name,
+                        message=outcome.message,
+                    )
+                else:
+                    obs_metrics.emit_system_metrics(
+                        tracer, outcome, network=network.name
+                    )
+        return scored
 
     # ------------------------------------------------------------------
     def evaluate_homogeneous(

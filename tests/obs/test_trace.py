@@ -305,3 +305,101 @@ class TestSearchSpans:
                 learn["start_ns"] + learn["dur_ns"]
                 <= episode["start_ns"] + episode["dur_ns"]
             )
+
+
+class TestTracedBatchScoring:
+    """A live tracer observes ``evaluate_many``'s ``(S, L)`` kernel pass;
+    it never routes a search onto a per-candidate loop."""
+
+    @pytest.fixture
+    def kernel_passes(self, monkeypatch):
+        from repro.sim import kernels
+
+        passes = []
+        real = kernels.score_strategy_batch
+
+        def spy(network, strategies, *args, **kwargs):
+            passes.append(len(strategies))
+            return real(network, strategies, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "score_strategy_batch", spy)
+        return passes
+
+    @pytest.mark.parametrize("search", ["greedy", "random", "multi_seed"])
+    def test_traced_search_runs_the_batch_scorer(
+        self, search, lenet_net, kernel_passes
+    ):
+        from repro.arch.config import DEFAULT_CANDIDATES
+        from repro.core.autohet import autohet_multi_seed
+        from repro.core.search.strategies import (
+            greedy_reward_strategy,
+            random_search,
+        )
+        from repro.sim.simulator import Simulator
+
+        sink = InMemorySink()
+        sim = Simulator(tracer=Tracer([sink]))
+        if search == "greedy":
+            greedy_reward_strategy(lenet_net, DEFAULT_CANDIDATES, sim)
+        elif search == "random":
+            random_search(lenet_net, DEFAULT_CANDIDATES, sim, rounds=12)
+        else:
+            autohet_multi_seed(
+                lenet_net, DEFAULT_CANDIDATES, seeds=(0, 1), rounds=2,
+                simulator=sim,
+            )
+        assert kernel_passes
+        summary = sink.summary()
+        assert summary.spans["sim.score_batch"].count == len(kernel_passes)
+        lookups = summary.events.get("cache.hit", 0) + summary.events.get(
+            "cache.miss", 0
+        )
+        assert lookups == sim.cache_stats().lookups
+
+    def test_batch_reports_what_the_serial_loop_reports(self, lenet_net):
+        """Per-name event and counter counts match a serial ``try_evaluate``
+        loop over the same strategies — cold, duplicate and warm, feasible
+        and infeasible alike; only the span names differ."""
+        from collections import Counter
+
+        from repro.arch.config import DEFAULT_CANDIDATES, HardwareConfig
+        from repro.sim.simulator import Simulator
+
+        # Ten tiles: uniform 32x32 and 36x32 LeNet strategies overflow.
+        config = HardwareConfig(tiles_per_bank=10)
+        uniform = [
+            tuple(shape for _ in lenet_net.layers) for shape in DEFAULT_CANDIDATES
+        ]
+        batch = uniform + uniform[:2] + uniform[3:4]
+
+        def serial(sim):
+            return [
+                sim.try_evaluate(lenet_net, strategy, detailed=False)
+                for strategy in batch
+            ]
+
+        def batched(sim):
+            return sim.evaluate_many(lenet_net, batch)
+
+        def run(score):
+            sink = InMemorySink()
+            sim = Simulator(config=config, tracer=Tracer([sink]))
+            results = score(sim) + score(sim)
+            records = Counter(
+                (r["type"], r["name"])
+                for r in sink.records
+                if r["type"] != "span"
+            )
+            spans = set(sink.summary().spans)
+            return results, sim.cache_stats(), records, spans
+
+        b_results, b_stats, b_records, b_spans = run(batched)
+        s_results, s_stats, s_records, s_spans = run(serial)
+        assert b_results == s_results
+        assert None in b_results
+        assert b_stats == s_stats
+        assert b_records == s_records
+        assert b_records[("event", "sim.infeasible")] == 2
+        assert b_records[("event", "alloc.group")] > 0
+        assert "sim.score_batch" in b_spans and "sim.evaluate" not in b_spans
+        assert "sim.evaluate" in s_spans

@@ -91,23 +91,25 @@ class TestEvaluateInvariance:
 
 class TestSearchInvariance:
     def test_greedy_identical(self, lenet_net):
-        plain = greedy_reward_strategy(
-            lenet_net, DEFAULT_CANDIDATES, Simulator()
-        )
+        plain_sim = Simulator()
+        plain = greedy_reward_strategy(lenet_net, DEFAULT_CANDIDATES, plain_sim)
         sim, sink = traced_sim()
         traced = greedy_reward_strategy(lenet_net, DEFAULT_CANDIDATES, sim)
         assert plain == traced
+        assert plain_sim.cache_stats() == sim.cache_stats()
         assert len(sink) > 0
 
     def test_random_search_identical_seed_for_seed(self, lenet_net):
         for seed in (0, 3):
+            plain_sim = Simulator()
             plain = random_search(
-                lenet_net, DEFAULT_CANDIDATES, Simulator(), rounds=12, seed=seed
+                lenet_net, DEFAULT_CANDIDATES, plain_sim, rounds=12, seed=seed
             )
             sim, _ = traced_sim()
             traced = random_search(
                 lenet_net, DEFAULT_CANDIDATES, sim, rounds=12, seed=seed
             )
+            assert plain_sim.cache_stats() == sim.cache_stats()
             assert plain.strategy == traced.strategy
             assert plain.metrics == traced.metrics
             assert plain.evaluations == traced.evaluations

@@ -137,6 +137,20 @@ class TestCommands:
         assert trace_path.exists()
         assert "trace records" in capsys.readouterr().out
 
+    def test_traced_multi_seed_search_summarizes(self, capsys, tmp_path):
+        # The multi-seed pre-warm scores its uniform probes as one kernel
+        # batch, traced or not, so the trace carries a sim.score_batch span.
+        trace_path = tmp_path / "search.jsonl"
+        assert main([
+            "search", "lenet", "--seeds", "0,1", "--rounds", "2",
+            "--trace", str(trace_path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["trace", "summarize", str(trace_path)]) == 0
+        out = capsys.readouterr().out
+        assert "trace validates against schema v1" in out
+        assert "sim.score_batch" in out
+
     def test_serve_unknown_scenario_errors(self):
         with pytest.raises(SystemExit, match="cannot load scenario"):
             main(["serve", "no-such-scenario"])
