@@ -43,7 +43,14 @@ from ..analysis.invariants import (
 
 @dataclass(frozen=True, order=True)
 class CrossbarShape:
-    """Geometry of one crossbar: ``rows`` wordlines x ``cols`` bitlines."""
+    """Geometry of one crossbar: ``rows`` wordlines x ``cols`` bitlines.
+
+    The ``"RxC"`` text stashed in ``_str`` at construction is the
+    shape's hot-path key: the evaluation cache key, the kernel shape
+    table and Algorithm 1's grouping hash it, because a string caches
+    its own hash while ``__hash__`` runs Python code on every call.
+    ``"RxC"`` is injective on shapes with integer dimensions.
+    """
 
     rows: int
     cols: int
@@ -54,12 +61,12 @@ class CrossbarShape:
         diags = shape_dim_diagnostics(self.rows, self.cols, f"shape {self.rows}x{self.cols}")
         if diags:
             raise InvariantViolation(diags, "CrossbarShape")
-        # Shapes are hashed and stringified on simulator hot paths
-        # (grouping, shape-table gathers, SystemMetrics assembly);
-        # precompute both.  ``hash((rows, cols))`` is exactly the value
-        # the generated dataclass __hash__ would produce, and integer
-        # tuple hashes are stable across processes, so the stash is safe
-        # to pickle across processes.
+        # Precompute the hash and the "RxC" text; the simulator's hot
+        # paths (grouping, shape-table gathers, cache keys, SystemMetrics
+        # assembly) key on the text.  ``hash((rows, cols))`` is exactly
+        # the value the generated dataclass __hash__ would produce, and
+        # integer tuple hashes are stable across processes, so the stash
+        # is safe to pickle across processes.
         object.__setattr__(self, "_hash", hash((self.rows, self.cols)))
         object.__setattr__(self, "_str", f"{self.rows}x{self.cols}")
 

@@ -159,10 +159,13 @@ def summarize_counts(
     if tile_shared:
         # Group layers by crossbar geometry, preserving layer order — the
         # same grouping apply_tile_sharing derives from the tile list.
-        groups: dict[CrossbarShape, list[int]] = {}
+        # Keyed on each shape's "RxC" text: a string hashes from its own
+        # cache, where a shape would run Python code per layer.
+        groups: dict[str, list[int]] = {}
         for pos, shape in enumerate(shapes):
-            groups.setdefault(shape, []).append(pos)
-        for shape, members in groups.items():
+            groups.setdefault(shape._str, []).append(pos)
+        for shape_str, members in groups.items():
+            shape = shapes[members[0]]
             counts = tuple([crossbar_counts[pos] for pos in members])
             surviving, empty_total = _shared_group_summary(
                 tile_capacity, counts
@@ -180,7 +183,7 @@ def summarize_counts(
                 tracer.event(
                     obs_metrics.EVENT_ALLOC_GROUP,
                     mode="summary",
-                    shape=str(shape),
+                    shape=shape_str,
                     layers=len(members),
                     tiles_before=before,
                     tiles_after=group_tiles,

@@ -293,13 +293,15 @@ class EvaluationCache:
         and network content fingerprints, the per-layer shapes, and the
         flags that change the result (``tile_shared``, ``detailed``) or
         the feasibility verdict (``enforce_capacity``).  The shapes go in
-        as themselves: their hash is stashed at construction, so a key
-        builds and hashes faster than one of ``(rows, cols)`` pairs.
+        as one string, their ``"RxC"`` texts joined by commas: a string
+        caches its own hash and compares in C, so every later cache
+        operation on the key touches no shape.  The join is injective,
+        since ``"RxC"`` never contains a comma.
         """
         return (
             config_fingerprint(config),
             network_fingerprint(network),
-            tuple(strategy),
+            ",".join([shape._str for shape in strategy]),
             tile_shared,
             detailed,
             enforce_capacity,

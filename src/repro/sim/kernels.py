@@ -118,8 +118,9 @@ def _ceil_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 #: path reads; value: the kernel columns that carry it.  Two sentinel
 #: targets exist besides ``"Class.column"``: ``"builder"`` (the value is
 #: passed through by the batch scorer itself, e.g. ``Network.name`` into
-#: ``SystemMetrics``) and ``"shared"`` (both paths call the same shared
-#: code on the same object, e.g. ``CrossbarShape.__str__``).
+#: ``SystemMetrics``) and ``"shared"`` (both paths read the same value
+#: off the same object, e.g. the ``"RxC"`` text ``CrossbarShape`` stashes
+#: in ``_str``, which its ``__str__`` returns).
 KERNEL_COVERAGE: dict[str, dict[str, tuple[str, ...]]] = {
     "LayerSpec": {
         "index": ("NetworkArrays.layer_indices",),
@@ -568,11 +569,13 @@ class ShapeTable:
     layer latency, tile area, and Eq. 4 intra-array utilization;
     ``ints`` is ``(3, C, L)`` — crossbar counts and ADC/DAC conversion
     counts.  ``C`` indexes :attr:`shapes`; ``L`` is the layer axis, and
-    ``layers`` is ``arange(L)`` for gathering along it.
+    ``layers`` is ``arange(L)`` for gathering along it.  :attr:`index`
+    maps each shape's ``"RxC"`` text (its ``_str`` stash) to its ``C``
+    position, so a gather hashes cached strings, never shapes.
     """
 
     shapes: tuple[CrossbarShape, ...]
-    index: dict[CrossbarShape, int]
+    index: dict[str, int]
     floats: np.ndarray
     ints: np.ndarray
     layers: np.ndarray
@@ -625,7 +628,7 @@ def _build_table(
     )
     return ShapeTable(
         shapes=shapes,
-        index={shape: i for i, shape in enumerate(shapes)},
+        index={shape._str: i for i, shape in enumerate(shapes)},
         floats=_frozen(floats),
         ints=_frozen(ints),
         layers=_frozen(np.arange(layers)),
@@ -649,9 +652,11 @@ def shape_table(
     record = network_constants(net, config)
     table = record.table
     known = table.index if table is not None else {}
-    missing = dict.fromkeys(s for s in shapes_needed if s not in known)
+    missing = {s._str: s for s in shapes_needed if s._str not in known}
     if table is None or missing:
-        shapes = (table.shapes if table is not None else ()) + tuple(missing)
+        shapes = (table.shapes if table is not None else ()) + tuple(
+            missing.values()
+        )
         table = _build_table(net, config, shapes)
         record.table = table
     return table
@@ -676,13 +681,13 @@ def strategy_view(
         table = shape_table(net, config, strategy)
     try:
         idx = np.fromiter(
-            (table.index[s] for s in strategy), np.int64, net.num_layers
+            (table.index[s._str] for s in strategy), np.int64, net.num_layers
         )
     except KeyError:
         # Unknown shape — extend the table once, then gather.
         table = shape_table(net, config, strategy)
         idx = np.fromiter(
-            (table.index[s] for s in strategy), np.int64, net.num_layers
+            (table.index[s._str] for s in strategy), np.int64, net.num_layers
         )
     return net, table.floats[:, idx, table.layers], table.ints[:, idx, table.layers]
 
@@ -735,7 +740,7 @@ def _layer_costs(
     return tuple(
         LayerCost(
             layer_index=layer_indices[i],
-            shape_str=str(strategy[i]),
+            shape_str=strategy[i]._str,
             mvm_ops=mvm_ops[i],
             num_crossbars=n[_I_XBARS][i],
             adc_conversions=n[_I_ADC_CONV][i],
@@ -804,7 +809,7 @@ def _assemble_metrics(
         layer_costs = _layer_costs(strategy, net, floats, ints)
     return SystemMetrics(
         network_name=network.name,
-        strategy=tuple(str(s) for s in strategy),
+        strategy=tuple([s._str for s in strategy]),
         utilization=summary.utilization,
         energy_nj=breakdown.total,
         latency_ns=latency,
@@ -888,7 +893,7 @@ def score_strategy_batch(
     )
     index = table.index
     idx = np.array(
-        [[index[s] for s in strategy] for strategy in strategies],
+        [[index[s._str] for s in strategy] for strategy in strategies],
         dtype=np.int64,
     ).reshape(len(strategies), net.num_layers)
     floats = table.floats[:, idx, table.layers]   # (10, S, L)

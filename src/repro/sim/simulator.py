@@ -177,20 +177,18 @@ class Simulator:
             # and (normally) take the hit path.  A "claimed" outcome makes
             # this thread the one evaluator for the key — release() in
             # every exit path below.
-            while True:
-                outcome, payload = self.cache.claim(key)
-                if outcome != "wait":
-                    break
+            outcome, payload = self.cache.claim(key)
+            while outcome == "wait":
                 payload.wait()
-            hit = payload if outcome == "hit" else None
-            claimed = outcome == "claimed"
-            if isinstance(hit, _Infeasible):
-                if tracer.enabled:
-                    obs_metrics.emit_cache_lookup(
-                        tracer, hit, network=network.name, infeasible=True
-                    )
-                raise CapacityError(hit.message)
-            if hit is not None:
+                outcome, payload = self.cache.claim(key)
+            if outcome == "hit":
+                hit = payload
+                if isinstance(hit, _Infeasible):
+                    if tracer.enabled:
+                        obs_metrics.emit_cache_lookup(
+                            tracer, hit, network=network.name, infeasible=True
+                        )
+                    raise CapacityError(hit.message)
                 if self.cache.audit_due():
                     if tracer.enabled:
                         tracer.event(
@@ -206,6 +204,7 @@ class Simulator:
                         tracer, hit, network=network.name
                     )
                 return hit  # type: ignore[return-value]
+            claimed = True
             if tracer.enabled:
                 obs_metrics.emit_cache_lookup(tracer, None, network=network.name)
         try:
@@ -455,7 +454,11 @@ class Simulator:
         Replicates the serial loop's cache protocol — one lookup per
         strategy, one insert per cold unique strategy, duplicate
         occurrences resolving to hits — while scoring every cold strategy
-        in a single kernel pass.  A live tracer sees what the serial loop
+        in a single kernel pass.  A duplicate whose entry was evicted
+        before its turn (a cache smaller than the batch) counts the one
+        miss the serial loop would and re-inserts the outcome scored for
+        its first occurrence; it is not scored, or traced as scored, a
+        second time.  A live tracer sees what the serial loop
         would report: one ``cache.hit``/``cache.miss`` per lookup, and
         ``alloc.group``, ``sim.infeasible`` and metric counters per scored
         strategy, with one ``sim.score_batch`` span in place of the
@@ -503,7 +506,8 @@ class Simulator:
             return hit, infeasible
 
         to_score: list[int] = []
-        pending: set[object] = set()
+        # cold key -> the value inserted for its first occurrence
+        pending: dict[object, object] = {}
         # Duplicates of a cold key defer their lookup until after the
         # scored results are inserted, so they register as cache hits
         # exactly like the serial loop's second visit would.
@@ -514,7 +518,7 @@ class Simulator:
                 continue
             hit, infeasible = lookup(key)
             if hit is None:
-                pending.add(key)
+                pending[key] = None
                 to_score.append(i)
             elif not infeasible:
                 results[i] = hit  # type: ignore[assignment]
@@ -525,21 +529,22 @@ class Simulator:
             )
             for i, outcome in zip(to_score, scored):
                 if isinstance(outcome, kernels.InfeasibleScore):
-                    cache.put(keys[i], _Infeasible(outcome.message))
-                    results[i] = None
+                    value: object = _Infeasible(outcome.message)
                 else:
-                    cache.put(keys[i], outcome)
-                    results[i] = outcome
+                    value = results[i] = outcome
+                cache.put(keys[i], value)
+                pending[keys[i]] = value
         for i in deferred:
             hit, infeasible = lookup(keys[i])
             if hit is None:
                 # Evicted between the insert and this lookup (a cache
-                # smaller than the batch) — re-evaluate like the serial
-                # loop would on its own miss.
-                results[i] = self.try_evaluate(
-                    network, batch[i], tile_shared=tile_shared, detailed=detailed
-                )
-            elif not infeasible:
+                # smaller than the batch).  The lookup counted the serial
+                # loop's one miss; re-insert the outcome scored for the
+                # first occurrence in place of scoring it again.
+                hit = pending[keys[i]]
+                cache.put(keys[i], hit)
+                infeasible = isinstance(hit, _Infeasible)
+            if not infeasible:
                 results[i] = hit  # type: ignore[assignment]
         return results
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.config import DEFAULT_CANDIDATES, HardwareConfig
+from repro.arch.config import DEFAULT_CANDIDATES, CrossbarShape, HardwareConfig
 from repro.models import lenet, tiny_cnn
 from repro.sim.cache import (
     CacheStats,
@@ -107,6 +107,52 @@ def test_key_separates_flags_and_strategies(lenet_net):
     assert base != key(s1, tile_shared=False)
     assert base != key(s1, detailed=False)
     assert base != key(s1, enforce_capacity=False)
+
+
+_SHAPES = st.one_of(
+    st.sampled_from(DEFAULT_CANDIDATES),
+    st.builds(
+        CrossbarShape,
+        st.integers(min_value=1, max_value=1200),
+        st.integers(min_value=1, max_value=1200),
+    ),
+)
+_FLAGS = st.fixed_dictionaries(
+    {
+        "tile_shared": st.booleans(),
+        "detailed": st.booleans(),
+        "enforce_capacity": st.booleans(),
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), first=st.lists(_SHAPES, max_size=6), flags=_FLAGS)
+def test_key_is_injective(data, first, flags, lenet_net):
+    # The strategy enters the key as one comma-joined string of "RxC"
+    # texts; keys must still be equal exactly when the strategies are.
+    # The second strategy is often a near-copy of the first, rebuilt
+    # from fresh (equal, not identical) shapes, so equal pairs occur.
+    rebuilt = [CrossbarShape(s.rows, s.cols) for s in first]
+    second = data.draw(
+        st.one_of(
+            st.lists(_SHAPES, max_size=6),
+            st.just(rebuilt),
+            st.builds(
+                lambda cut, extra: rebuilt[:cut] + extra,
+                st.integers(min_value=0, max_value=len(first)),
+                st.lists(_SHAPES, max_size=2),
+            ),
+        )
+    )
+    other_flags = data.draw(st.one_of(st.just(flags), _FLAGS))
+    config = HardwareConfig()
+    key = EvaluationCache.make_key(config, lenet_net, tuple(first), **flags)
+    other = EvaluationCache.make_key(
+        config, lenet_net, tuple(second), **other_flags
+    )
+    same = tuple(first) == tuple(second) and flags == other_flags
+    assert (key == other) == same
 
 
 def test_simulator_counts_hits_across_repeat_evaluations(lenet_net):
@@ -212,6 +258,24 @@ def test_evaluate_many_matches_serial_evaluate(lenet_net):
     serial = [reference_simulator().evaluate(lenet_net, s, detailed=False)
               for s in batch]
     assert Simulator().evaluate_many(lenet_net, batch) == serial
+
+
+@pytest.mark.parametrize("tiles_per_bank", [None, 1], ids=["feasible", "infeasible"])
+def test_evaluate_many_evicted_duplicate_counts_one_miss(lenet_net, tiles_per_bank):
+    # With one entry, ``a`` is evicted by ``b`` before its duplicate's
+    # turn: the serial loop counts three misses and two evictions, and
+    # the batch must too, re-inserting ``a``'s outcome unscored.
+    config = HardwareConfig() if tiles_per_bank is None else HardwareConfig(
+        tiles_per_bank=tiles_per_bank
+    )
+    a, b = strategies_for(lenet_net, count=2)
+    batched = Simulator(config, cache=EvaluationCache(max_size=1))
+    serial = Simulator(config, cache=EvaluationCache(max_size=1))
+    results = batched.evaluate_many(lenet_net, [a, b, a])
+    expected = [serial.try_evaluate(lenet_net, s, detailed=False) for s in (a, b, a)]
+    assert results == expected
+    assert batched.cache_stats() == serial.cache_stats()
+    assert (serial.cache_stats().misses, serial.cache_stats().evictions) == (3, 2)
 
 
 def test_evaluate_many_skips_infeasible(lenet_net):

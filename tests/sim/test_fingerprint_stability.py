@@ -18,7 +18,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.arch.config import DEFAULT_CONFIG, CrossbarShape
+from repro.arch.config import DEFAULT_CANDIDATES, DEFAULT_CONFIG, CrossbarShape
+from repro.core.search.annealing import simulated_annealing
+from repro.core.search.strategies import greedy_reward_strategy
 from repro.models.datasets import DatasetSpec
 from repro.models.graph import Network
 from repro.models.layers import LayerSpec, LayerType, PoolSpec, Stage
@@ -242,3 +244,28 @@ class TestHashOnce:
             enforce_capacity=True,
         )
         assert calls == []
+
+    def test_warm_search_hashes_no_shape(self, monkeypatch):
+        # Cache keys, shape-table gathers and Algorithm 1's grouping key
+        # on each shape's "RxC" text, so once the table is warm a search
+        # never runs CrossbarShape.__hash__ / __eq__ per layer.
+        net = vgg16()
+        simulated_annealing(net, DEFAULT_CANDIDATES, Simulator(), rounds=2)
+        calls = []
+        for name in ("__hash__", "__eq__"):
+            original = getattr(CrossbarShape, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(CrossbarShape, name, counted)
+        per_run = []
+        for rounds in (20, 80):
+            calls.clear()
+            sim = Simulator()
+            greedy_reward_strategy(net, DEFAULT_CANDIDATES, sim)
+            simulated_annealing(net, DEFAULT_CANDIDATES, sim, rounds=rounds)
+            assert sim.cache_stats().lookups > rounds
+            per_run.append(len(calls))
+        assert per_run[0] == per_run[1] < net.num_layers
