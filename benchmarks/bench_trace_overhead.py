@@ -33,11 +33,12 @@ REPEATS = 50
 
 
 def untraced_hit_baseline(sim: Simulator, network, strategy) -> object:
-    """The pre-observability cached-hit path, guard-free.
+    """The cached-hit path of ``Simulator.evaluate`` without tracer hooks.
 
-    Mirrors ``Simulator.evaluate`` exactly as it was before the tracer
-    hooks: tuple the strategy, build the key, probe the cache, check
-    the infeasible sentinel and the audit clock, return the hit.
+    Does what ``evaluate`` does on a hit, minus the tracer resolution and
+    the ``tracer.enabled`` guards: tuple the strategy, build the key,
+    probe the cache through ``get`` (the same lookup ``evaluate`` makes),
+    check the infeasible sentinel and the audit clock, return the hit.
     """
     strategy = tuple(strategy)
     key = EvaluationCache.make_key(

@@ -15,9 +15,10 @@ violates Eq. 4 bounds or Algorithm 1's accounting.  The modules:
 * :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.dataflow` — the
   interprocedural cache-key soundness and purity analysis behind
   ``repro check --cache-safety`` (CAC/PUR rule families).
-* :mod:`repro.analysis.concurrency` — the static race detector for the
-  shared-cache and worker fan-out paths behind
-  ``repro check --concurrency`` (CON rule family).
+* :mod:`repro.analysis.concurrency` — the syntactic proof of the thread
+  contract behind ``repro check --concurrency`` (CON001): no module
+  outside ``repro.analysis`` starts a thread or a process, so each
+  thread owns its ``Simulator``.
 * :mod:`repro.analysis.walker` — the intraprocedural abstract-interpretation
   walker that the NUM and UNI passes share; each supplies only its
   lattice and rules.
@@ -75,7 +76,7 @@ __all__ = [
     "analyze_cache_safety",
     "analyze_memoized",
     "analyze_concurrency",
-    "analyze_concurrency_tree",
+    "fan_out_findings",
     "analyze_numeric",
     "numeric_findings",
     "analyze_kernel_parity",
@@ -102,9 +103,7 @@ _LINT_NAMES = frozenset({"lint_source", "lint_tree", "lint_path"})
 _DATAFLOW_NAMES = frozenset(
     {"analyze_cache_safety", "analyze_memoized", "simulator_contract"}
 )
-_CONCURRENCY_NAMES = frozenset(
-    {"analyze_concurrency", "analyze_concurrency_tree", "concurrency_contract"}
-)
+_CONCURRENCY_NAMES = frozenset({"analyze_concurrency", "fan_out_findings"})
 _NUMERIC_NAMES = frozenset({"analyze_numeric", "numeric_findings"})
 _KERNEL_PARITY_NAMES = frozenset(
     {

@@ -125,10 +125,6 @@ class ModuleInfo:
     name: str
     is_package: bool
     node: ast.Module
-    #: the raw source text — kept so comment-borne contracts (the
-    #: ``# guarded-by:`` / ``# holds-lock:`` markers the concurrency
-    #: analyzer reads) can be recovered; comments never reach the AST
-    source: str = ""
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     imports: dict[str, Union[ImportedName, ImportedModule]] = field(
@@ -217,7 +213,7 @@ def _resolve_relative(module: ModuleInfo, node: ast.ImportFrom) -> str:
 
 def _index_module(name: str, source: str, is_package: bool) -> ModuleInfo:
     tree = ast.parse(source, filename=name)
-    module = ModuleInfo(name=name, is_package=is_package, node=tree, source=source)
+    module = ModuleInfo(name=name, is_package=is_package, node=tree)
 
     # Imports anywhere in the module (incl. inside function bodies — lazy
     # imports are common in this tree) feed the module-wide alias table.

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -136,8 +137,9 @@ CFG004 = _r(
     "heterogeneous sizes').",
 )
 SHP001 = _r(
-    "SHP001", "positive crossbar dimensions", Severity.ERROR, "Fig. 7",
-    "Crossbar rows and columns must both be positive.",
+    "SHP001", "positive integer crossbar dimensions", Severity.ERROR, "Fig. 7",
+    "Crossbar rows and columns must both be positive integers (Python or "
+    "NumPy; not bool, not float).",
 )
 SHP002 = _r(
     "SHP002", "RXB height multiple of 9", Severity.ERROR, "§3.3",
@@ -283,42 +285,13 @@ PUR002 = _r(
     "on call history that the cache key cannot express.",
 )
 CON001 = _r(
-    "CON001", "unguarded shared write in a thread worker", Severity.ERROR,
+    "CON001", "thread or process started inside the library", Severity.ERROR,
     "threading contract",
-    "Code reachable from a thread-pool worker writes a shared mutable "
-    "attribute that declares no `# guarded-by:` lock — concurrent workers "
-    "can interleave the write and lose updates.",
-)
-CON002 = _r(
-    "CON002", "module-global mutation reachable from a worker", Severity.ERROR,
-    "threading contract",
-    "A worker mutates module-level state (a `global` rebinding or a "
-    "module-level container); thread workers race on it, and process "
-    "workers silently mutate a copy that is thrown away.",
-)
-CON003 = _r(
-    "CON003", "non-picklable state shipped across a process boundary", Severity.ERROR,
-    "threading contract",
-    "A process-pool worker captures a tracer, lock, open file, or other "
-    "non-picklable object (or the callable itself is a closure/lambda) — "
-    "the fan-out either crashes at pickle time or duplicates live I/O "
-    "state into children.",
-)
-CON004 = _r(
-    "CON004", "shared RNG used in a thread worker", Severity.ERROR,
-    "threading contract",
-    "A thread worker draws from the shared module-level RNG "
-    "(`random.random`, `numpy.random.rand`, ...), so results depend on "
-    "thread scheduling; construct a per-worker `random.Random(seed)` / "
-    "`numpy.random.default_rng(seed)` instead.",
-)
-CON005 = _r(
-    "CON005", "guarded attribute written outside its lock", Severity.ERROR,
-    "threading contract",
-    "An attribute declared `# guarded-by: <lock>` is written at a site "
-    "not dominated by `with self.<lock>:` (and the enclosing method does "
-    "not declare `# holds-lock: <lock>`), so the declared discipline is "
-    "broken.",
+    "A module under `repro` outside `repro.analysis` imports or references "
+    "something that starts a thread or a process (`threading.Thread`, a "
+    "`concurrent.futures` executor, `multiprocessing`, `os.fork`).  The "
+    "supported contract is one `Simulator` per thread, and the library "
+    "itself never fans out.",
 )
 LNT008 = _r(
     "LNT008", "no literal dtype casts in kernel hot loops", Severity.ERROR,
@@ -635,8 +608,26 @@ def adc_resolution_diagnostics(
     return []
 
 
+def _is_integer(value: object) -> bool:
+    """A Python or NumPy integer; ``bool`` and every float are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def shape_dim_diagnostics(rows: int, cols: int, location: str) -> list[Diagnostic]:
-    """SHP001: crossbar dimensions must be positive."""
+    """SHP001: crossbar dimensions must be positive integers.
+
+    An integral float is rejected too: ``64.0`` equals ``64`` but keys as
+    ``"64.0x64"``, and a fractional dimension prices the kernel and the
+    reference paths differently.
+    """
+    if not (_is_integer(rows) and _is_integer(cols)):
+        return [
+            SHP001.diag(
+                location,
+                f"crossbar dimensions must be integers, got {rows!r} x {cols!r}",
+                hint="pass int (or NumPy integer) rows and cols",
+            )
+        ]
     if rows <= 0 or cols <= 0:
         return [
             SHP001.diag(

@@ -49,7 +49,8 @@ class CrossbarShape:
     shape's hot-path key: the evaluation cache key, the kernel shape
     table and Algorithm 1's grouping hash it, because a string caches
     its own hash while ``__hash__`` runs Python code on every call.
-    ``"RxC"`` is injective on shapes with integer dimensions.
+    ``"RxC"`` is injective on shapes, since the dimensions must be
+    integers (SHP001 rejects floats, integral ones included).
     """
 
     rows: int
@@ -61,6 +62,10 @@ class CrossbarShape:
         diags = shape_dim_diagnostics(self.rows, self.cols, f"shape {self.rows}x{self.cols}")
         if diags:
             raise InvariantViolation(diags, "CrossbarShape")
+        # A NumPy integer is stored as the int it equals, so the shape
+        # serializes and fingerprints like one built from ints.
+        object.__setattr__(self, "rows", int(self.rows))
+        object.__setattr__(self, "cols", int(self.cols))
         # Precompute the hash and the "RxC" text; the simulator's hot
         # paths (grouping, shape-table gathers, cache keys, SystemMetrics
         # assembly) key on the text.  ``hash((rows, cols))`` is exactly

@@ -227,9 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "--concurrency", action="store_true",
-        help="run the static race detector over the worker fan-out call "
-        "graph (CON rules: shared writes, globals, pickling, RNG, "
-        "lock discipline)",
+        help="check that no module outside repro.analysis starts a thread "
+        "or a process (CON001: one Simulator per thread)",
     )
     p_check.add_argument(
         "--numeric", action="store_true",
@@ -317,7 +316,7 @@ _TREE_PASSES = (
     ),
     (
         "concurrency",
-        "checking concurrency safety of the worker fan-out paths",
+        "checking concurrency safety: no thread or process fan-out",
         "analyze_concurrency",
     ),
     (

@@ -35,7 +35,7 @@ class InMemorySink:
     """
 
     def __init__(self) -> None:
-        self._records: list[dict[str, Any]] = []  # guarded-by: _lock
+        self._records: list[dict[str, Any]] = []
         self._lock = threading.Lock()
 
     def emit(self, record: dict[str, Any]) -> None:
@@ -71,13 +71,14 @@ class JsonlSink:
     """
 
     def __init__(self, path: Path | str, *, append: bool = False):
-        self.path = Path(path)       # guarded-by: init-only
-        self._append = append        # guarded-by: init-only
-        self._fh: TextIO | None = None  # guarded-by: _lock
+        self.path = Path(path)
+        self._append = append
+        self._fh: TextIO | None = None
         self._lock = threading.Lock()
-        self.emitted = 0             # guarded-by: _lock
+        self.emitted = 0
 
-    def _handle(self) -> TextIO:  # holds-lock: _lock
+    def _handle(self) -> TextIO:
+        """The open file; the caller holds ``_lock``."""
         if self._fh is None:
             self._fh = open(self.path, "a" if self._append else "w", encoding="utf-8")
         return self._fh

@@ -7,7 +7,7 @@ per-layer shapes constantly.  Since :meth:`Simulator.evaluate
 <repro.sim.simulator.Simulator.evaluate>` is pure and deterministic, its
 results can be memoised outright:
 
-* :class:`EvaluationCache` — a bounded, thread-safe LRU over full
+* :class:`EvaluationCache` — a bounded, single-thread LRU over full
   ``(config, network, strategy, tile_shared, detailed)`` evaluations,
   with hit / miss / eviction counters.  Infeasible strategies (those that
   raise :class:`~repro.sim.simulator.CapacityError`) are cached too, so a
@@ -31,7 +31,7 @@ See ``docs/performance.md`` for the keying rules and usage guidance.
 
 from __future__ import annotations
 
-import threading
+from _thread import get_ident
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -239,12 +239,13 @@ class _Infeasible:
 class EvaluationCache:
     """Bounded LRU cache over pure simulator evaluations.
 
-    Thread-safe: :meth:`get` / :meth:`put` hold an internal lock, and
-    :meth:`claim` / :meth:`release` make concurrent misses on one key
-    evaluate it once, so callers may share one simulator (and its cache)
-    across threads.  Values are immutable
-    (:class:`~repro.sim.metrics.SystemMetrics` is frozen), so cached
-    objects are shared, never copied.
+    **One thread.**  The cache belongs to the first thread that calls
+    :meth:`get` or :meth:`put`; either call from any other thread raises
+    :class:`RuntimeError`.  A thread that evaluates alongside another
+    builds its own :class:`Simulator <repro.sim.simulator.Simulator>`
+    (and with it its own cache).  Values
+    are immutable (:class:`~repro.sim.metrics.SystemMetrics` is frozen),
+    so cached objects are shared, never copied.
 
     **Audit mode** (``audit_interval=N``) is the runtime complement of
     the static cache-safety proof: every Nth hit is re-evaluated from
@@ -261,20 +262,18 @@ class EvaluationCache:
             raise ValueError("max_size must be positive")
         if audit_interval < 0:
             raise ValueError("audit_interval must be >= 0 (0 disables audits)")
-        self.max_size = max_size              # guarded-by: init-only
-        self.audit_interval = audit_interval  # guarded-by: init-only
-        self._entries: OrderedDict[CacheKey, object] = OrderedDict()  # guarded-by: _lock
-        self._lock = threading.Lock()
-        self._hits = 0                        # guarded-by: _lock
-        self._misses = 0                      # guarded-by: _lock
-        self._evictions = 0                   # guarded-by: _lock
-        self._audit_clock = 0                 # guarded-by: _lock
-        self._audited = 0                     # guarded-by: _lock
-        self._audit_failures = 0              # guarded-by: _lock
-        self._audit_findings: list[Diagnostic] = []  # guarded-by: _lock
-        #: single-flight claims: key -> event set when the claimant is
-        #: done (entry inserted, or computation failed).
-        self._inflight: dict[CacheKey, threading.Event] = {}  # guarded-by: _lock
+        self.max_size = max_size
+        self.audit_interval = audit_interval
+        self._entries: OrderedDict[CacheKey, object] = OrderedDict()
+        #: ident of the thread that first called get() or put()
+        self._owner: int | None = None
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        self._audit_clock = 0
+        self._audited = 0
+        self._audit_failures = 0
+        self._audit_findings: list[Diagnostic] = []
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -308,79 +307,47 @@ class EvaluationCache:
         )
 
     # ------------------------------------------------------------------
-    def claim(self, key: CacheKey) -> tuple[str, object]:
-        """Single-flight lookup: hit, wait on the computing thread, or claim.
+    def _check_owner(self) -> None:
+        """Adopt the calling thread as owner, or raise if another owns us.
 
-        Returns one of::
-
-            ("hit", value)    # cached entry (counted as a hit)
-            ("wait", event)   # another thread holds the claim — wait on
-                              # the event, then call claim() again
-            ("claimed", None) # counted as a miss; the caller now OWNS the
-                              # claim and MUST call release(key) when done
-                              # (after put() on success)
-
-        A "wait" outcome is not counted at all: the logical lookup
-        resolves on the retry, as a hit once the claimant has inserted
-        the entry (or as a fresh miss if the claimant failed without
-        inserting).  This is what keeps the counter contract exact under
-        thread contention — one miss and one evaluation per distinct cold
-        key, duplicates resolving to hits — where a plain get/compute/put
-        sequence would double-evaluate whenever two threads miss the same
-        key concurrently (the NumPy kernels release the GIL, making that
-        interleaving routine; the pure-Python scalar path only dodged it
-        because its compute fits inside one GIL switch interval).
+        Runs only when the caller is not the recorded owner, so the hot
+        path pays one ``get_ident()`` and one compare.
         """
-        with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                pass
-            else:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return ("hit", value)
-            event = self._inflight.get(key)
-            if event is not None:
-                return ("wait", event)
-            self._misses += 1
-            self._inflight[key] = threading.Event()
-            return ("claimed", None)
-
-    def release(self, key: CacheKey) -> None:
-        """Drop a claim taken via :meth:`claim` and wake every waiter.
-
-        Idempotent; call after :meth:`put` on success so waiters observe
-        the entry, and on *any* failure path so they can re-claim.
-        """
-        with self._lock:
-            event = self._inflight.pop(key, None)
-        if event is not None:
-            event.set()
+        ident = get_ident()
+        if self._owner is None:
+            self._owner = ident
+        elif ident != self._owner:
+            raise RuntimeError(
+                f"EvaluationCache is owned by thread {self._owner} and was "
+                f"used from thread {ident}; give each thread its own "
+                "Simulator (one Simulator per thread)"
+            )
 
     def get(self, key: CacheKey) -> object | None:
         """The cached value, or ``None`` on a miss (counts either way)."""
-        with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return value
+        if get_ident() != self._owner:
+            self._check_owner()
+        try:
+            value = self._entries[key]
+        except KeyError:
+            self._misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self._hits += 1
+        return value
 
     def put(self, key: CacheKey, value: object) -> None:
         """Insert (or refresh) an entry, evicting the LRU tail if full."""
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._entries[key] = value
-                return
-            if len(self._entries) >= self.max_size:
-                self._entries.popitem(last=False)
-                self._evictions += 1
+        if get_ident() != self._owner:
+            self._check_owner()
+        if key in self._entries:
+            self._entries.move_to_end(key)
             self._entries[key] = value
+            return
+        if len(self._entries) >= self.max_size:
+            self._entries.popitem(last=False)
+            self._evictions += 1
+        self._entries[key] = value
 
     # ------------------------------------------------------------------
     def audit_due(self) -> bool:
@@ -391,9 +358,8 @@ class EvaluationCache:
         """
         if self.audit_interval <= 0:
             return False
-        with self._lock:
-            self._audit_clock += 1
-            return self._audit_clock % self.audit_interval == 0
+        self._audit_clock += 1
+        return self._audit_clock % self.audit_interval == 0
 
     def record_audit(
         self, key: CacheKey, cached: object, fresh: object
@@ -404,54 +370,48 @@ class EvaluationCache:
         and replaces the stale entry with the fresh value.  Returns the
         diagnostic (``None`` when the values agree).
         """
-        with self._lock:
-            self._audited += 1
-            if cached == fresh:
-                return None
-            self._audit_failures += 1
-            diagnostic = CAC004.diag(
-                f"cache-key {key!r}",
-                "cache audit mismatch: cached value differs from "
-                "re-evaluation — the key does not cover every input",
-                hint="run `repro check --cache-safety` to find the "
-                "unfingerprinted read, then clear() this cache",
-            )
-            self._audit_findings.append(diagnostic)
-            if key in self._entries:
-                self._entries[key] = fresh
-            return diagnostic
+        self._audited += 1
+        if cached == fresh:
+            return None
+        self._audit_failures += 1
+        diagnostic = CAC004.diag(
+            f"cache-key {key!r}",
+            "cache audit mismatch: cached value differs from "
+            "re-evaluation — the key does not cover every input",
+            hint="run `repro check --cache-safety` to find the "
+            "unfingerprinted read, then clear() this cache",
+        )
+        self._audit_findings.append(diagnostic)
+        if key in self._entries:
+            self._entries[key] = fresh
+        return diagnostic
 
     @property
     def audit_findings(self) -> tuple[Diagnostic, ...]:
         """All CAC004 mismatch diagnostics recorded so far."""
-        with self._lock:
-            return tuple(self._audit_findings)
+        return tuple(self._audit_findings)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __contains__(self, key: CacheKey) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
     def clear(self) -> None:
         """Drop all entries and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self._hits = self._misses = self._evictions = 0
-            self._audit_clock = self._audited = self._audit_failures = 0
-            self._audit_findings.clear()
+        self._entries.clear()
+        self._hits = self._misses = self._evictions = 0
+        self._audit_clock = self._audited = self._audit_failures = 0
+        self._audit_findings.clear()
 
     def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._entries),
-                max_size=self.max_size,
-                audited=self._audited,
-                audit_failures=self._audit_failures,
-            )
+        return CacheStats(
+            hits=self._hits,
+            misses=self._misses,
+            evictions=self._evictions,
+            size=len(self._entries),
+            max_size=self.max_size,
+            audited=self._audited,
+            audit_failures=self._audit_failures,
+        )

@@ -69,7 +69,8 @@ class Simulator:
     config: HardwareConfig = DEFAULT_CONFIG
     #: raise :class:`CapacityError` when the allocation exceeds one bank
     enforce_capacity: bool = True
-    #: strategy-level result cache; pass ``None`` to disable
+    #: strategy-level result cache; pass ``None`` to disable.  It belongs
+    #: to the first thread that evaluates: one ``Simulator`` per thread.
     cache: EvaluationCache | None = field(
         default_factory=EvaluationCache, compare=False
     )
@@ -161,9 +162,9 @@ class Simulator:
         tracer = self.tracer
         if tracer is None:
             tracer = obs_trace._AMBIENT
+        cache = self.cache
         key = None
-        claimed = False
-        if self.cache is not None:
+        if cache is not None:
             key = EvaluationCache.make_key(
                 self.config,
                 network,
@@ -172,24 +173,15 @@ class Simulator:
                 detailed=detailed,
                 enforce_capacity=self.enforce_capacity,
             )
-            # Single-flight protocol: a concurrent thread already
-            # evaluating this key parks us on its event; we then re-claim
-            # and (normally) take the hit path.  A "claimed" outcome makes
-            # this thread the one evaluator for the key — release() in
-            # every exit path below.
-            outcome, payload = self.cache.claim(key)
-            while outcome == "wait":
-                payload.wait()
-                outcome, payload = self.cache.claim(key)
-            if outcome == "hit":
-                hit = payload
+            hit = cache.get(key)
+            if hit is not None:
                 if isinstance(hit, _Infeasible):
                     if tracer.enabled:
                         obs_metrics.emit_cache_lookup(
                             tracer, hit, network=network.name, infeasible=True
                         )
                     raise CapacityError(hit.message)
-                if self.cache.audit_due():
+                if cache.audit_due():
                     if tracer.enabled:
                         tracer.event(
                             obs_metrics.EVENT_CACHE_AUDIT, network=network.name
@@ -204,7 +196,6 @@ class Simulator:
                         tracer, hit, network=network.name
                     )
                 return hit  # type: ignore[return-value]
-            claimed = True
             if tracer.enabled:
                 obs_metrics.emit_cache_lookup(tracer, None, network=network.name)
         try:
@@ -226,19 +217,11 @@ class Simulator:
                     network=network.name,
                     message=str(exc),
                 )
-            if claimed and self.cache is not None:
-                self.cache.put(key, _Infeasible(str(exc)))
-                self.cache.release(key)
+            if cache is not None:
+                cache.put(key, _Infeasible(str(exc)))
             raise
-        except BaseException:
-            # Unexpected failure: surrender the claim without inserting
-            # so parked waiters re-claim and evaluate for themselves.
-            if claimed and self.cache is not None:
-                self.cache.release(key)
-            raise
-        if claimed and self.cache is not None:
-            self.cache.put(key, metrics)
-            self.cache.release(key)
+        if cache is not None:
+            cache.put(key, metrics)
         if tracer.enabled:
             obs_metrics.emit_system_metrics(tracer, metrics, network=network.name)
         return metrics

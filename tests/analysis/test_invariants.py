@@ -138,6 +138,15 @@ class TestScalarRules:
         assert shape_dim_diagnostics(64, 64, "loc") == []
         assert [d.rule_id for d in shape_dim_diagnostics(0, 64, "loc")] == ["SHP001"]
 
+    def test_shape_dims_must_be_integers(self):
+        import numpy as np
+
+        assert shape_dim_diagnostics(np.int64(64), np.int32(64), "loc") == []
+        for rows, cols in ((64.0, 64), (64, 64.5), (False, 64), (64, "64")):
+            diags = shape_dim_diagnostics(rows, cols, "loc")
+            assert [d.rule_id for d in diags] == ["SHP001"]
+            assert "integers" in diags[0].message
+
     def test_shape_discipline_valid_candidates(self):
         for rows, cols in ((32, 32), (36, 32), (72, 64), (288, 256), (576, 512)):
             assert shape_discipline_diagnostics(rows, cols, "loc") == []

@@ -1,7 +1,10 @@
 """Tests for CrossbarShape and HardwareConfig."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+
+from repro.analysis.invariants import InvariantViolation
 
 from repro.arch.config import (
     DEFAULT_CANDIDATES,
@@ -27,6 +30,23 @@ class TestCrossbarShape:
             CrossbarShape(0, 32)
         with pytest.raises(ValueError):
             CrossbarShape(32, -1)
+
+    @pytest.mark.parametrize(
+        "rows,cols", [(64.5, 64), (64.0, 64), (64, np.float64(64)), (True, 64)]
+    )
+    def test_rejects_non_integer_dimensions(self, rows, cols):
+        # 64.0 == 64 but would key as "64.0x64"; 64.5 priced the kernel
+        # and reference paths differently.
+        with pytest.raises(InvariantViolation) as info:
+            CrossbarShape(rows, cols)
+        assert [d.rule_id for d in info.value.diagnostics] == ["SHP001"]
+
+    def test_numpy_integers_become_ints(self):
+        shape = CrossbarShape(np.int64(72), np.int32(64))
+        assert type(shape.rows) is int and type(shape.cols) is int
+        assert shape == CrossbarShape(72, 64)
+        assert str(shape) == "72x64"
+        assert hash(shape) == hash(CrossbarShape(72, 64))
 
     def test_str(self):
         assert str(CrossbarShape(288, 256)) == "288x256"

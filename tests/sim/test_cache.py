@@ -2,6 +2,8 @@
 contract — bit-for-bit parity between the cached fast path and the cold
 reference simulator (docs/performance.md)."""
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +77,36 @@ def test_cache_clear_resets_everything():
 def test_cache_rejects_nonpositive_size():
     with pytest.raises(ValueError):
         EvaluationCache(max_size=0)
+
+
+def test_second_thread_using_a_cached_simulator_raises(lenet_net):
+    """One Simulator per thread: the cache belongs to its first user."""
+    strategy = (DEFAULT_CANDIDATES[0],) * lenet_net.num_layers
+    sim = Simulator()
+    first = sim.evaluate(lenet_net, strategy)
+    outcome = {}
+
+    def second_thread():
+        for name, call in (
+            ("evaluate", lambda: sim.evaluate(lenet_net, strategy)),
+            ("get", lambda: sim.cache.get("a")),
+            ("put", lambda: sim.cache.put("a", 1)),
+        ):
+            try:
+                call()
+            except RuntimeError as exc:
+                outcome[name] = str(exc)
+        # A simulator of its own is the supported way to evaluate here.
+        outcome["own"] = Simulator().evaluate(lenet_net, strategy)
+
+    worker = threading.Thread(target=second_thread)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert set(outcome) == {"evaluate", "get", "put", "own"}
+    assert "one Simulator per thread" in outcome["evaluate"]
+    assert outcome["own"] == first
+    assert sim.cache_stats() == CacheStats(misses=1, size=1, max_size=100_000)
 
 
 # ----------------------------------------------------------------------
