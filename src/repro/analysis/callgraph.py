@@ -8,8 +8,12 @@ dotted reference (``EvaluationCache.make_key``, ``math.ceil``) to its
 definition *without importing anything*.  This module builds that index
 from source text alone:
 
-* :class:`ModuleIndex` — parse a package tree (or an in-memory mapping of
-  sources, for tests) into :class:`ModuleInfo` records.
+* :class:`ModuleIndex` — list a package tree's modules (or an in-memory
+  mapping of sources, for tests) and parse each into a
+  :class:`ModuleInfo` record the first time a lookup reaches it, so an
+  analysis parses only the modules its roots reach.  Membership and
+  iteration answer from the module list without parsing; the index,
+  and every parse in it, lives as long as the analysis that built it.
 * :class:`ModuleInfo` / :class:`ClassInfo` / :class:`FunctionInfo` — the
   per-module symbol tables: functions, classes (with their dataclass
   fields, properties, and methods), imports (absolute and relative),
@@ -29,7 +33,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
+
+from .walker import all_nodes
 
 
 @dataclass(eq=False)
@@ -125,6 +131,9 @@ class ModuleInfo:
     name: str
     is_package: bool
     node: ast.Module
+    #: every node of ``node`` in ``ast.walk`` order: the module's one walk,
+    #: for passes that scan the whole tree
+    nodes: list[ast.AST] = field(default_factory=list)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     imports: dict[str, Union[ImportedName, ImportedModule]] = field(
@@ -213,11 +222,13 @@ def _resolve_relative(module: ModuleInfo, node: ast.ImportFrom) -> str:
 
 def _index_module(name: str, source: str, is_package: bool) -> ModuleInfo:
     tree = ast.parse(source, filename=name)
-    module = ModuleInfo(name=name, is_package=is_package, node=tree)
+    module = ModuleInfo(
+        name=name, is_package=is_package, node=tree, nodes=all_nodes(tree)
+    )
 
     # Imports anywhere in the module (incl. inside function bodies — lazy
     # imports are common in this tree) feed the module-wide alias table.
-    for node in ast.walk(tree):
+    for node in module.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound = alias.asname or alias.name.partition(".")[0]
@@ -278,11 +289,45 @@ def _index_module(name: str, source: str, is_package: bool) -> ModuleInfo:
     return module
 
 
-class ModuleIndex:
-    """All parsed modules of one package, with cross-module resolution."""
+class _LazyModules(Mapping[str, ModuleInfo]):
+    """Dotted module name -> :class:`ModuleInfo`, parsed on first lookup.
 
-    def __init__(self, modules: Mapping[str, ModuleInfo]) -> None:
-        self.modules: dict[str, ModuleInfo] = dict(modules)
+    Membership, iteration and ``len`` answer from the name list alone, so
+    a pass parses only the modules its analysis reaches.  A source is a
+    file path (read when parsed) or the source text itself.
+    """
+
+    def __init__(self, sources: Mapping[str, tuple[Path | str, bool]]) -> None:
+        self._sources = dict(sources)
+        self._parsed: dict[str, ModuleInfo] = {}
+
+    def __getitem__(self, name: str) -> ModuleInfo:
+        info = self._parsed.get(name)
+        if info is None:
+            source, is_package = self._sources[name]
+            text = source.read_text() if isinstance(source, Path) else source
+            info = self._parsed[name] = _index_module(name, text, is_package)
+        return info
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._sources
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._sources)
+
+    def __len__(self) -> int:
+        return len(self._sources)
+
+
+class ModuleIndex:
+    """All modules of one package, with cross-module resolution.
+
+    A module is parsed and indexed the first time a lookup reaches it;
+    the index lives as long as the analysis that built it.
+    """
+
+    def __init__(self, sources: Mapping[str, tuple[Path | str, bool]]) -> None:
+        self.modules: Mapping[str, ModuleInfo] = _LazyModules(sources)
 
     # ------------------------------------------------------------------
     # Construction
@@ -290,7 +335,7 @@ class ModuleIndex:
     @classmethod
     def from_package(cls, root: Path, package: str) -> "ModuleIndex":
         """Index every ``*.py`` under ``root`` as package ``package``."""
-        modules: dict[str, ModuleInfo] = {}
+        sources: dict[str, tuple[Path | str, bool]] = {}
         for path in sorted(root.rglob("*.py")):
             rel = path.relative_to(root)
             parts = list(rel.parts)
@@ -300,10 +345,8 @@ class ModuleIndex:
             else:
                 parts[-1] = parts[-1][:-3]
             name = ".".join([package, *parts]) if parts else package
-            modules[name] = _index_module(
-                name, path.read_text(), is_package or name == package
-            )
-        return cls(modules)
+            sources[name] = (path, is_package or name == package)
+        return cls(sources)
 
     @classmethod
     def from_sources(cls, sources: Mapping[str, str]) -> "ModuleIndex":
@@ -312,12 +355,13 @@ class ModuleIndex:
         A name is treated as a package when any other indexed name nests
         under it (``pkg`` is a package if ``pkg.mod`` exists).
         """
-        modules: dict[str, ModuleInfo] = {}
         names = set(sources)
-        for name, source in sources.items():
-            is_package = any(other.startswith(name + ".") for other in names)
-            modules[name] = _index_module(name, source, is_package)
-        return cls(modules)
+        return cls(
+            {
+                name: (source, any(other.startswith(name + ".") for other in names))
+                for name, source in sources.items()
+            }
+        )
 
     # ------------------------------------------------------------------
     # Resolution
@@ -383,7 +427,11 @@ class ModuleIndex:
         return module.functions.get(rest)
 
     def find_class(self, simple_name: str) -> ClassInfo | None:
-        """First class with this simple name anywhere in the index."""
+        """First class with this simple name anywhere in the index.
+
+        Searches modules in name order, parsing each one up to the match
+        (every module when none matches); prefer :meth:`resolve`.
+        """
         for name in sorted(self.modules):
             cls = self.modules[name].classes.get(simple_name)
             if cls is not None:

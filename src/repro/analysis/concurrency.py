@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .invariants import CON001, Diagnostic
-from .walker import sweep
+from .walker import all_nodes, sweep
 
 #: module -> the names in it that start a thread or a process
 FAN_OUT_NAMES: Mapping[str, frozenset[str]] = {
@@ -76,11 +76,13 @@ def _dotted(expr: ast.expr) -> str | None:
 
 def fan_out_findings(source: str, module: str) -> list[Diagnostic]:
     """CON001 findings for one module's source text."""
-    tree = ast.parse(source, filename=module)
+    # One walk per module: the alias table needs every import before an
+    # attribute can be read against it, so both loops iterate this list.
+    nodes = all_nodes(ast.parse(source, filename=module))
     found: list[tuple[int, str]] = []
     # local name -> the module (or module member) it is bound to
     aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if _whole_module(alias.name):
@@ -98,7 +100,7 @@ def fan_out_findings(source: str, module: str) -> list[Diagnostic]:
                 if _whole_module(target) or alias.name in starters or star:
                     found.append((node.lineno, target))
                 aliases[alias.asname or alias.name] = target
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.Attribute):
             continue
         dotted = _dotted(node.value)

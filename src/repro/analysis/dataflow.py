@@ -47,6 +47,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .callgraph import (
     ClassInfo,
+    Entity,
     External,
     FunctionInfo,
     ModuleConstant,
@@ -247,6 +248,8 @@ class _Analyzer:
         self.contract = contract
         #: (class simple name, field) -> first witness location
         self.reads: dict[tuple[str, str], str] = {}
+        #: class simple name -> the class whose fields ``reads`` records
+        self.read_classes: dict[str, ClassInfo] = {}
         self.effects: list[Diagnostic] = []
         self._memo: dict[object, Value] = {}
         self._active: set[object] = set()
@@ -268,6 +271,7 @@ class _Analyzer:
         self, cls: ClassInfo, attr: str, frame: _Frame, node: ast.AST
     ) -> None:
         self.reads.setdefault((cls.name, attr), self._loc(frame, node))
+        self.read_classes.setdefault(cls.name, cls)
 
     def _flag_sink(self, qualname: str, frame: _Frame, node: ast.AST) -> None:
         key = ("sink", frame.func.qualname, qualname)
@@ -367,10 +371,17 @@ class _Analyzer:
                 )
             )
         if isinstance(ann, (ast.Name, ast.Attribute)):
-            name = ann.id if isinstance(ann, ast.Name) else ann.attr
-            entity = self.index.resolve(module, name) if isinstance(
-                ann, ast.Name
-            ) else self.index.find_class(name)
+            entity: Entity | None
+            if isinstance(ann, ast.Name):
+                entity = self.index.resolve(module, ann.id)
+            elif isinstance(ann.value, ast.Name) and isinstance(
+                self.index.resolve(module, ann.value.id), External
+            ):
+                # ``np.ndarray``: a member of a module outside the index
+                # is never a repro class.
+                return UNKNOWN
+            else:
+                entity = self.index.find_class(ann.attr)
             if isinstance(entity, ClassInfo):
                 return _v(Instance(entity))
             if isinstance(entity, TypeAlias):

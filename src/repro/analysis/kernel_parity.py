@@ -61,7 +61,9 @@ class ParityContract:
     #: kernel class -> ((registry constant, index-unpack prefix), ...) for
     #: classes whose columns are named by row registries (ShapeTable)
     registries: Mapping[str, tuple[tuple[str, str], ...]] = ()  # type: ignore[assignment]
-    #: kernel class -> scalar class its derived columns must mirror
+    #: kernel class -> scalar class its derived columns must mirror: the
+    #: class of that name the scalar traversal reads, else the first one
+    #: anywhere in the index
     mirrors: Mapping[str, str] = ()  # type: ignore[assignment]
     #: (reference function, replica function) pairs whose f-string
     #: formats must agree (the CapacityError / InfeasibleScore message)
@@ -104,12 +106,12 @@ def _index_unpacks(module: ModuleInfo) -> dict[str, tuple[int, int, int]]:
 
     Tuple unpacks never reach :attr:`ModuleInfo.constants` (the indexer
     only records single-name assigns), so the row-index registries are
-    recovered from a raw walk.  Returns prefix ->
+    recovered from the module's node list.  Returns prefix ->
     ``(name count, range argument, line)``; the range argument is -1
     when the right-hand side is not a literal ``range(N)``.
     """
     out: dict[str, tuple[int, int, int]] = {}
-    for node in ast.walk(module.node):
+    for node in module.nodes:
         if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
             continue
         target = node.targets[0]
@@ -374,7 +376,10 @@ def analyze_kernel_parity_tree(
 
     # ---- PAR003b: derived columns must mirror the scalar class -------
     for kernel_cls, scalar_cls_name in sorted(dict(contract.mirrors or {}).items()):
-        scalar_cls = index.find_class(scalar_cls_name)
+        scalar_cls = (
+            analyzer.read_classes.get(scalar_cls_name)
+            or index.find_class(scalar_cls_name)
+        )
         if scalar_cls is None:
             diagnostics.append(
                 PAR003.diag(

@@ -38,6 +38,7 @@ from .invariants import (
     LNT008,
     Diagnostic,
 )
+from .walker import all_nodes
 
 #: module paths (relative, POSIX) where ``print`` is user-facing output
 PRINT_ALLOWED_PREFIXES = ("cli.py", "__main__.py", "bench/")
@@ -173,6 +174,8 @@ def lint_source(source: str, rel_path: str) -> list[Diagnostic]:
         ]
     lines = source.splitlines()
     out: list[Diagnostic] = []
+    # One walk per module; every rule below iterates this list.
+    nodes = all_nodes(tree)
 
     print_allowed = rel_path.startswith(PRINT_ALLOWED_PREFIXES)
     logging_allowed = rel_path.startswith(LOGGING_BRIDGE_PREFIXES)
@@ -180,7 +183,7 @@ def lint_source(source: str, rel_path: str) -> list[Diagnostic]:
     # must catch the bare-name call form too, not just ``logging.X(...)``.
     logging_aliases: set[str] = set()
     if not logging_allowed:
-        for node in ast.walk(tree):
+        for node in nodes:
             if isinstance(node, ast.ImportFrom) and node.module == "logging":
                 for alias in node.names:
                     if alias.name in _LOGGING_SETUP_NAMES:
@@ -189,7 +192,7 @@ def lint_source(source: str, rel_path: str) -> list[Diagnostic]:
     in_allocation = rel_path.startswith("core/allocation/")
     cost_module = "energy" in Path(rel_path).stem or "latency" in Path(rel_path).stem
 
-    for node in ast.walk(tree):
+    for node in nodes:
         # LNT001 — no print outside the CLI / bench layer.
         if (
             not print_allowed
@@ -319,7 +322,7 @@ def lint_source(source: str, rel_path: str) -> list[Diagnostic]:
     # before the loop.
     if rel_path.startswith(KERNEL_HOT_PATH_PREFIXES):
         flagged: set[tuple[int, int]] = set()
-        for func in ast.walk(tree):
+        for func in nodes:
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if f"{rel_path}::{func.name}" in KERNEL_CAST_ALLOWLIST:

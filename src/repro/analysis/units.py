@@ -299,7 +299,7 @@ class _UnitWalker(Walker[tuple | None]):
         }
 
     def run(self) -> list[Diagnostic]:
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if isinstance(node, ast.ClassDef):
                 self._check_class(node)
         return super().run()

@@ -63,6 +63,26 @@ def literal_number(node: ast.expr | None) -> int | float | None:
     return None
 
 
+def all_nodes(tree: ast.AST) -> list[ast.AST]:
+    """Every node under ``tree`` (itself included), in ``ast.walk`` order.
+
+    A pass that scans a module more than once walks it once into this
+    list.  It is built breadth-first like ``ast.walk``, without that
+    function's generator per node, which roughly halves the walk.
+    """
+    nodes = [tree]
+    # Appending while iterating visits each node's children after every
+    # node already queued: the queue order of ast.walk.
+    for node in nodes:
+        for name in node._fields:
+            child = getattr(node, name, None)
+            if isinstance(child, ast.AST):
+                nodes.append(child)
+            elif isinstance(child, list):
+                nodes.extend([item for item in child if isinstance(item, ast.AST)])
+    return nodes
+
+
 def sort_diagnostics(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
     """The canonical report order shared by every NUM/UNI entry point."""
     return sorted(diagnostics, key=lambda d: (d.rule_id, d.location, d.message))
@@ -109,10 +129,12 @@ class Walker(Generic[V]):
             rules = set(self.WAIVER.findall(line))
             if rules:
                 self.waived[lineno] = rules
+        #: every node of the module in ``ast.walk`` order (its one walk)
+        self.nodes = all_nodes(self.tree)
         #: local names bound to the numpy module (``import numpy as np``)
         self.np_names: set[str] = {
             alias.asname or "numpy"
-            for node in ast.walk(self.tree)
+            for node in self.nodes
             if isinstance(node, ast.Import)
             for alias in node.names
             if alias.name == "numpy"

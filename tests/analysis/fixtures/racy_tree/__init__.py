@@ -1,21 +1,21 @@
-"""A deliberately-racy miniature of the repro package layout.
+"""A miniature of the repro package layout that fans out (CON001).
 
 Laid out so :func:`repro.analysis.concurrency.analyze_concurrency` (and
-``repro check --concurrency --source <this dir>``) can index it as if it
-were the real package: the contract's declared fan-out roots resolve to
-``sim/simulator.py``'s ``Simulator.evaluate_many`` and
-``core/autohet.py``'s ``autohet_multi_seed``.  Each CON rule has one
-seeded positive case and a correct negative twin:
+``repro check --concurrency --source <this dir>``) can scan it as if it
+were the real package.  CON001 reports the three imports in it that
+could start a thread or a process:
 
-* CON001 — ``EvaluationCache.probes`` bumped by thread workers with no
-  declared guard (vs ``hits``, declared and written under the lock);
-* CON002 — workers append to the module global ``_BEST_REWARDS``
-  (vs the clean variant returning values to the parent);
-* CON003 — ``evaluate_many_process`` ships the lock-holding cache into
-  a process pool (vs the ``replace(self, cache=None)`` variant);
-* CON004 — workers draw from ``random.random`` (vs a per-worker
-  ``random.Random(seed)``);
-* CON005 — ``EvaluationCache.reset_hits`` / ``RecordSink.drop_all``
-  write guarded attributes without the lock (vs the locked writers and
-  the ``# holds-lock:`` helper).
+* ``sim/simulator.py`` imports ``ProcessPoolExecutor`` and
+  ``ThreadPoolExecutor`` from ``concurrent.futures`` on one line (two
+  findings);
+* ``core/autohet.py`` imports ``ThreadPoolExecutor`` (one finding).
+
+Everything else must stay silent: ``import threading`` and
+``threading.Lock()`` (in the simulator's cache and in ``obs/sinks.py``)
+start no thread, and calling an executor adds no finding beyond its
+import.
+
+The locations are pinned by ``tests/analysis/test_concurrency.py`` and
+every fixture file by ``tests/analysis/num_uni_golden.json``, so edits
+here keep each code line at its line number.
 """

@@ -1,10 +1,10 @@
-"""Fixture sink with a declared lock discipline — and one violation.
+"""Fixture trace sink with a lock: no CON001 finding.
 
-No fan-out reaches ``RecordSink``; the CON005 finding on ``drop_all``
-proves the whole-class syntactic discipline pass runs even for code the
-worker traversal never visits.  ``emit`` (write under the lock) and
-``_append_locked`` (``# holds-lock:`` precondition) are the negative
-twins.
+``import threading`` and ``threading.Lock()`` are legal under the one
+``Simulator`` per thread contract (the real trace sinks guard their
+state the same way for callers that trace from several threads), so
+this module must stay silent.  ``drop_all`` clears the records without
+the lock; CON001 does not report that either.
 """
 
 import threading
@@ -13,8 +13,8 @@ import threading
 class RecordSink:
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._records = []  # guarded-by: _lock
-        self.emitted = 0    # guarded-by: _lock
+        self._records = []  # written under _lock
+        self.emitted = 0    # written under _lock
 
     def emit(self, record) -> None:
         with self._lock:
@@ -22,9 +22,9 @@ class RecordSink:
             self.emitted += 1
 
     def drop_all(self) -> None:
-        self._records.clear()  # CON005: declared guard, lock not held
+        self._records.clear()  # without the lock
 
-    def _append_locked(self, record) -> None:  # holds-lock: _lock
+    def _append_locked(self, record) -> None:  # the caller holds _lock
         self._records.append(record)
 
     def snapshot(self):

@@ -1,13 +1,13 @@
-"""Fixture simulator with one seeded race per shared-state CON rule.
+"""Fixture simulator that fans out (CON001).
 
-``EvaluationCache.probes`` is bumped on every lookup *outside* any lock
-and declares no guard — the canonical CON001 finding once thread
-workers reach it through ``Simulator.evaluate_many``.  ``reset_hits``
-writes a ``# guarded-by:``-declared counter without taking the lock
-(CON005), and ``evaluate_many_process`` ships the lock-holding cache
-across a process boundary (CON003).  The negative twins — ``hits``
-under the lock, ``evaluate_many_process_clean``'s stripped copy — must
-stay silent.
+Its ``concurrent.futures`` import brings in ``ProcessPoolExecutor`` and
+``ThreadPoolExecutor``: two CON001 findings on one line, the only ones
+in this module.  ``evaluate_many`` and the two process-pool methods use
+them, which the one ``Simulator`` per thread contract forbids a library
+to do.  ``import threading`` and the cache's ``threading.Lock`` stay
+silent: a lock starts no thread.  The counters written outside the
+lock are no finding either; CON001 reports fan-out, not the races it
+would cause.
 """
 
 import threading
@@ -16,16 +16,16 @@ from dataclasses import dataclass, replace
 
 
 class EvaluationCache:
-    """Lock-guarded LRU stand-in with one unguarded counter."""
+    """LRU stand-in whose entries and hit count sit behind a lock."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries = {}  # guarded-by: _lock
-        self.hits = 0       # guarded-by: _lock
-        self.probes = 0     # seeded race: shared, mutated, no guard declared
+        self._entries = {}  # written under _lock
+        self.hits = 0       # written under _lock
+        self.probes = 0     # counted outside the lock
 
     def get(self, key):
-        self.probes += 1    # CON001: written by thread workers, no lock
+        self.probes += 1    # outside the lock: a race, not a CON001 finding
         with self._lock:
             value = self._entries.get(key)
             if value is not None:
@@ -37,7 +37,7 @@ class EvaluationCache:
             self._entries[key] = value
 
     def reset_hits(self) -> None:
-        self.hits = 0       # CON005: declared guard, lock not held
+        self.hits = 0       # outside the lock: a race, not a CON001 finding
 
 
 @dataclass
@@ -57,12 +57,12 @@ class Simulator:
             return list(pool.map(self.evaluate, items))
 
     def evaluate_many_process(self, items):
-        # CON003: ``self`` carries the lock-holding cache into the pool.
+        # A process pool, reported at the executor import above.
         with ProcessPoolExecutor() as pool:
             return list(pool.map(_evaluate_one_remote, ((self, i) for i in items)))
 
     def evaluate_many_process_clean(self, items):
-        # Negative twin: the non-picklable state is stripped first.
+        # Strips the cache first; still a process pool.
         worker = replace(self, cache=None)
         with ProcessPoolExecutor() as pool:
             return list(

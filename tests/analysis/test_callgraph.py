@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.analysis.callgraph import (
     External,
@@ -134,3 +136,38 @@ class TestFromPackage:
         entity = index.resolve(index.modules["pkg.costs"], "cached_f")
         assert isinstance(entity, FunctionInfo)
         assert entity.name == "f"
+
+
+class TestLazyIndex:
+    SOURCES = {
+        "pkg": "",
+        "pkg.good": "def f():\n    return 1\n",
+        "pkg.broken": "def broken(:\n",
+    }
+
+    def test_membership_and_iteration_parse_nothing(self):
+        index = ModuleIndex.from_sources(self.SOURCES)
+        assert "pkg.broken" in index.modules
+        assert "pkg.missing" not in index.modules
+        assert list(index.modules) == ["pkg", "pkg.good", "pkg.broken"]
+        assert len(index.modules) == 3
+
+    def test_a_lookup_parses_only_the_module_it_reaches(self):
+        index = ModuleIndex.from_sources(self.SOURCES)
+        assert index.resolve_qualname("pkg.good:f").name == "f"
+        with pytest.raises(SyntaxError):
+            index.modules["pkg.broken"]
+
+    def test_each_module_is_parsed_once_per_index(self):
+        # Resolution compares entities by identity.
+        index = ModuleIndex.from_sources(self.SOURCES)
+        assert index.modules["pkg.good"] is index.modules["pkg.good"]
+
+    def test_from_package_reads_a_file_when_it_is_reached(self, tmp_path):
+        (tmp_path / "__init__.py").write_text("")
+        (tmp_path / "good.py").write_text("def f():\n    return 1\n")
+        (tmp_path / "broken.py").write_text("def broken(:\n")
+        index = ModuleIndex.from_package(tmp_path, "pkg")
+        assert index.resolve_qualname("pkg.good:f").name == "f"
+        with pytest.raises(SyntaxError):
+            index.modules["pkg.broken"]

@@ -272,6 +272,23 @@ class TestEngineCoverage:
         )
         assert analyze_memoized(index, contract) == []
 
+    def test_outside_module_annotation_searches_no_other_module(self):
+        # ``np.ndarray`` names no repro class, so resolving it must not
+        # search the index for a class called ``ndarray`` (which would
+        # parse every other module, the broken one included).
+        index = ModuleIndex.from_sources(
+            {
+                "fix.mod": (
+                    "import numpy as np\n"
+                    "def entry(x: np.ndarray):\n"
+                    "    return x.shape\n"
+                ),
+                "fix.other": "def broken(:\n",
+            }
+        )
+        contract = MemoContract(roots=("fix.mod:entry",), coverage={})
+        assert analyze_memoized(index, contract) == []
+
     def test_unresolvable_root_raises(self):
         index = ModuleIndex.from_sources({"fix.mod": "x = 1\n"})
         contract = MemoContract(roots=("fix.mod:missing",), coverage={})

@@ -75,6 +75,14 @@ class TestRealTree:
         # The tamper harness itself must not manufacture findings.
         assert analyze_tampered({}) == []
 
+    def test_mirror_class_is_found_without_searching_the_index(self):
+        # PAR003's mirror check reads LayerMapping from the scalar
+        # traversal; a search by simple name would parse this module,
+        # which sorts before repro.arch.mapping.
+        sources = {**tampered_sources({}), "repro.aaa_broken": "def broken(:\n"}
+        index = ModuleIndex.from_sources(sources)
+        assert analyze_kernel_parity_tree(index, kernel_parity_contract()) == []
+
 
 class TestTamper:
     def test_deleting_networkarrays_field_fires_par001(self):

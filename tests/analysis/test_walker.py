@@ -8,8 +8,14 @@ walrus, or a ``lambda`` as it is under a plain ``if`` or ``for``.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 from repro.analysis.numeric import numeric_findings
 from repro.analysis.units import analyze_units, units_findings
+from repro.analysis.walker import all_nodes
+
+REPRO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def num_ids(source):
@@ -208,3 +214,15 @@ class TestUnitsScope:
         (tmp_path / "serve").mkdir()
         (tmp_path / "serve" / "broken.py").write_text("def broken(:\n")
         assert [d.rule_id for d in analyze_units(tmp_path)] == ["UNI001"]
+
+
+class TestAllNodes:
+    def test_matches_ast_walk_over_the_package(self):
+        # Findings keep their order only if the one walk visits nodes
+        # exactly as ast.walk does.
+        for path in sorted(REPRO_SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            expected = list(ast.walk(tree))
+            got = all_nodes(tree)
+            assert len(got) == len(expected), path
+            assert all(a is b for a, b in zip(got, expected)), path
