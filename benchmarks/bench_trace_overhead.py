@@ -22,7 +22,8 @@ import time
 
 from repro.arch.config import DEFAULT_CANDIDATES
 from repro.models import lenet
-from repro.sim.cache import EvaluationCache, _Infeasible
+from repro.sim.cache import EvaluationCache
+from repro.sim.kernels import InfeasibleScore
 from repro.sim.simulator import Simulator
 
 #: allowed slowdown of the instrumented (but disabled) hot path
@@ -38,7 +39,7 @@ def untraced_hit_baseline(sim: Simulator, network, strategy) -> object:
     Does what ``evaluate`` does on a hit, minus the tracer resolution and
     the ``tracer.enabled`` guards: tuple the strategy, build the key,
     probe the cache through ``get`` (the same lookup ``evaluate`` makes),
-    check the infeasible sentinel and the audit clock, return the hit.
+    check for the infeasible verdict, return the hit.
     """
     strategy = tuple(strategy)
     key = EvaluationCache.make_key(
@@ -50,11 +51,9 @@ def untraced_hit_baseline(sim: Simulator, network, strategy) -> object:
         enforce_capacity=sim.enforce_capacity,
     )
     hit = sim.cache.get(key)
-    if isinstance(hit, _Infeasible):
-        raise AssertionError("benchmark strategy must be feasible")
     if hit is not None:
-        if sim.cache.audit_due():
-            raise AssertionError("audits must be disabled for the benchmark")
+        if isinstance(hit, InfeasibleScore):
+            raise AssertionError("benchmark strategy must be feasible")
         return hit
     raise AssertionError("benchmark expects a warm cache")
 

@@ -268,11 +268,6 @@ CAC003 = _r(
     "The memoized evaluation reaches random / time / environment / I/O "
     "state that no cache key can cover, so cached results can go stale.",
 )
-CAC004 = _r(
-    "CAC004", "cache audit mismatch", Severity.ERROR, "§4.5",
-    "A sampled cache hit re-evaluated to different metrics than the "
-    "stored entry — the cache served stale or corrupted results.",
-)
 PUR001 = _r(
     "PUR001", "input mutation in memoized call graph", Severity.ERROR, "§4.5",
     "The memoized evaluation mutates one of its key inputs (config, "
@@ -370,9 +365,8 @@ PAR003 = _r(
     Severity.ERROR, "parity contract",
     "A replicated kernel constant is out of sync with its scalar source "
     "of truth: a row-registry tuple-unpack disagrees with the declared "
-    "row names, a derived MappingBatch column has no same-named "
-    "LayerMapping counterpart, or the kernels' replica of a scalar "
-    "error-message format string has drifted from the reference site.",
+    "row names, or a derived MappingBatch column has no same-named "
+    "LayerMapping counterpart.",
 )
 UNI001 = _r(
     "UNI001", "mixed-unit add/sub/compare", Severity.ERROR,

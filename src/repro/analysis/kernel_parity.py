@@ -17,8 +17,7 @@ PAR001    scalar read with no (live) kernel column behind it (ERROR)
 PAR002    dead kernel column / dangling coverage declaration (WARNING)
 PAR003    replicated kernel constant diverging from its scalar
           source of truth — row registries vs. index unpacks, derived
-          MappingBatch columns vs. LayerMapping members, the kernels'
-          replica of a scalar error-message format string (ERROR)
+          MappingBatch columns vs. LayerMapping members (ERROR)
 ========  =============================================================
 
 Entry points: :func:`analyze_kernel_parity_tree` (generic, over any
@@ -65,9 +64,6 @@ class ParityContract:
     #: class of that name the scalar traversal reads, else the first one
     #: anywhere in the index
     mirrors: Mapping[str, str] = ()  # type: ignore[assignment]
-    #: (reference function, replica function) pairs whose f-string
-    #: formats must agree (the CapacityError / InfeasibleScore message)
-    message_pairs: tuple[tuple[str, str], ...] = ()
     #: module-name prefixes excluded from the scalar traversal (the
     #: kernels themselves, the cache, observability, this analyzer)
     boundary_modules: tuple[str, ...] = ()
@@ -152,34 +148,6 @@ def _common_prefix(names: list[str]) -> str:
 
 
 # ----------------------------------------------------------------------
-# f-string format parity
-# ----------------------------------------------------------------------
-
-
-def _fstring_signature(node: ast.JoinedStr) -> str:
-    """An f-string's static text with every interpolation as ``{}``.
-
-    Adjacent f-string literals parse as one ``JoinedStr``, so the
-    two-part capacity message normalizes to a single signature.
-    """
-    parts = []
-    for value in node.values:
-        if isinstance(value, ast.Constant):
-            parts.append(str(value.value))
-        else:
-            parts.append("{}")
-    return "".join(parts)
-
-
-def _fstring_signatures(node: ast.AST) -> set[str]:
-    return {
-        _fstring_signature(sub)
-        for sub in ast.walk(node)
-        if isinstance(sub, ast.JoinedStr)
-    }
-
-
-# ----------------------------------------------------------------------
 # The analysis
 # ----------------------------------------------------------------------
 
@@ -190,9 +158,9 @@ def analyze_kernel_parity_tree(
     """Run the kernel-parity analysis over an indexed tree.
 
     Returns PAR001/PAR002/PAR003 diagnostics ordered by rule id then
-    location.  Raises :class:`ValueError` when a root or message-pair
-    function cannot be resolved — a silent no-op analysis would report a
-    clean bill it never earned.
+    location.  Raises :class:`ValueError` when a root cannot be
+    resolved — a silent no-op analysis would report a clean bill it
+    never earned.
     """
     diagnostics: list[Diagnostic] = []
 
@@ -407,28 +375,6 @@ def analyze_kernel_parity_tree(
                     )
                 )
 
-    # ---- PAR003c: replicated message formats -------------------------
-    for ref_qual, rep_qual in contract.message_pairs:
-        ref = index.resolve_qualname(ref_qual)
-        rep = index.resolve_qualname(rep_qual)
-        if ref is None or rep is None:
-            missing = ref_qual if ref is None else rep_qual
-            raise ValueError(f"cannot resolve message-pair function {missing!r}")
-        ref_sigs = _fstring_signatures(ref.node)
-        rep_sigs = _fstring_signatures(rep.node)
-        for signature in sorted(ref_sigs - rep_sigs):
-            diagnostics.append(
-                PAR003.diag(
-                    f"{rep.module.name}:{rep.node.lineno}",
-                    f"{rep_qual} no longer replicates the "
-                    f"{ref_qual} message format {signature!r} — cached "
-                    "infeasible sentinels would diverge between paths",
-                    hint="keep the two f-strings byte-identical "
-                    "(tests/sim/test_infeasible_messages.py is the "
-                    "runtime witness)",
-                )
-            )
-
     diagnostics.sort(key=lambda d: (d.rule_id, d.location, d.message))
     return diagnostics
 
@@ -466,12 +412,6 @@ def kernel_parity_contract() -> ParityContract:
             ),
         },
         mirrors={"MappingBatch": "LayerMapping"},
-        message_pairs=(
-            (
-                "repro.sim.simulator:Simulator._capacity_check",
-                "repro.sim.kernels:score_strategy_batch",
-            ),
-        ),
         # The kernels are the *subject* of the comparison, not part of
         # the scalar walk; cache/obs/analysis are boundaries for the
         # same reasons as in the cache-safety contract.

@@ -97,7 +97,8 @@ def sweep(
     """Run ``check(source, rel)`` over every existing ``base / rel``.
 
     Raises :class:`ValueError` when none exists — a silent no-op
-    analysis would report a clean bill it never earned.
+    analysis would report a clean bill it never earned — or when one
+    does not parse, naming the module and line.
     """
     diagnostics: list[Diagnostic] = []
     found = False
@@ -106,7 +107,12 @@ def sweep(
         if not path.is_file():
             continue
         found = True
-        diagnostics.extend(check(path.read_text(), rel))
+        try:
+            diagnostics.extend(check(path.read_text(), rel))
+        except SyntaxError as exc:
+            raise ValueError(
+                f"cannot parse {rel}:{exc.lineno}: {exc.msg}"
+            ) from exc
     if not found:
         raise ValueError(f"no {what} to analyze under {base}")
     return sort_diagnostics(diagnostics)

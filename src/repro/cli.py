@@ -469,12 +469,20 @@ def cmd_check(args: argparse.Namespace) -> int:
         say(f"linting source tree: {root or 'repro package'}")
         report.extend(lint_tree(root))
 
+    # A pass that refuses the tree (a missing root, an unparsable
+    # module) is reported on stderr and fails the run; the other passes
+    # still run.
+    refused = False
     for flag, narration, entry_point in _TREE_PASSES:
         if getattr(args, flag) or not targeted:
             say(narration)
-            report.extend(getattr(analysis, entry_point)(root))
+            try:
+                report.extend(getattr(analysis, entry_point)(root))
+            except ValueError as exc:
+                print(f"check: --{flag.replace('_', '-')}: {exc}", file=sys.stderr)
+                refused = True
 
-    exit_code = report.exit_code
+    exit_code = 1 if refused else report.exit_code
     violations: list[str] = []
     if args.ratchet:
         baseline = load_input(

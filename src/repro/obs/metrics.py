@@ -32,7 +32,6 @@ SPAN_LEARN = "search.learn"           #: one episode's pool insert + updates
 # -- event names -----------------------------------------------------
 EVENT_CACHE_HIT = "cache.hit"
 EVENT_CACHE_MISS = "cache.miss"
-EVENT_CACHE_AUDIT = "cache.audit"
 EVENT_INFEASIBLE = "sim.infeasible"
 EVENT_ALLOC_GROUP = "alloc.group"     #: one shape group through Algorithm 1
 EVENT_CANDIDATE = "search.candidate"  #: one candidate probed by a strategy
@@ -133,10 +132,6 @@ def emit_cache_stats(tracer: Tracer, stats: Any, *, context: str = "") -> None:
     tracer.counter("cache.evictions", stats.evictions, context=context)
     tracer.counter("cache.size", stats.size, context=context)
     tracer.counter(CACHE_HIT_RATE, stats.hit_rate, context=context)
-    if getattr(stats, "audited", 0):
-        tracer.counter("cache.audited", stats.audited, context=context)
-    if getattr(stats, "audit_failures", 0):
-        tracer.counter("cache.audit_failures", stats.audit_failures, context=context)
 
 
 def emit_serve_request(

@@ -20,7 +20,7 @@ Two tracer classes exist:
 * :class:`Tracer` — the live implementation, which timestamps spans
   with an injectable monotonic clock and fans records out to sinks;
 * :class:`NullTracer` — a no-op whose :attr:`~NullTracer.enabled`
-  class attribute is ``False``.  Instrumented code guards every
+  attribute is ``False``.  Instrumented code guards every
   record-building block with ``if tracer.enabled:`` so the disabled
   path costs one attribute load.
 
@@ -200,15 +200,13 @@ class Tracer:
 class NullTracer(Tracer):
     """No-op tracer; the default everywhere.
 
-    ``enabled`` is a *class* attribute so the hot-path guard
-    ``if tracer.enabled:`` is a plain attribute load with no
-    per-instance dict lookup.
+    ``enabled`` is set on the instance: CPython 3.11 specialises the
+    hot-path guard ``if tracer.enabled:`` for an instance attribute, not
+    for a class attribute read through an instance.
     """
 
-    enabled = False
-
     def __init__(self) -> None:  # deliberately no sinks / clock state
-        pass
+        self.enabled = False
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:  # type: ignore[override]
         return _NULL_SPAN

@@ -10,8 +10,9 @@ results can be memoised outright:
 * :class:`EvaluationCache` — a bounded, single-thread LRU over full
   ``(config, network, strategy, tile_shared, detailed)`` evaluations,
   with hit / miss / eviction counters.  Infeasible strategies (those that
-  raise :class:`~repro.sim.simulator.CapacityError`) are cached too, so a
-  search random-walking near a capacity cliff does not re-pay the failed
+  raise :class:`~repro.sim.simulator.CapacityError`) are cached too, as
+  their :class:`~repro.sim.kernels.InfeasibleScore` verdict, so a search
+  random-walking near a capacity cliff does not re-pay the failed
   allocation every round.
 * process-stable content fingerprints for :class:`HardwareConfig` and
   :class:`Network` (blake2b over a canonical field tuple), so cache keys
@@ -38,7 +39,6 @@ from enum import Enum
 from hashlib import blake2b
 from typing import Callable, Hashable, Mapping, TypeVar
 
-from ..analysis.invariants import CAC004, Diagnostic
 from ..arch.config import CrossbarShape, HardwareConfig
 from ..models.graph import Network
 
@@ -201,8 +201,6 @@ class CacheStats:
     evictions: int = 0
     size: int = 0
     max_size: int = 0
-    audited: int = 0
-    audit_failures: int = 0
 
     @property
     def lookups(self) -> int:
@@ -214,26 +212,11 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def summary(self) -> str:
-        line = (
+        return (
             f"cache: {self.hits} hits / {self.lookups} lookups "
             f"({self.hit_rate:.1%}), {self.size}/{self.max_size} entries, "
             f"{self.evictions} evictions"
         )
-        if self.audited:
-            line += (
-                f", {self.audited} audited "
-                f"({self.audit_failures} mismatches)"
-            )
-        return line
-
-
-class _Infeasible:
-    """Cached outcome of a strategy that overflows the bank."""
-
-    __slots__ = ("message",)
-
-    def __init__(self, message: str) -> None:
-        self.message = message
 
 
 class EvaluationCache:
@@ -247,33 +230,21 @@ class EvaluationCache:
     are immutable (:class:`~repro.sim.metrics.SystemMetrics` is frozen),
     so cached objects are shared, never copied.
 
-    **Audit mode** (``audit_interval=N``) is the runtime complement of
-    the static cache-safety proof: every Nth hit is re-evaluated from
-    scratch and the cached value must compare equal to the fresh one.  A
-    mismatch is recorded as a CAC004 :class:`Diagnostic` (see
-    :attr:`audit_findings`), counted in :meth:`stats`, and the stale
-    entry is replaced — the caller always receives the fresh value, never
-    a crash.  Sampling is a deterministic hit counter, *not* a RNG: the
-    audit must not itself introduce the nondeterminism it polices.
+    That a key covers every input of the evaluation is proven statically
+    (``repro check --cache-safety``) and checked at run time by the
+    cached-vs-cold parity tests (``tests/sim/test_cache.py``).
     """
 
-    def __init__(self, max_size: int = 100_000, audit_interval: int = 0) -> None:
+    def __init__(self, max_size: int = 100_000) -> None:
         if max_size <= 0:
             raise ValueError("max_size must be positive")
-        if audit_interval < 0:
-            raise ValueError("audit_interval must be >= 0 (0 disables audits)")
         self.max_size = max_size
-        self.audit_interval = audit_interval
         self._entries: OrderedDict[CacheKey, object] = OrderedDict()
         #: ident of the thread that first called get() or put()
         self._owner: int | None = None
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._audit_clock = 0
-        self._audited = 0
-        self._audit_failures = 0
-        self._audit_findings: list[Diagnostic] = []
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -350,48 +321,6 @@ class EvaluationCache:
         self._entries[key] = value
 
     # ------------------------------------------------------------------
-    def audit_due(self) -> bool:
-        """Whether the hit just served should be re-evaluated and checked.
-
-        Deterministic every-Nth-hit sampling driven by an internal
-        counter; always ``False`` when ``audit_interval`` is 0.
-        """
-        if self.audit_interval <= 0:
-            return False
-        self._audit_clock += 1
-        return self._audit_clock % self.audit_interval == 0
-
-    def record_audit(
-        self, key: CacheKey, cached: object, fresh: object
-    ) -> Diagnostic | None:
-        """Compare a cached value against its re-evaluation.
-
-        On a mismatch: counts the failure, records a CAC004 diagnostic,
-        and replaces the stale entry with the fresh value.  Returns the
-        diagnostic (``None`` when the values agree).
-        """
-        self._audited += 1
-        if cached == fresh:
-            return None
-        self._audit_failures += 1
-        diagnostic = CAC004.diag(
-            f"cache-key {key!r}",
-            "cache audit mismatch: cached value differs from "
-            "re-evaluation — the key does not cover every input",
-            hint="run `repro check --cache-safety` to find the "
-            "unfingerprinted read, then clear() this cache",
-        )
-        self._audit_findings.append(diagnostic)
-        if key in self._entries:
-            self._entries[key] = fresh
-        return diagnostic
-
-    @property
-    def audit_findings(self) -> tuple[Diagnostic, ...]:
-        """All CAC004 mismatch diagnostics recorded so far."""
-        return tuple(self._audit_findings)
-
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -402,8 +331,6 @@ class EvaluationCache:
         """Drop all entries and reset the counters."""
         self._entries.clear()
         self._hits = self._misses = self._evictions = 0
-        self._audit_clock = self._audited = self._audit_failures = 0
-        self._audit_findings.clear()
 
     def stats(self) -> CacheStats:
         return CacheStats(
@@ -412,6 +339,4 @@ class EvaluationCache:
             evictions=self._evictions,
             size=len(self._entries),
             max_size=self.max_size,
-            audited=self._audited,
-            audit_failures=self._audit_failures,
         )

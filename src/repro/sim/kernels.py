@@ -62,6 +62,7 @@ __all__ = [
     "NetworkArrays",
     "MappingBatch",
     "InfeasibleScore",
+    "capacity_verdict",
     "KERNEL_COVERAGE",
     "KERNEL_DERIVED_COLUMNS",
     "SHAPE_TABLE_FLOAT_ROWS",
@@ -699,14 +700,30 @@ def strategy_view(
 
 @dataclass(frozen=True)
 class InfeasibleScore:
-    """A batch-scored strategy that overflows the bank.
+    """The verdict on a strategy that overflows the bank.
 
-    Carries the exact :class:`~repro.sim.simulator.CapacityError` message
-    the scalar path would raise, so cached infeasible sentinels compare
-    equal across paths.
+    The one infeasible verdict of every evaluation path: the batch scorer
+    returns it, the evaluation cache stores it, and its ``message`` is
+    the text of the :class:`~repro.sim.simulator.CapacityError` that
+    :meth:`~repro.sim.simulator.Simulator.evaluate` raises.
     """
 
     message: str
+
+
+def capacity_verdict(
+    occupied_tiles: int, config: HardwareConfig, *, enforce_capacity: bool
+) -> InfeasibleScore | None:
+    """The verdict on ``occupied_tiles`` tiles, ``None`` when they fit.
+
+    The one place the capacity message is formatted.
+    """
+    if enforce_capacity and occupied_tiles > config.tiles_per_bank:
+        return InfeasibleScore(
+            f"strategy needs {occupied_tiles} tiles; one bank holds "
+            f"{config.tiles_per_bank}"
+        )
+    return None
 
 
 def _leakage_energy_nj(
@@ -875,10 +892,8 @@ def score_strategy_batch(
     layer cost and fold of every strategy; the allocation summary
     (Algorithm 1's memoised group outcomes) and the final
     :class:`SystemMetrics` assembly stay per-strategy.  Returns one entry
-    per strategy, in order: a :class:`SystemMetrics`, or an
-    :class:`InfeasibleScore` carrying the exact message the scalar path's
-    ``CapacityError`` would (``Simulator._capacity_check``'s format — the
-    cached sentinels must compare equal across paths).
+    per strategy, in order: a :class:`SystemMetrics`, or the
+    :func:`capacity_verdict` on an overflowing one.
     """
     strategies = [tuple(s) for s in strategies]
     net = network_arrays(network)
@@ -913,13 +928,11 @@ def score_strategy_batch(
             tile_shared=tile_shared,
             tracer=tracer,
         )
-        if enforce_capacity and summary.occupied_tiles > config.tiles_per_bank:
-            results.append(
-                InfeasibleScore(
-                    f"strategy needs {summary.occupied_tiles} tiles; one "
-                    f"bank holds {config.tiles_per_bank}"
-                )
-            )
+        verdict = capacity_verdict(
+            summary.occupied_tiles, config, enforce_capacity=enforce_capacity
+        )
+        if verdict is not None:
+            results.append(verdict)
             continue
         results.append(
             _assemble_metrics(

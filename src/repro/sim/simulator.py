@@ -43,7 +43,7 @@ from ..obs import trace as obs_trace
 from ..obs.trace import NULL_TRACER, Tracer
 from . import kernels
 from .area import allocation_area_um2
-from .cache import EvaluationCache, _Infeasible
+from .cache import EvaluationCache
 from .energy import (
     layer_adc_conversions,
     layer_dac_conversions,
@@ -51,6 +51,7 @@ from .energy import (
     leakage_energy,
     pooling_energy,
 )
+from .kernels import InfeasibleScore
 from .latency import layer_latency_ns, pooling_latency_ns
 from .metrics import EnergyBreakdown, LayerCost, SystemMetrics
 
@@ -64,7 +65,13 @@ class CapacityError(RuntimeError):
 
 @dataclass(frozen=True)
 class Simulator:
-    """Deterministic behavioral model of the heterogeneous accelerator."""
+    """Deterministic behavioral model of the heterogeneous accelerator.
+
+    A strategy that overflows the bank has one verdict on every path,
+    :class:`~repro.sim.kernels.InfeasibleScore`: the batch scorer returns
+    it, the cache stores it, and :meth:`evaluate` raises its message as
+    a :class:`CapacityError`, from a miss or a hit alike.
+    """
 
     config: HardwareConfig = DEFAULT_CONFIG
     #: raise :class:`CapacityError` when the allocation exceeds one bank
@@ -126,20 +133,15 @@ class Simulator:
     def _capacity_check(self, occupied_tiles: int) -> None:
         """Raise :class:`CapacityError` when the bank overflows.
 
-        One formatting site for the error message — the cached
-        ``_Infeasible`` sentinels store it verbatim, so every evaluation
-        path (materialised, kernels, batch-scored) must produce the
-        identical string.  ``kernels.score_strategy_batch``
-        replicates this format; the parity analyzer (PAR003) checks the
-        two f-strings against each other, and
-        ``tests/sim/test_infeasible_messages.py`` proves the runtime
-        strings byte-identical across paths.
+        The message is the ``kernels.capacity_verdict`` the batch scorer
+        returns and the cache stores, so every path reports one text
+        (``tests/sim/test_infeasible_messages.py``).
         """
-        if self.enforce_capacity and occupied_tiles > self.config.tiles_per_bank:
-            raise CapacityError(
-                f"strategy needs {occupied_tiles} tiles; one bank "
-                f"holds {self.config.tiles_per_bank}"
-            )
+        verdict = kernels.capacity_verdict(
+            occupied_tiles, self.config, enforce_capacity=self.enforce_capacity
+        )
+        if verdict is not None:
+            raise CapacityError(verdict.message)
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -175,22 +177,12 @@ class Simulator:
             )
             hit = cache.get(key)
             if hit is not None:
-                if isinstance(hit, _Infeasible):
+                if isinstance(hit, InfeasibleScore):
                     if tracer.enabled:
                         obs_metrics.emit_cache_lookup(
                             tracer, hit, network=network.name, infeasible=True
                         )
                     raise CapacityError(hit.message)
-                if cache.audit_due():
-                    if tracer.enabled:
-                        tracer.event(
-                            obs_metrics.EVENT_CACHE_AUDIT, network=network.name
-                        )
-                    return self._audit_hit(
-                        key, hit, network, strategy,
-                        tile_shared=tile_shared, detailed=detailed,
-                        tracer=tracer,
-                    )
                 if tracer.enabled:
                     obs_metrics.emit_cache_lookup(
                         tracer, hit, network=network.name
@@ -218,45 +210,13 @@ class Simulator:
                     message=str(exc),
                 )
             if cache is not None:
-                cache.put(key, _Infeasible(str(exc)))
+                cache.put(key, InfeasibleScore(str(exc)))
             raise
         if cache is not None:
             cache.put(key, metrics)
         if tracer.enabled:
             obs_metrics.emit_system_metrics(tracer, metrics, network=network.name)
         return metrics
-
-    def _audit_hit(
-        self,
-        key: object,
-        hit: object,
-        network: Network,
-        strategy: Strategy,
-        *,
-        tile_shared: bool,
-        detailed: bool,
-        tracer: Tracer = NULL_TRACER,
-    ) -> SystemMetrics:
-        """Re-evaluate a sampled cache hit and cross-check the stored value.
-
-        The runtime complement of ``repro check --cache-safety``: if the
-        static key-coverage proof ever rots, a sampled hit whose fresh
-        re-evaluation differs is recorded as a CAC004 diagnostic on the
-        cache (never a crash) and the fresh value wins.
-        """
-        assert self.cache is not None
-        try:
-            fresh = self._evaluate_impl(
-                network, strategy, tile_shared=tile_shared, detailed=detailed,
-                tracer=tracer,
-            )
-        except CapacityError as exc:
-            # The cache said feasible, the re-evaluation says not: still a
-            # mismatch, still reported through the same channel.
-            self.cache.record_audit(key, hit, _Infeasible(str(exc)))
-            raise
-        self.cache.record_audit(key, hit, fresh)
-        return fresh
 
     def _evaluate_impl(
         self,
@@ -389,37 +349,27 @@ class Simulator:
         *,
         tile_shared: bool = True,
         detailed: bool = False,
-        skip_infeasible: bool = True,
     ) -> list[SystemMetrics | None]:
         """Evaluate a batch of strategies, serially, in order.
 
-        Returns one entry per strategy; infeasible strategies yield
-        ``None`` when ``skip_infeasible`` is set (default) and raise
-        :class:`CapacityError` otherwise.
+        Returns one entry per strategy, ``None`` for an infeasible one.
         """
         batch = [tuple(s) for s in strategies]
-        tracer = self.tracer
-        if tracer is None:
-            tracer = obs_trace._AMBIENT
-        # Batches take the (S, L) kernel scorer when nothing needs the
-        # per-call evaluate machinery: no audit sampling to replay, and
-        # infeasible entries collapse to ``None`` (``skip_infeasible``).
-        # The tracer never picks the path; it observes either one.
-        # Anything else falls through to the loop below — results are
-        # bit-identical either way.
-        if (
-            self.memoize_costs
-            and skip_infeasible
-            and len(batch) > 1
-            and (self.cache is None or self.cache.audit_interval <= 0)
-        ):
+        # A batch on the kernel path takes the (S, L) scorer; anything
+        # else is a try_evaluate loop.  The tracer never picks the path;
+        # it observes either one.  Results are bit-identical either way.
+        if self.memoize_costs and len(batch) > 1:
+            tracer = self.tracer
+            if tracer is None:
+                tracer = obs_trace._AMBIENT
             return self._evaluate_many_batched(
                 network, batch, tile_shared=tile_shared, detailed=detailed,
                 tracer=tracer,
             )
-        evaluate = self.try_evaluate if skip_infeasible else self.evaluate
         return [
-            evaluate(network, s, tile_shared=tile_shared, detailed=detailed)
+            self.try_evaluate(
+                network, s, tile_shared=tile_shared, detailed=detailed
+            )
             for s in batch
         ]
 
@@ -457,11 +407,7 @@ class Simulator:
                 tile_shared=tile_shared, detailed=detailed, tracer=tracer,
             )
             for positions, outcome in zip(unique.values(), scored):
-                value = (
-                    None
-                    if isinstance(outcome, kernels.InfeasibleScore)
-                    else outcome
-                )
+                value = None if isinstance(outcome, InfeasibleScore) else outcome
                 for i in positions:
                     results[i] = value
             return results
@@ -481,7 +427,7 @@ class Simulator:
 
         def lookup(key: object) -> tuple[object, bool]:
             hit = cache.get(key)
-            infeasible = isinstance(hit, _Infeasible)
+            infeasible = isinstance(hit, InfeasibleScore)
             if tracer.enabled:
                 obs_metrics.emit_cache_lookup(
                     tracer, hit, network=network.name, infeasible=infeasible
@@ -511,12 +457,10 @@ class Simulator:
                 tile_shared=tile_shared, detailed=detailed, tracer=tracer,
             )
             for i, outcome in zip(to_score, scored):
-                if isinstance(outcome, kernels.InfeasibleScore):
-                    value: object = _Infeasible(outcome.message)
-                else:
-                    value = results[i] = outcome
-                cache.put(keys[i], value)
-                pending[keys[i]] = value
+                if not isinstance(outcome, InfeasibleScore):
+                    results[i] = outcome
+                cache.put(keys[i], outcome)
+                pending[keys[i]] = outcome
         for i in deferred:
             hit, infeasible = lookup(keys[i])
             if hit is None:
@@ -526,7 +470,7 @@ class Simulator:
                 # first occurrence in place of scoring it again.
                 hit = pending[keys[i]]
                 cache.put(keys[i], hit)
-                infeasible = isinstance(hit, _Infeasible)
+                infeasible = isinstance(hit, InfeasibleScore)
             if not infeasible:
                 results[i] = hit  # type: ignore[assignment]
         return results
@@ -539,7 +483,7 @@ class Simulator:
         tile_shared: bool,
         detailed: bool,
         tracer: Tracer,
-    ) -> list[SystemMetrics | kernels.InfeasibleScore]:
+    ) -> list[SystemMetrics | InfeasibleScore]:
         """One kernel pass, traced like the serial misses it replaces."""
         with tracer.span(
             obs_metrics.SPAN_SCORE_BATCH,
@@ -559,7 +503,7 @@ class Simulator:
             )
         if tracer.enabled:
             for outcome in scored:
-                if isinstance(outcome, kernels.InfeasibleScore):
+                if isinstance(outcome, InfeasibleScore):
                     tracer.event(
                         obs_metrics.EVENT_INFEASIBLE,
                         network=network.name,

@@ -63,7 +63,7 @@ class ShapeTable:
 def score_strategy_batch(table, config):
     needed = int(table.floats.sum())
     if needed > config.tiles_per_bank:
-        # Drift: "wants" vs the scalar _capacity_check's "needs" -> PAR003.
+        # "wants" vs the scalar "needs": no PAR rule reads message texts.
         return (
             f"strategy wants {needed} tiles; one "
             f"bank holds {config.tiles_per_bank}"

@@ -1,6 +1,8 @@
 """End-to-end tests for the ``repro check`` CLI subcommand."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +126,84 @@ class TestCheckSource:
         assert "LNT002" in capsys.readouterr().out
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class TestRefusedPass:
+    """A tree pass that refuses its tree fails the run without a traceback.
+
+    Each (flag, fixture) pair below lacks what the pass needs (an
+    analysis root, the kernel module), so the pass raises its refusal
+    ``ValueError``; ``cmd_check`` reports it on stderr and runs on.
+    """
+
+    REFUSED = [
+        ("--cache-safety", "mixed_units_tree"),
+        ("--kernel-parity", "mixed_units_tree"),
+        ("--cache-safety", "racy_tree"),
+        ("--kernel-parity", "racy_tree"),
+        ("--cache-safety", "unsafe_numeric_tree"),
+        ("--kernel-parity", "unsafe_numeric_tree"),
+        ("--kernel-parity", "unsound_tree"),
+    ]
+
+    @pytest.mark.parametrize(("flag", "fixture"), REFUSED)
+    def test_text_reports_one_stderr_line(self, capsys, flag, fixture):
+        code = main(["check", flag, "--source", str(FIXTURES / fixture)])
+        captured = capsys.readouterr()
+        assert code == 1
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"check: {flag}: ")
+        assert "check passed" not in captured.out
+
+    @pytest.mark.parametrize(("flag", "fixture"), REFUSED)
+    def test_json_prints_one_failed_document(self, capsys, flag, fixture):
+        code = main(
+            ["check", flag, "--source", str(FIXTURES / fixture), "--format", "json"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)  # exactly one JSON document
+        assert doc["ok"] is False
+        assert len(captured.err.splitlines()) == 1
+
+    def test_remaining_passes_still_run(self, capsys):
+        # --cache-safety refuses racy_tree; --concurrency still reports.
+        code = main(
+            [
+                "check", "--cache-safety", "--concurrency",
+                "--source", str(FIXTURES / "racy_tree"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("check: --cache-safety: ")
+        assert "CON001" in captured.out
+
+    @pytest.mark.parametrize(
+        ("flag", "rel"),
+        [
+            ("--concurrency", "sim/broken.py"),
+            ("--numeric", "sim/broken.py"),
+            ("--units", "sim/energy.py"),  # the units pass reads a fixed scope
+        ],
+    )
+    def test_unparsable_module_is_refused_not_raised(
+        self, tmp_path, capsys, flag, rel
+    ):
+        tree = tmp_path / "tree"
+        shutil.copytree(FIXTURES / "unsound_tree", tree)
+        (tree / rel).write_text("def broken(:\n    pass\n")
+        code = main(["check", flag, "--source", str(tree)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [
+            f"check: {flag}: cannot parse {rel}:1: invalid syntax"
+        ]
+        # Lint still reports the module that does not parse.
+        assert "LNT002" in captured.out
+
+
 class TestCheckCacheSafety:
     FIXTURE_TREE = "tests/analysis/fixtures/unsound_tree"
 
@@ -133,9 +213,7 @@ class TestCheckCacheSafety:
         assert "check passed" in capsys.readouterr().out
 
     def test_unsound_fixture_reports_cac001(self, capsys):
-        from pathlib import Path
-
-        fixture = Path(__file__).parent / "fixtures" / "unsound_tree"
+        fixture = FIXTURES / "unsound_tree"
         assert main(["check", "--cache-safety", "--source", str(fixture)]) == 1
         out = capsys.readouterr().out
         assert "CAC001" in out
@@ -158,9 +236,7 @@ class TestCheckNumeric:
         assert "check passed" in out
 
     def test_unsafe_fixture_reports_every_num_rule(self, capsys):
-        from pathlib import Path
-
-        fixture = Path(__file__).parent / "fixtures" / "unsafe_numeric_tree"
+        fixture = FIXTURES / "unsafe_numeric_tree"
         assert main(["check", "--numeric", "--source", str(fixture)]) == 1
         out = capsys.readouterr().out
         for rule in ("NUM001", "NUM002", "NUM003", "NUM004", "NUM005"):
@@ -179,9 +255,7 @@ class TestCheckKernelParity:
         assert "check passed" in out
 
     def test_divergent_fixture_reports_par_rules(self, capsys):
-        from pathlib import Path
-
-        fixture = Path(__file__).parent / "fixtures" / "divergent_kernel_tree"
+        fixture = FIXTURES / "divergent_kernel_tree"
         assert main(["check", "--kernel-parity", "--source", str(fixture)]) == 1
         out = capsys.readouterr().out
         assert "PAR001" in out
@@ -197,9 +271,7 @@ class TestCheckKernelParity:
         # ratchet still fails the build on it; prove the wiring end to
         # end on the divergent fixture where errors already force exit 1
         # and the ratchet lines name every PAR rule.
-        from pathlib import Path
-
-        fixture = Path(__file__).parent / "fixtures" / "divergent_kernel_tree"
+        fixture = FIXTURES / "divergent_kernel_tree"
         baseline = tmp_path / "ratchet.json"
         baseline.write_text(json.dumps({}))
         args = [
@@ -219,9 +291,7 @@ class TestCheckUnits:
         assert "check passed" in out
 
     def test_mixed_units_fixture_reports_every_uni_rule(self, capsys):
-        from pathlib import Path
-
-        fixture = Path(__file__).parent / "fixtures" / "mixed_units_tree"
+        fixture = FIXTURES / "mixed_units_tree"
         assert main(["check", "--units", "--source", str(fixture)]) == 1
         out = capsys.readouterr().out
         for rule in ("UNI001", "UNI002", "UNI003", "UNI004", "UNI005"):
@@ -254,9 +324,7 @@ class TestCheckJsonFormat:
         assert "dimensional consistency" not in out
 
     def test_findings_carry_structured_fields(self, capsys):
-        from pathlib import Path
-
-        fixture = Path(__file__).parent / "fixtures" / "mixed_units_tree"
+        fixture = FIXTURES / "mixed_units_tree"
         code, doc = self.run_json(
             capsys,
             ["check", "--units", "--source", str(fixture), "--format", "json"],
@@ -276,9 +344,7 @@ class TestCheckJsonFormat:
         assert doc["summary"]["total"] == len(doc["findings"])
 
     def test_ratchet_violations_surface_in_json(self, tmp_path, capsys):
-        from pathlib import Path
-
-        fixture = Path(__file__).parent / "fixtures" / "mixed_units_tree"
+        fixture = FIXTURES / "mixed_units_tree"
         baseline = tmp_path / "ratchet.json"
         baseline.write_text(json.dumps({}))
         code, doc = self.run_json(
@@ -318,7 +384,6 @@ class TestListRules:
         """Every registered rule id appears in docs/static_analysis.md and
         the docs never cite a rule id the registry does not know."""
         import re
-        from pathlib import Path
 
         assert main(["check", "--list-rules", "--format", "json"]) == 0
         registered = {r["rule"] for r in json.loads(capsys.readouterr().out)}
@@ -367,8 +432,6 @@ class TestCheckRatchet:
 
     def test_repo_ratchet_file_is_current(self, capsys):
         # The committed CI baseline must hold against the shipped tree.
-        from pathlib import Path
-
         ratchet = (
             Path(__file__).resolve().parents[2]
             / ".github"
