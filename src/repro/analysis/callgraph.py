@@ -33,9 +33,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, TypeVar, Union
 
-from .walker import all_nodes
+from .walker import all_nodes, parse_refusal
 
 
 @dataclass(eq=False)
@@ -220,8 +220,10 @@ def _resolve_relative(module: ModuleInfo, node: ast.ImportFrom) -> str:
     return ".".join(base)
 
 
-def _index_module(name: str, source: str, is_package: bool) -> ModuleInfo:
-    tree = ast.parse(source, filename=name)
+def _index_module(
+    name: str, source: str, is_package: bool, filename: str
+) -> ModuleInfo:
+    tree = ast.parse(source, filename=filename)
     module = ModuleInfo(
         name=name, is_package=is_package, node=tree, nodes=all_nodes(tree)
     )
@@ -305,8 +307,13 @@ class _LazyModules(Mapping[str, ModuleInfo]):
         info = self._parsed.get(name)
         if info is None:
             source, is_package = self._sources[name]
-            text = source.read_text() if isinstance(source, Path) else source
-            info = self._parsed[name] = _index_module(name, text, is_package)
+            if isinstance(source, Path):
+                text, filename = source.read_text(), str(source)
+            else:
+                text, filename = source, name
+            info = self._parsed[name] = _index_module(
+                name, text, is_package, filename
+            )
         return info
 
     def __contains__(self, name: object) -> bool:
@@ -437,3 +444,21 @@ class ModuleIndex:
             if cls is not None:
                 return cls
         return None
+
+
+T = TypeVar("T")
+
+
+def analyze_repro_tree(root: Path | None, analyze: Callable[[ModuleIndex], T]) -> T:
+    """Run ``analyze`` over an index of the ``repro`` tree rooted at ``root``.
+
+    ``None`` indexes the installed package.  A module the analysis reaches
+    that does not parse refuses the tree with the :class:`ValueError` of
+    :func:`~repro.analysis.walker.parse_refusal`, as every tree pass does.
+    """
+    base = Path(root) if root is not None else Path(__file__).resolve().parent.parent
+    try:
+        return analyze(ModuleIndex.from_package(base, "repro"))
+    except SyntaxError as exc:
+        rel = Path(str(exc.filename)).relative_to(base).as_posix()
+        raise parse_refusal(rel, exc) from exc

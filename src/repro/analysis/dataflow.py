@@ -54,6 +54,7 @@ from .callgraph import (
     ModuleIndex,
     ModuleInfo,
     TypeAlias,
+    analyze_repro_tree,
 )
 from .invariants import CAC001, CAC002, CAC003, PUR001, PUR002, Diagnostic
 
@@ -1183,6 +1184,6 @@ def analyze_cache_safety(root: Path | None = None) -> list[Diagnostic]:
     theorem: no attribute the evaluation reads escapes the fingerprint,
     and the evaluation is pure.
     """
-    base = root if root is not None else Path(__file__).resolve().parent.parent
-    index = ModuleIndex.from_package(Path(base), "repro")
-    return analyze_memoized(index, simulator_contract())
+    return analyze_repro_tree(
+        root, lambda index: analyze_memoized(index, simulator_contract())
+    )

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .callgraph import ClassInfo, ModuleIndex, ModuleInfo
+from .callgraph import ClassInfo, ModuleIndex, ModuleInfo, analyze_repro_tree
 from .dataflow import MemoContract, _Analyzer
 from .invariants import PAR001, PAR002, PAR003, Diagnostic
 
@@ -434,6 +434,7 @@ def analyze_kernel_parity(root: Path | None = None) -> list[Diagnostic]:
     by a live kernel column, no kernel column lacks a declared scalar
     provenance, and every replicated constant matches its source.
     """
-    base = root if root is not None else Path(__file__).resolve().parent.parent
-    index = ModuleIndex.from_package(Path(base), "repro")
-    return analyze_kernel_parity_tree(index, kernel_parity_contract())
+    return analyze_repro_tree(
+        root,
+        lambda index: analyze_kernel_parity_tree(index, kernel_parity_contract()),
+    )

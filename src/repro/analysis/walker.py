@@ -88,6 +88,11 @@ def sort_diagnostics(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
     return sorted(diagnostics, key=lambda d: (d.rule_id, d.location, d.message))
 
 
+def parse_refusal(rel: str, exc: SyntaxError) -> ValueError:
+    """A tree pass's refusal of module ``rel``, which does not parse."""
+    return ValueError(f"cannot parse {rel}:{exc.lineno}: {exc.msg}")
+
+
 def sweep(
     base: Path,
     rels: Iterable[str],
@@ -110,9 +115,7 @@ def sweep(
         try:
             diagnostics.extend(check(path.read_text(), rel))
         except SyntaxError as exc:
-            raise ValueError(
-                f"cannot parse {rel}:{exc.lineno}: {exc.msg}"
-            ) from exc
+            raise parse_refusal(rel, exc) from exc
     if not found:
         raise ValueError(f"no {what} to analyze under {base}")
     return sort_diagnostics(diagnostics)

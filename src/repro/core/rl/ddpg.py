@@ -22,13 +22,13 @@ Implementation notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ...obs import metrics as obs_metrics
 from ...obs.trace import Tracer, current_tracer
-from .networks import MLP, Adam
+from .networks import MLP, Adam, clip_ufunc, mean_array, mean_floats, unit_clip
 from .noise import TruncatedNormalNoise
 from .replay import ExperiencePool, Transition
 
@@ -146,10 +146,10 @@ class DDPGAgent:
             a = self._coherent_base + self._eps_rng.normal(
                 0.0, self.config.coherent_sigma
             )
-            return float(np.clip(a, 0.0, 1.0))
+            return unit_clip(a)
         if explore and self._eps_rng.random() < self.epsilon:
             return float(self._eps_rng.random())
-        a = float(np.clip(self.actor.forward(np.atleast_2d(state))[0, 0], 0.0, 1.0))
+        a = float(unit_clip(self.actor.forward(state)[0, 0]))
         if explore:
             a = self.noise.perturb(a)
         return a
@@ -268,7 +268,7 @@ class DDPGAgent:
             self._critic_step(critic, opt, sa, target)
             for critic, _, opt in self._critics
         ]
-        loss = float(np.mean(losses))
+        loss = mean_floats(losses)
 
         self._update_count += 1
         if self._update_count % self._policy_delay == 0:
@@ -289,7 +289,7 @@ class DDPGAgent:
         td_error = critic.forward(sa) - target
         critic.backward(2.0 * td_error / td_error.shape[0])
         opt.step(critic.grads)
-        return float(np.mean(td_error**2))
+        return mean_array(td_error**2)
 
     def _actor_step(self, states: np.ndarray, sa_mu: np.ndarray) -> None:
         """Ascend min over critics of Q(s, mu(s)) with inverting gradients.
@@ -298,7 +298,7 @@ class DDPGAgent:
         step overwrites with the clipped actions mu(s).
         """
         mu_raw = self.actor.forward(states)
-        np.clip(mu_raw, 0.0, 1.0, out=sa_mu[:, -1:])
+        clip_ufunc(mu_raw, 0.0, 1.0, out=sa_mu[:, -1:])
         # dMean(Q)/d[s, a] through the critic; its last column is dQ/da.
         # The critics' own parameter gradients are not needed here.
         q = self.critic.forward(sa_mu)
@@ -309,12 +309,12 @@ class DDPGAgent:
             dq_da_k = critic.input_grad(self._mean_grad)[:, -1:]
             dq_da = np.where(q <= q_k, dq_da, dq_da_k)
             q = np.minimum(q, q_k)
-        self._last_actor_objective = -float(np.mean(q))
+        self._last_actor_objective = -mean_array(q)
         # Scale upward pushes by the headroom to 1 and downward pushes by
         # the headroom to 0, computed on the *raw* (unclipped) output:
         # outside the box the headroom turns negative, actively steering
         # the policy back in.
         headroom = np.where(dq_da > 0, 1.0 - mu_raw, mu_raw)
-        dq_da = dq_da * np.clip(headroom, -1.0, 1.0)
+        dq_da = dq_da * clip_ufunc(headroom, -1.0, 1.0)
         self.actor.backward(-dq_da)
         self.actor_opt.step(self.actor.grads)

@@ -19,7 +19,7 @@ per-network maxima.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ from ...obs import metrics as obs_metrics
 from ...obs.trace import Tracer
 from ...sim.metrics import SystemMetrics
 from ...sim.simulator import CapacityError, Simulator
+from .networks import unit_clip
 from .replay import Transition
 
 STATE_DIM = 10
@@ -139,7 +140,7 @@ class CrossbarSearchEnv:
         reaches every candidate — including the extreme indices — with
         equal probability.
         """
-        a = float(np.clip(a, 0.0, 1.0))
+        a = float(unit_clip(a))
         return min(int(a * self.num_actions), self.num_actions - 1)
 
     def index_to_continuous(self, index: int) -> float:

@@ -24,7 +24,44 @@ from typing import Sequence
 
 import numpy as np
 
+try:  # numpy >= 2
+    from numpy._core import umath as _umath
+except ImportError:  # numpy 1.x
+    from numpy.core import umath as _umath
+
+#: The ufunc ``np.clip`` ends in once its argument checks and method
+#: dispatch are done.  On the learner's small arrays that wrapper is most
+#: of the cost; calling the ufunc directly gives the same bits.
+clip_ufunc = _umath.clip
+
 Activation = str  # "relu" | "tanh" | "sigmoid" | "linear"
+
+
+# Bit-identical stand-ins for NumPy wrappers on the learner's hot path;
+# tests/rl/test_networks.py compares each with the call it replaces.
+def unit_clip(a: float) -> float:
+    """``np.clip(a, 0.0, 1.0)`` of a scalar: ``a`` unless it is out of the box.
+
+    Like the ufunc, it keeps ``-0.0`` and passes NaN through.
+    """
+    return min(max(a, 0.0), 1.0)
+
+
+def mean_array(x: np.ndarray) -> float:
+    """``float(np.mean(x))`` of a float64 array without the wrapper."""
+    return float(np.add.reduce(x, axis=None) / x.size)
+
+
+def mean_floats(values: Sequence[float]) -> float:
+    """``float(np.mean(values))`` of the per-critic losses (one or two).
+
+    ``np.add.reduce`` adds so short a vector left to right from its
+    identity ``0.0`` (so a lone ``-0.0`` averages to ``0.0``); so does this.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 def _act_inplace(name: Activation, z: np.ndarray) -> None:
@@ -137,7 +174,7 @@ class MLP:
         The input and the returned output are kept by reference, so the
         caller must not overwrite either before that backward pass.
         """
-        a = np.atleast_2d(x)
+        a = x if x.ndim >= 2 else x.reshape(1, -1)
         activations = [a]
         for w, b, name in zip(self.weights, self.biases, self._activation_names):
             a = a @ w
@@ -152,7 +189,7 @@ class MLP:
         activations = self._activations
         if activations is None:
             raise RuntimeError("backward needs a forward pass first")
-        delta = np.atleast_2d(upstream)
+        delta = upstream if upstream.ndim >= 2 else upstream.reshape(1, -1)
         if delta.shape != activations[-1].shape:
             raise ValueError(
                 f"upstream shape {delta.shape} does not match the last "

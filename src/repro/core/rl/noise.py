@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .networks import clip_ufunc
+
 
 @dataclass
 class TruncatedNormalNoise:
@@ -37,7 +39,7 @@ class TruncatedNormalNoise:
     def perturb(self, action: float) -> float:
         """Add truncated Gaussian noise to a scalar action."""
         noisy = action + self._rng.normal(0.0, self.sigma)
-        return float(np.clip(noisy, self.low, self.high))
+        return float(clip_ufunc(noisy, self.low, self.high))
 
     def end_episode(self) -> None:
         """Decay the exploration scale after each search round."""
@@ -69,7 +71,7 @@ class OrnsteinUhlenbeckNoise:
         self._x += self.theta * (self.mu - self._x) * self.dt + (
             self.sigma * np.sqrt(self.dt) * self._rng.normal()
         )
-        return float(np.clip(action + self._x, self.low, self.high))
+        return float(clip_ufunc(action + self._x, self.low, self.high))
 
     def end_episode(self) -> None:
         self.reset()

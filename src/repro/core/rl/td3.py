@@ -27,7 +27,7 @@ import numpy as np
 
 from ...obs.trace import Tracer
 from .ddpg import DDPGAgent, DDPGConfig
-from .networks import MLP, Adam
+from .networks import MLP, Adam, clip_ufunc
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,12 @@ class TD3Agent(DDPGAgent):
         cfg: TD3Config = self.config  # type: ignore[assignment]
         next_actions = self.actor_target.forward(next_states)
         if cfg.target_noise_sigma > 0:
-            noise = np.clip(
+            noise = clip_ufunc(
                 self._smooth_rng.normal(
                     0.0, cfg.target_noise_sigma, size=next_actions.shape
                 ),
                 -cfg.target_noise_clip,
                 cfg.target_noise_clip,
             )
-            next_actions = np.clip(next_actions + noise, 0.0, 1.0)
+            next_actions = clip_ufunc(next_actions + noise, 0.0, 1.0)
         return next_actions

@@ -12,7 +12,7 @@ models and to feature-map-size propagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .datasets import DatasetSpec
@@ -31,13 +31,18 @@ class Network:
         # The generated hash re-walks every stage and layer spec on each
         # call (~150 µs on ResNet152); hash once, as CrossbarShape does.
         object.__setattr__(self, "_hash", hash((self.name, self.dataset, self.stages)))
+        # ``layers`` is read per RL step and per evaluation; build it once.
+        object.__setattr__(
+            self, "_layers", tuple(s.layer for s in self.stages if s.layer is not None)
+        )
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
     def __reduce__(self) -> tuple[type, tuple[object, ...]]:
-        # Fields only: ``_hash`` folds per-process ``str`` hashes and the
-        # simulator's per-instance memo must not ride along.
+        # Fields only: ``_hash`` folds per-process ``str`` hashes, the
+        # simulator's per-instance memo must not ride along, and
+        # ``_layers`` is rebuilt from ``stages``.
         return (Network, (self.name, self.dataset, self.stages))
 
     @staticmethod
@@ -94,11 +99,11 @@ class Network:
     @property
     def layers(self) -> tuple[LayerSpec, ...]:
         """The weight-bearing layers, in execution order."""
-        return tuple(s.layer for s in self.stages if s.layer is not None)
+        return self._layers  # type: ignore[attr-defined]
 
     @property
     def num_layers(self) -> int:
-        return len(self.layers)
+        return len(self._layers)  # type: ignore[attr-defined]
 
     @property
     def total_weights(self) -> int:

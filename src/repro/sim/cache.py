@@ -132,6 +132,9 @@ RESULT_INVARIANT_FIELDS: Mapping[str, tuple[str, ...]] = {
     # from ``rows`` and ``cols``, which *are* fingerprinted — two shapes
     # with equal fingerprints carry equal stashes by construction.
     "CrossbarShape": ("_hash", "_str"),
+    # Likewise ``_layers`` is the weight layers of ``stages``, stashed in
+    # ``Network.__post_init__``; ``stages`` is fingerprinted.
+    "Network": ("_layers",),
 }
 
 

@@ -139,6 +139,7 @@ KERNEL_COVERAGE: dict[str, dict[str, tuple[str, ...]]] = {
     },
     "Network": {
         "stages": ("NetworkArrays.num_layers",),
+        "_layers": ("NetworkArrays.num_layers",),
         "name": ("builder",),
     },
     "Stage": {

@@ -98,7 +98,7 @@ class Simulator:
         total += mapping.row_groups * mapping.col_groups
         total += mapping.layer.index
         self._capacity_check(int(total))
-        return total + len(network.name)
+        return total + len(network.name) + len(network._layers)
 
     def try_evaluate(self, network: Network, mapping: LayerMapping) -> float:
         return self.evaluate(network, mapping)

@@ -180,20 +180,28 @@ class TestRefusedPass:
         assert captured.err.startswith("check: --cache-safety: ")
         assert "CON001" in captured.out
 
-    @pytest.mark.parametrize(
-        ("flag", "rel"),
-        [
-            ("--concurrency", "sim/broken.py"),
-            ("--numeric", "sim/broken.py"),
-            ("--units", "sim/energy.py"),  # the units pass reads a fixed scope
-        ],
-    )
-    def test_unparsable_module_is_refused_not_raised(
-        self, tmp_path, capsys, flag, rel
-    ):
+    UNPARSABLE = [
+        ("--concurrency", "sim/broken.py"),
+        ("--numeric", "sim/broken.py"),
+        ("--units", "sim/energy.py"),  # the units pass reads a fixed scope
+        # CAC and PAR parse the modules their analysis reaches, and the
+        # simulator is their root.
+        ("--cache-safety", "sim/simulator.py"),
+        ("--kernel-parity", "sim/simulator.py"),
+    ]
+
+    @staticmethod
+    def broken_tree(tmp_path, rel):
         tree = tmp_path / "tree"
         shutil.copytree(FIXTURES / "unsound_tree", tree)
         (tree / rel).write_text("def broken(:\n    pass\n")
+        return tree
+
+    @pytest.mark.parametrize(("flag", "rel"), UNPARSABLE)
+    def test_unparsable_module_is_refused_not_raised(
+        self, tmp_path, capsys, flag, rel
+    ):
+        tree = self.broken_tree(tmp_path, rel)
         code = main(["check", flag, "--source", str(tree)])
         captured = capsys.readouterr()
         assert code == 1
@@ -202,6 +210,21 @@ class TestRefusedPass:
         ]
         # Lint still reports the module that does not parse.
         assert "LNT002" in captured.out
+
+    @pytest.mark.parametrize(("flag", "rel"), UNPARSABLE)
+    def test_unparsable_module_json_prints_one_failed_document(
+        self, tmp_path, capsys, flag, rel
+    ):
+        tree = self.broken_tree(tmp_path, rel)
+        code = main(["check", flag, "--source", str(tree), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(captured.out)  # exactly one JSON document
+        assert doc["ok"] is False
+        assert [f["rule"] for f in doc["findings"]] == ["LNT002"]
+        assert captured.err.splitlines() == [
+            f"check: {flag}: cannot parse {rel}:1: invalid syntax"
+        ]
 
 
 class TestCheckCacheSafety:

@@ -1,5 +1,8 @@
 """Unit tests for the Network container."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.models import CIFAR10, MNIST, Network
@@ -101,3 +104,36 @@ class TestAccessors:
         text = build_small().describe()
         assert "L  1" in text and "L  3" in text
         assert "small" in text
+
+
+class TestLayersStash:
+    """``layers`` is built once at construction; identity stays field-only."""
+
+    def test_repeat_calls_return_the_same_tuple(self):
+        net = build_small()
+        assert net.layers is net.layers
+        assert net.layers == tuple(s.layer for s in net.stages if s.layer is not None)
+        assert net.num_layers == len(net.layers) == 3
+
+    def test_hash_and_eq_cover_fields_only(self):
+        a, b = build_small(), build_small()
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.name, a.dataset, a.stages))
+        assert a != dataclasses.replace(a, name="other")
+
+    def test_fields_and_repr_carry_no_stash(self):
+        net = build_small()
+        assert [f.name for f in dataclasses.fields(net)] == ["name", "dataset", "stages"]
+        assert "_layers" not in repr(net)
+
+    def test_reduce_carries_fields_only(self):
+        net = build_small()
+        assert net.__reduce__() == (Network, (net.name, net.dataset, net.stages))
+        assert b"_layers" not in pickle.dumps(net)
+
+    def test_pickle_round_trip(self):
+        net = build_small()
+        copy = pickle.loads(pickle.dumps(net))
+        assert copy == net and hash(copy) == hash(net)
+        assert copy.layers == net.layers
+        assert copy.layers is copy.layers  # the copy builds its own stash

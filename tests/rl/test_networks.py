@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.core.rl.networks import MLP, Adam
+from repro.core.rl.networks import (
+    MLP,
+    Adam,
+    clip_ufunc,
+    mean_array,
+    mean_floats,
+    unit_clip,
+)
 
 
 def finite_diff_grads(net, x, upstream, eps=1e-6):
@@ -320,3 +328,93 @@ class TestAdam:
         opt = Adam(np.zeros(2))
         with pytest.raises(ValueError):
             opt.step(np.zeros(3))
+
+
+# ----------------------------------------------------------------------
+# The learner's stand-ins for NumPy wrappers give the wrapper's bits.
+# ----------------------------------------------------------------------
+
+#: the values where a reordered reduction or a min/max rewrite would
+#: show: both zeros, NaN of either sign, both infinities, the extremes
+SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1.7e308, -1.7e308]
+any_float = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+# The learner's batch columns and its single-row act path.
+LEARNER_SHAPES = [(64, 1), (1, 1)]
+
+
+def float_bits(value):
+    return np.float64(value).tobytes()
+
+
+def learner_arrays(shape):
+    return hnp.arrays(np.float64, shape, elements=any_float)
+
+
+class TestBitIdenticalStandIns:
+    @pytest.mark.parametrize("shape", LEARNER_SHAPES)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mean_array_is_np_mean(self, shape, data):
+        x = data.draw(learner_arrays(shape))
+        with np.errstate(all="ignore"):
+            assert float_bits(mean_array(x)) == float_bits(np.mean(x))
+
+    @pytest.mark.parametrize("shape", LEARNER_SHAPES)
+    def test_mean_array_of_negative_zeros_is_np_mean(self, shape):
+        x = np.full(shape, -0.0)
+        assert float_bits(mean_array(x)) == float_bits(np.mean(x))
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(any_float, min_size=1, max_size=2))
+    def test_mean_floats_is_np_mean(self, values):
+        with np.errstate(all="ignore"):
+            assert float_bits(mean_floats(values)) == float_bits(np.mean(values))
+
+    @pytest.mark.parametrize(
+        "values", [[-0.0], [-0.0, -0.0], [-0.0, 0.0], [np.nan, -np.nan], [np.inf, -np.inf]]
+    )
+    def test_mean_floats_on_special_lists(self, values):
+        with np.errstate(all="ignore"):
+            assert float_bits(mean_floats(values)) == float_bits(np.mean(values))
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=any_float)
+    def test_unit_clip_is_np_clip(self, a):
+        expected = float_bits(np.clip(a, 0.0, 1.0))
+        assert float_bits(unit_clip(a)) == expected
+        # act() clips the actor's np.float64 output.
+        assert float_bits(unit_clip(np.float64(a))) == expected
+
+    @pytest.mark.parametrize("a", SPECIAL)
+    def test_unit_clip_on_special_values(self, a):
+        assert float_bits(unit_clip(a)) == float_bits(np.clip(a, 0.0, 1.0))
+
+    @pytest.mark.parametrize("shape", LEARNER_SHAPES)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), lo=any_float, hi=any_float)
+    def test_clip_ufunc_is_np_clip_on_arrays(self, shape, data, lo, hi):
+        x = data.draw(learner_arrays(shape))
+        assert clip_ufunc(x, lo, hi).tobytes() == np.clip(x, lo, hi).tobytes()
+        # The actor step clips into a column of a wider buffer.
+        mine, theirs = np.zeros((shape[0], 3)), np.zeros((shape[0], 3))
+        clip_ufunc(x, lo, hi, out=mine[:, -1:])
+        np.clip(x, lo, hi, out=theirs[:, -1:])
+        assert mine.tobytes() == theirs.tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=any_float, lo=any_float, hi=any_float)
+    def test_clip_ufunc_is_np_clip_on_scalars(self, a, lo, hi):
+        assert float_bits(clip_ufunc(a, lo, hi)) == float_bits(np.clip(a, lo, hi))
+
+    def test_clip_ufunc_is_the_ufunc_np_clip_dispatches_to(self):
+        seen = []
+
+        class Spy(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                seen.append(ufunc)
+                inputs = tuple(np.asarray(x) for x in inputs)
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        np.clip(np.linspace(-1.0, 2.0, 4).view(Spy), 0.0, 1.0)
+        assert seen == [clip_ufunc]
+        assert isinstance(clip_ufunc, np.ufunc)
