@@ -19,9 +19,10 @@ violates Eq. 4 bounds or Algorithm 1's accounting.  The modules:
   contract behind ``repro check --concurrency`` (CON001): no module
   outside ``repro.analysis`` starts a thread or a process, so each
   thread owns its ``Simulator``.
-* :mod:`repro.analysis.walker` — the intraprocedural abstract-interpretation
-  walker that the NUM and UNI passes share; each supplies only its
-  lattice and rules.
+* :mod:`repro.analysis.walker` — the one module reader of every tree
+  pass (a run parses each module once: one sweep feeds LNT, CON, NUM and
+  UNI, and CAC and PAR parse only what their roots reach), and the
+  abstract-interpretation walker that NUM and UNI share.
 * :mod:`repro.analysis.numeric` — NumPy-aware numeric-safety pass over
   ``sim/`` behind ``repro check --numeric`` (NUM rule family).
 * :mod:`repro.analysis.kernel_parity` — scalar-vs-vectorized read-set
@@ -30,8 +31,9 @@ violates Eq. 4 bounds or Algorithm 1's accounting.  The modules:
   behind ``repro check --units`` (UNI rule family).
 
 ``repro check`` (see :mod:`repro.cli`) drives every pass and exits
-nonzero on ERROR diagnostics; `docs/static_analysis.md` catalogues every
-rule id with its paper anchor.
+nonzero on ERROR diagnostics or when a pass refuses its tree (no module
+in scope, or one that does not parse); `docs/static_analysis.md`
+catalogues every rule id with its paper anchor.
 
 Only :mod:`~repro.analysis.invariants` names are imported eagerly here —
 it is dependency-free, so ``arch/config.py`` can import it during its own
@@ -41,6 +43,7 @@ provided lazily via module ``__getattr__``.
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Any
 
 from .invariants import (
@@ -86,65 +89,26 @@ __all__ = [
     "units_findings",
 ]
 
-_CHECKER_NAMES = frozenset(
-    {
-        "check_allocation",
-        "check_candidate_set",
-        "check_config",
-        "check_config_dict",
-        "check_mapping",
-        "check_mappings",
-        "check_network",
-        "check_plan_dict",
-        "check_shape",
-    }
-)
-_LINT_NAMES = frozenset({"lint_source", "lint_tree", "lint_path"})
-_DATAFLOW_NAMES = frozenset(
-    {"analyze_cache_safety", "analyze_memoized", "simulator_contract"}
-)
-_CONCURRENCY_NAMES = frozenset({"analyze_concurrency", "fan_out_findings"})
-_NUMERIC_NAMES = frozenset({"analyze_numeric", "numeric_findings"})
-_KERNEL_PARITY_NAMES = frozenset(
-    {
-        "analyze_kernel_parity",
-        "analyze_kernel_parity_tree",
-        "kernel_parity_contract",
+#: the names ``__getattr__`` provides lazily, by submodule
+_LAZY: dict[str, tuple[str, ...]] = {
+    "checkers": (
+        "check_allocation", "check_candidate_set", "check_config", "check_config_dict",
+        "check_mapping", "check_mappings", "check_network", "check_plan_dict", "check_shape",
+    ),
+    "lint": ("lint_source", "lint_tree", "LINT_PASS"),
+    "dataflow": ("analyze_cache_safety", "analyze_memoized", "simulator_contract"),
+    "concurrency": ("analyze_concurrency", "fan_out_findings", "CONCURRENCY_PASS"),
+    "numeric": ("analyze_numeric", "numeric_findings", "NUMERIC_PASS"),
+    "kernel_parity": (
+        "analyze_kernel_parity", "analyze_kernel_parity_tree", "kernel_parity_contract",
         "ParityContract",
-    }
-)
-_UNITS_NAMES = frozenset(
-    {"analyze_units", "units_findings", "load_tables", "UnitTables"}
-)
+    ),
+    "units": ("analyze_units", "units_findings", "load_tables", "UnitTables", "UNITS_PASS"),
+}
+_SUBMODULE = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name: str) -> Any:
-    if name in _CHECKER_NAMES:
-        from . import checkers
-
-        return getattr(checkers, name)
-    if name in _LINT_NAMES:
-        from . import lint
-
-        return getattr(lint, name)
-    if name in _DATAFLOW_NAMES:
-        from . import dataflow
-
-        return getattr(dataflow, name)
-    if name in _CONCURRENCY_NAMES:
-        from . import concurrency
-
-        return getattr(concurrency, name)
-    if name in _NUMERIC_NAMES:
-        from . import numeric
-
-        return getattr(numeric, name)
-    if name in _KERNEL_PARITY_NAMES:
-        from . import kernel_parity
-
-        return getattr(kernel_parity, name)
-    if name in _UNITS_NAMES:
-        from . import units
-
-        return getattr(units, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_SUBMODULE[name]}"), name)

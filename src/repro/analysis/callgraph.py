@@ -33,9 +33,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, TypeVar, Union
+from typing import Iterator, Mapping, Union
 
-from .walker import all_nodes, parse_refusal
+from .walker import Module, list_modules, module_name, package_root, read_module
 
 
 @dataclass(eq=False)
@@ -220,13 +220,8 @@ def _resolve_relative(module: ModuleInfo, node: ast.ImportFrom) -> str:
     return ".".join(base)
 
 
-def _index_module(
-    name: str, source: str, is_package: bool, filename: str
-) -> ModuleInfo:
-    tree = ast.parse(source, filename=filename)
-    module = ModuleInfo(
-        name=name, is_package=is_package, node=tree, nodes=all_nodes(tree)
-    )
+def _index_module(name: str, parsed: Module, is_package: bool) -> ModuleInfo:
+    module = ModuleInfo(name=name, is_package=is_package, node=parsed.tree, nodes=parsed.nodes)
 
     # Imports anywhere in the module (incl. inside function bodies — lazy
     # imports are common in this tree) feed the module-wide alias table.
@@ -246,7 +241,7 @@ def _index_module(
                     bound, ImportedName(target_mod, alias.name)
                 )
 
-    for stmt in tree.body:
+    for stmt in parsed.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             module.functions[stmt.name] = FunctionInfo(
                 module=module,
@@ -296,24 +291,24 @@ class _LazyModules(Mapping[str, ModuleInfo]):
 
     Membership, iteration and ``len`` answer from the name list alone, so
     a pass parses only the modules its analysis reaches.  A source is a
-    file path (read when parsed) or the source text itself.
+    path relative to ``root`` (read when parsed) or, with no root, the
+    source text itself.
     """
 
-    def __init__(self, sources: Mapping[str, tuple[Path | str, bool]]) -> None:
+    def __init__(self, sources: Mapping[str, tuple[str, bool]], root: Path | None) -> None:
         self._sources = dict(sources)
+        self._root = root
         self._parsed: dict[str, ModuleInfo] = {}
 
     def __getitem__(self, name: str) -> ModuleInfo:
         info = self._parsed.get(name)
         if info is None:
             source, is_package = self._sources[name]
-            if isinstance(source, Path):
-                text, filename = source.read_text(), str(source)
+            if self._root is None:
+                parsed = read_module(source, name)
             else:
-                text, filename = source, name
-            info = self._parsed[name] = _index_module(
-                name, text, is_package, filename
-            )
+                parsed = read_module((self._root / source).read_text(), source)
+            info = self._parsed[name] = _index_module(name, parsed, is_package)
         return info
 
     def __contains__(self, name: object) -> bool:
@@ -333,27 +328,29 @@ class ModuleIndex:
     the index lives as long as the analysis that built it.
     """
 
-    def __init__(self, sources: Mapping[str, tuple[Path | str, bool]]) -> None:
-        self.modules: Mapping[str, ModuleInfo] = _LazyModules(sources)
+    def __init__(
+        self, sources: Mapping[str, tuple[str, bool]], root: Path | None = None
+    ) -> None:
+        self.modules: Mapping[str, ModuleInfo] = _LazyModules(sources, root)
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_package(cls, root: Path, package: str) -> "ModuleIndex":
-        """Index every ``*.py`` under ``root`` as package ``package``."""
-        sources: dict[str, tuple[Path | str, bool]] = {}
-        for path in sorted(root.rglob("*.py")):
-            rel = path.relative_to(root)
-            parts = list(rel.parts)
-            is_package = parts[-1] == "__init__.py"
-            if is_package:
-                parts = parts[:-1]
-            else:
-                parts[-1] = parts[-1][:-3]
-            name = ".".join([package, *parts]) if parts else package
-            sources[name] = (path, is_package or name == package)
-        return cls(sources)
+    def from_package(
+        cls, root: Path | str | None, package: str = "repro"
+    ) -> "ModuleIndex":
+        """Index every ``*.py`` under ``root`` (``None``: the installed
+        ``repro`` package) as package ``package``.  A module that does not
+        parse refuses the tree when a lookup reaches it."""
+        base = package_root(root)
+        return cls(
+            {
+                module_name(package, rel): (rel, rel.rpartition("/")[2] == "__init__.py")
+                for rel in list_modules(base)
+            },
+            base,
+        )
 
     @classmethod
     def from_sources(cls, sources: Mapping[str, str]) -> "ModuleIndex":
@@ -444,21 +441,3 @@ class ModuleIndex:
             if cls is not None:
                 return cls
         return None
-
-
-T = TypeVar("T")
-
-
-def analyze_repro_tree(root: Path | None, analyze: Callable[[ModuleIndex], T]) -> T:
-    """Run ``analyze`` over an index of the ``repro`` tree rooted at ``root``.
-
-    ``None`` indexes the installed package.  A module the analysis reaches
-    that does not parse refuses the tree with the :class:`ValueError` of
-    :func:`~repro.analysis.walker.parse_refusal`, as every tree pass does.
-    """
-    base = Path(root) if root is not None else Path(__file__).resolve().parent.parent
-    try:
-        return analyze(ModuleIndex.from_package(base, "repro"))
-    except SyntaxError as exc:
-        rel = Path(str(exc.filename)).relative_to(base).as_posix()
-        raise parse_refusal(rel, exc) from exc

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .invariants import CON001, Diagnostic
-from .walker import all_nodes, sweep
+from .walker import TreePass, module_name, read_module, sweep_one
 
 #: module -> the names in it that start a thread or a process
 FAN_OUT_NAMES: Mapping[str, frozenset[str]] = {
@@ -76,9 +76,12 @@ def _dotted(expr: ast.expr) -> str | None:
 
 def fan_out_findings(source: str, module: str) -> list[Diagnostic]:
     """CON001 findings for one module's source text."""
+    return _fan_out(read_module(source, module).nodes, module)
+
+
+def _fan_out(nodes: list[ast.AST], module: str) -> list[Diagnostic]:
     # One walk per module: the alias table needs every import before an
-    # attribute can be read against it, so both loops iterate this list.
-    nodes = all_nodes(ast.parse(source, filename=module))
+    # attribute can be read against it, so both loops iterate ``nodes``.
     found: list[tuple[int, str]] = []
     # local name -> the module (or module member) it is bound to
     aliases: dict[str, str] = {}
@@ -122,11 +125,12 @@ def fan_out_findings(source: str, module: str) -> list[Diagnostic]:
     ]
 
 
-def _module_name(rel: str) -> str:
-    parts = ["repro", *Path(rel).with_suffix("").parts]
-    if parts[-1] == "__init__":
-        parts.pop()
-    return ".".join(parts)
+#: CON001 over every module outside ``repro.analysis``
+CONCURRENCY_PASS = TreePass(
+    "modules",
+    lambda rel: not rel.startswith("analysis/"),
+    lambda module: _fan_out(module.nodes, module_name("repro", module.rel)),
+)
 
 
 def analyze_concurrency(root: Path | None = None) -> list[Diagnostic]:
@@ -136,15 +140,4 @@ def analyze_concurrency(root: Path | None = None) -> list[Diagnostic]:
     Scans the installed package, or an explicit source tree rooted at
     ``root`` and laid out like it.  An empty result means no module
     imports or references a thread or process starter."""
-    base = Path(root) if root is not None else Path(__file__).resolve().parent.parent
-    rels = [
-        rel
-        for rel in (p.relative_to(base).as_posix() for p in sorted(base.rglob("*.py")))
-        if rel.partition("/")[0] != "analysis"
-    ]
-    return sweep(
-        base,
-        rels,
-        lambda source, rel: fan_out_findings(source, _module_name(rel)),
-        "modules",
-    )
+    return sweep_one(root, CONCURRENCY_PASS)

@@ -54,7 +54,6 @@ from .callgraph import (
     ModuleIndex,
     ModuleInfo,
     TypeAlias,
-    analyze_repro_tree,
 )
 from .invariants import CAC001, CAC002, CAC003, PUR001, PUR002, Diagnostic
 
@@ -1184,6 +1183,4 @@ def analyze_cache_safety(root: Path | None = None) -> list[Diagnostic]:
     theorem: no attribute the evaluation reads escapes the fingerprint,
     and the evaluation is pure.
     """
-    return analyze_repro_tree(
-        root, lambda index: analyze_memoized(index, simulator_contract())
-    )
+    return analyze_memoized(ModuleIndex.from_package(root), simulator_contract())

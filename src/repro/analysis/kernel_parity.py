@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .callgraph import ClassInfo, ModuleIndex, ModuleInfo, analyze_repro_tree
+from .callgraph import ClassInfo, ModuleIndex, ModuleInfo
 from .dataflow import MemoContract, _Analyzer
 from .invariants import PAR001, PAR002, PAR003, Diagnostic
 
@@ -434,7 +434,4 @@ def analyze_kernel_parity(root: Path | None = None) -> list[Diagnostic]:
     by a live kernel column, no kernel column lacks a declared scalar
     provenance, and every replicated constant matches its source.
     """
-    return analyze_repro_tree(
-        root,
-        lambda index: analyze_kernel_parity_tree(index, kernel_parity_contract()),
-    )
+    return analyze_kernel_parity_tree(ModuleIndex.from_package(root), kernel_parity_contract())

@@ -38,7 +38,7 @@ from .invariants import (
     LNT008,
     Diagnostic,
 )
-from .walker import all_nodes
+from .walker import Module, TreePass, Unparsable, read_module, sweep_one
 
 #: module paths (relative, POSIX) where ``print`` is user-facing output
 PRINT_ALLOWED_PREFIXES = ("cli.py", "__main__.py", "bench/")
@@ -156,6 +156,16 @@ def _is_frozen(dec: ast.expr) -> bool:
     return False
 
 
+def _does_not_parse(exc: Unparsable) -> list[Diagnostic]:
+    return [
+        LNT002.diag(
+            f"{exc.rel}:{exc.error.lineno or 0}",
+            f"file does not parse: {exc.error.msg}",
+            hint="fix the syntax error first",
+        )
+    ]
+
+
 def lint_source(source: str, rel_path: str) -> list[Diagnostic]:
     """Run every lint rule over one module's source text.
 
@@ -163,19 +173,16 @@ def lint_source(source: str, rel_path: str) -> list[Diagnostic]:
     (POSIX separators); it decides which path-scoped rules apply.
     """
     try:
-        tree = ast.parse(source, filename=rel_path)
-    except SyntaxError as exc:
-        return [
-            LNT002.diag(
-                f"{rel_path}:{exc.lineno or 0}",
-                f"file does not parse: {exc.msg}",
-                hint="fix the syntax error first",
-            )
-        ]
-    lines = source.splitlines()
+        return _lint_module(read_module(source, rel_path))
+    except Unparsable as exc:
+        return _does_not_parse(exc)
+
+
+def _lint_module(module: Module) -> list[Diagnostic]:
+    rel_path, lines = module.rel, module.lines
     out: list[Diagnostic] = []
     # One walk per module; every rule below iterates this list.
-    nodes = all_nodes(tree)
+    nodes = module.nodes
 
     print_allowed = rel_path.startswith(PRINT_ALLOWED_PREFIXES)
     logging_allowed = rel_path.startswith(LOGGING_BRIDGE_PREFIXES)
@@ -350,17 +357,15 @@ def lint_source(source: str, rel_path: str) -> list[Diagnostic]:
     return out
 
 
-def lint_path(path: Path, root: Path) -> list[Diagnostic]:
-    """Lint one file; ``root`` is the package root the rules are scoped to."""
-    rel = path.relative_to(root).as_posix()
-    return lint_source(path.read_text(), rel)
+#: every rule over every module; a module that does not parse is LNT002
+LINT_PASS = TreePass(
+    "modules", lambda rel: True, _lint_module, unparsable=_does_not_parse, sort=False
+)
 
 
 def lint_tree(root: Path | str | None = None) -> list[Diagnostic]:
     """Lint every ``*.py`` under the package root (default: ``repro``'s own
-    source tree, wherever it is installed)."""
-    base = Path(root) if root is not None else Path(__file__).resolve().parent.parent
-    out: list[Diagnostic] = []
-    for path in sorted(base.rglob("*.py")):
-        out.extend(lint_path(path, base))
-    return out
+    source tree, wherever it is installed).
+
+    Raises :class:`ValueError` when the tree holds no module."""
+    return sweep_one(root, LINT_PASS)

@@ -46,7 +46,7 @@ from functools import reduce
 from pathlib import Path
 
 from .invariants import NUM001, NUM002, NUM003, NUM004, NUM005, Diagnostic
-from .walker import Walker, literal_number, sweep
+from .walker import TreePass, Walker, literal_number, read_module, sweep_one
 
 #: NumPy reductions whose float rounding is order-sensitive (NUM002).
 _ORDER_SENSITIVE = frozenset(
@@ -592,7 +592,13 @@ class _NumericWalker(Walker[_Info]):
 
 def numeric_findings(source: str, rel_path: str) -> list[Diagnostic]:
     """NUM001-NUM005 findings for one module's source text."""
-    return _NumericWalker(source, rel_path).run()
+    return _NumericWalker(read_module(source, rel_path)).run()
+
+
+#: NUM001-NUM005 over every module under ``sim/``
+NUMERIC_PASS = TreePass(
+    "sim/ modules", lambda rel: rel.startswith("sim/"), lambda module: _NumericWalker(module).run()
+)
 
 
 def analyze_numeric(root: Path | None = None) -> list[Diagnostic]:
@@ -604,8 +610,4 @@ def analyze_numeric(root: Path | None = None) -> list[Diagnostic]:
     :class:`ValueError` when there is nothing to scan — a silent no-op
     analysis would report a clean bill it never earned.
     """
-    base = root if root is not None else Path(__file__).resolve().parent.parent
-    sim_dir = Path(base) / "sim"
-    files = sorted(sim_dir.rglob("*.py")) if sim_dir.is_dir() else []
-    rels = [path.relative_to(Path(base)).as_posix() for path in files]
-    return sweep(base, rels, numeric_findings, "sim/ modules")
+    return sweep_one(root, NUMERIC_PASS)

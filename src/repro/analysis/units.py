@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .invariants import UNI001, UNI002, UNI003, UNI004, UNI005, Diagnostic
-from .walker import Walker, literal_number, sweep
+from .walker import Module, TreePass, Walker, literal_number, read_module, sweep_one
 
 #: A unit is a sorted tuple of (dimension, exponent) pairs; ``()`` is
 #: dimensionless and ``None`` is unknown.
@@ -288,8 +288,8 @@ class _UnitWalker(Walker[tuple | None]):
     UNKNOWN = None
     WAIVER = re.compile(r"#\s*unit-ok:\s*(UNI\d{3})")
 
-    def __init__(self, source: str, rel_path: str, tables: UnitTables) -> None:
-        super().__init__(source, rel_path)
+    def __init__(self, module: Module, tables: UnitTables) -> None:
+        super().__init__(module)
         self.tables = tables
         #: module-level string constants (stream-name resolution, UNI005)
         self.str_constants: dict[str, str] = {
@@ -621,7 +621,7 @@ def units_findings(
     """Run the dimensional walk over one module's source text."""
     if tables is None:
         tables = load_tables()
-    return _UnitWalker(source, rel_path, tables).run()
+    return _UnitWalker(read_module(source, rel_path), tables).run()
 
 
 def _conversion_drift(tree: ast.Module, rel: str, tables: UnitTables) -> list[Diagnostic]:
@@ -658,6 +658,20 @@ def _conversion_drift(tree: ast.Module, rel: str, tables: UnitTables) -> list[Di
     return out
 
 
+def _check_units(module: Module) -> list[Diagnostic]:
+    tables = load_tables()
+    diagnostics = _UnitWalker(module, tables).run()
+    if module.rel == "sim/units_constants.py":
+        diagnostics.extend(_conversion_drift(module.tree, module.rel, tables))
+    return diagnostics
+
+
+#: UNI001-UNI005 over the :data:`SCOPE_MODULES`
+UNITS_PASS = TreePass(
+    "cost-model modules", {rel for _, rel in SCOPE_MODULES}.__contains__, _check_units
+)
+
+
 def analyze_units(root: Path | None = None) -> list[Diagnostic]:
     """Run the dimensional-analysis pass over the cost-model modules.
 
@@ -671,14 +685,4 @@ def analyze_units(root: Path | None = None) -> list[Diagnostic]:
     :class:`ValueError` when none of the scope modules exist under
     ``root`` — a silent no-op would report a clean bill it never earned.
     """
-    base = root if root is not None else Path(__file__).resolve().parent.parent
-    tables = load_tables()
-
-    def check(source: str, rel: str) -> list[Diagnostic]:
-        walker = _UnitWalker(source, rel, tables)
-        diagnostics = walker.run()
-        if rel == "sim/units_constants.py":
-            diagnostics.extend(_conversion_drift(walker.tree, rel, tables))
-        return diagnostics
-
-    return sweep(base, [rel for _, rel in SCOPE_MODULES], check, "cost-model modules")
+    return sweep_one(root, UNITS_PASS)

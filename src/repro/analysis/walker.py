@@ -1,14 +1,17 @@
-"""The intraprocedural abstract-interpretation walker behind NUM and UNI.
+"""The module reader behind every tree pass, and the walker behind NUM and UNI.
+
+Every whole-tree ``repro check`` pass reads its tree through
+:func:`list_modules` and :func:`read_module`; :func:`sweep` runs the
+per-module passes (:class:`TreePass`) in one read of the tree.
 
 :mod:`repro.analysis.numeric` and :mod:`repro.analysis.units` interpret
 the same Python subset over different lattices: dtype / zero / negative
-/ finite evidence for NUM, a unit exponent map for UNI.  This module is
-everything they share — waiver parsing, numpy-alias discovery, the
+/ finite evidence for NUM, a unit exponent map for UNI.  :class:`Walker`
+is everything they share — waiver parsing, numpy-alias discovery, the
 statement and expression walk, comprehension scoping, target binding,
-the branch join, the ``flag`` helper, and the scan-and-sort entry
-skeleton.  A domain subclasses :class:`Walker` and supplies only its
-lattice and its rules through the hooks below; the walk itself never
-asks which domain it serves.
+the branch join, and the ``flag`` helper.  A domain subclasses
+:class:`Walker` and supplies only its lattice and its rules through the
+hooks below; the walk itself never asks which domain it serves.
 
 Hooks (each defaults to "know nothing", so a bare :class:`Walker` is the
 null domain): :meth:`~Walker.join`, :meth:`~Walker.bind_name`,
@@ -43,7 +46,8 @@ from __future__ import annotations
 
 import ast
 import re
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Generic, TypeVar
 
@@ -88,39 +92,115 @@ def sort_diagnostics(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
     return sorted(diagnostics, key=lambda d: (d.rule_id, d.location, d.message))
 
 
-def parse_refusal(rel: str, exc: SyntaxError) -> ValueError:
+class Unparsable(ValueError):
     """A tree pass's refusal of module ``rel``, which does not parse."""
-    return ValueError(f"cannot parse {rel}:{exc.lineno}: {exc.msg}")
+
+    def __init__(self, rel: str, error: SyntaxError) -> None:
+        super().__init__(f"cannot parse {rel}:{error.lineno}: {error.msg}")
+        self.rel, self.error = rel, error
+
+
+@dataclass(frozen=True)
+class Module:
+    """One parsed module, as every pass reads it."""
+
+    #: the module's path relative to the tree root (POSIX separators)
+    rel: str
+    lines: list[str]
+    tree: ast.Module
+    #: every node of ``tree`` in ``ast.walk`` order: the module's one walk
+    nodes: list[ast.AST]
+
+
+def read_module(source: str, rel: str) -> Module:
+    """Parse ``source`` as module ``rel`` (every tree pass parses here), or refuse it."""
+    try:
+        tree = ast.parse(source, filename=rel)
+    except SyntaxError as exc:
+        raise Unparsable(rel, exc) from exc
+    return Module(rel, source.splitlines(), tree, all_nodes(tree))
+
+
+def package_root(root: Path | str | None) -> Path:
+    """The tree a pass reads: ``root``, or the installed ``repro`` package."""
+    return Path(root) if root is not None else Path(__file__).resolve().parent.parent
+
+
+def list_modules(base: Path) -> list[str]:
+    """Every ``*.py`` under ``base``, relative to it, in path order."""
+    return [path.relative_to(base).as_posix() for path in sorted(base.rglob("*.py"))]
+
+
+def module_name(package: str, rel: str) -> str:
+    """The dotted name of module ``rel``, a path under ``package``'s root."""
+    parts = [package, *rel[: -len(".py")].split("/")]
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+@dataclass(frozen=True)
+class TreePass:
+    """A pass that checks a tree one module at a time."""
+
+    #: the modules the pass reads, named in its empty-scope refusal
+    what: str
+    #: whether the module at a relative path is in the pass's scope
+    scope: Callable[[str], bool]
+    check: Callable[[Module], list[Diagnostic]]
+    #: the findings on a module that does not parse; ``None`` refuses the tree
+    unparsable: Callable[[Unparsable], list[Diagnostic]] | None = None
+    #: report in :func:`sort_diagnostics` order rather than as found
+    sort: bool = True
 
 
 def sweep(
-    base: Path,
-    rels: Iterable[str],
-    check: Callable[[str, str], list[Diagnostic]],
-    what: str,
-) -> list[Diagnostic]:
-    """Run ``check(source, rel)`` over every existing ``base / rel``.
+    root: Path | str | None, passes: Mapping[str, TreePass]
+) -> dict[str, list[Diagnostic] | ValueError]:
+    """Run every pass of ``passes`` over the tree at ``root`` in one read.
 
-    Raises :class:`ValueError` when none exists — a silent no-op
-    analysis would report a clean bill it never earned — or when one
-    does not parse, naming the module and line.
+    Each module is parsed at most once, handed to every pass whose scope
+    holds it, then dropped.  A pass ends with its findings, or with the
+    :class:`ValueError` that refuses the tree: its scope holds no module
+    (a no-op analysis would report a clean bill it never earned), a
+    module in it does not parse, or its check raised.
     """
-    diagnostics: list[Diagnostic] = []
-    found = False
-    for rel in rels:
-        path = Path(base) / rel
-        if not path.is_file():
+    base = package_root(root)
+    found: dict[str, list[Diagnostic]] = {}
+    refused: dict[str, ValueError] = {}
+    for rel in list_modules(base) if passes else []:
+        live = [name for name, p in passes.items() if p.scope(rel) and name not in refused]
+        if not live:
             continue
-        found = True
         try:
-            diagnostics.extend(check(path.read_text(), rel))
-        except SyntaxError as exc:
-            raise parse_refusal(rel, exc) from exc
-    if not found:
-        raise ValueError(f"no {what} to analyze under {base}")
-    return sort_diagnostics(diagnostics)
+            module = read_module((base / rel).read_text(), rel)
+        except Unparsable as exc:
+            for name in live:
+                unparsable = passes[name].unparsable
+                if unparsable is None:
+                    refused[name] = exc
+                else:
+                    found.setdefault(name, []).extend(unparsable(exc))
+            continue
+        for name in live:
+            try:
+                found.setdefault(name, []).extend(passes[name].check(module))
+            except ValueError as exc:
+                refused[name] = exc
+        del module  # before the next parse: one tree alive at a time
+    for name, p in passes.items():
+        if name not in found and name not in refused:
+            refused[name] = ValueError(f"no {p.what} to analyze under {base}")
+    return {
+        name: refused.get(name) or (sort_diagnostics(found[name]) if p.sort else found[name])
+        for name, p in passes.items()
+    }
 
 
+def sweep_one(root: Path | str | None, tree_pass: TreePass) -> list[Diagnostic]:
+    """One pass's findings over the tree at ``root``; raises its refusal."""
+    result = sweep(root, {"": tree_pass})[""]
+    if isinstance(result, ValueError):
+        raise result
+    return result
 class Walker(Generic[V]):
     """One module's walk over the lattice ``V``."""
 
@@ -129,17 +209,17 @@ class Walker(Generic[V]):
     #: in-place waiver comment; group 1 is the waived rule id
     WAIVER: re.Pattern[str]
 
-    def __init__(self, source: str, rel_path: str) -> None:
-        self.rel_path = rel_path
-        self.tree = ast.parse(source, filename=rel_path)
+    def __init__(self, module: Module) -> None:
+        self.rel_path = module.rel
+        self.tree = module.tree
         self.diags: list[Diagnostic] = []
         self.waived: dict[int, set[str]] = {}
-        for lineno, line in enumerate(source.splitlines(), start=1):
+        for lineno, line in enumerate(module.lines, start=1):
             rules = set(self.WAIVER.findall(line))
             if rules:
                 self.waived[lineno] = rules
         #: every node of the module in ``ast.walk`` order (its one walk)
-        self.nodes = all_nodes(self.tree)
+        self.nodes = module.nodes
         #: local names bound to the numpy module (``import numpy as np``)
         self.np_names: set[str] = {
             alias.asname or "numpy"

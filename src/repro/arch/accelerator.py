@@ -14,12 +14,11 @@ Global Controller's LOAD phase would stream over the bus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.allocation.tiles import Allocation
-from ..models.layers import LayerSpec
 from ..sim.quantization import offset_encode
 from .config import DEFAULT_CONFIG, HardwareConfig
 from .mapping import LayerMapping

@@ -12,13 +12,12 @@ analytic model.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from ..core.allocation.tiles import Allocation
 from ..models.graph import Network
 from .config import DEFAULT_CONFIG, HardwareConfig
-from .mapping import LayerMapping
 
 
 class Opcode(enum.Enum):

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..core.allocation.tiles import Allocation
 from ..models.graph import Network

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..arch.config import (
     DEFAULT_CANDIDATES,
-    RECTANGLE_CANDIDATES,
     SQUARE_CANDIDATES,
     CrossbarShape,
     HardwareConfig,
@@ -36,7 +35,6 @@ from ..core.search import (
     sized_candidates,
 )
 from ..models import LayerSpec, Network, alexnet, resnet152, vgg16
-from ..models.layers import LayerType
 from ..models.zoo import get_model
 from ..sim.cache import CacheStats
 from ..sim.metrics import SystemMetrics

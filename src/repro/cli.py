@@ -305,35 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: The whole-tree ``repro check`` passes, in run order: (flag, narration,
-#: ``repro.analysis`` entry point).  Each runs under its flag, or in the
-#: default sweep.
+#: The whole-tree ``repro check`` passes, in run order after the lint:
+#: (flag, narration, ``repro.analysis`` entry point or per-module
+#: ``TreePass``).  Each runs under its flag, or in the default sweep.
 _TREE_PASSES = (
-    (
-        "cache_safety",
-        "checking cache-key soundness of the memoized simulator",
-        "analyze_cache_safety",
-    ),
-    (
-        "concurrency",
-        "checking concurrency safety: no thread or process fan-out",
-        "analyze_concurrency",
-    ),
-    (
-        "numeric",
-        "checking numeric safety of the simulator tree",
-        "analyze_numeric",
-    ),
-    (
-        "kernel_parity",
-        "checking scalar/vectorized kernel parity",
-        "analyze_kernel_parity",
-    ),
-    (
-        "units",
-        "checking dimensional consistency of the cost model",
-        "analyze_units",
-    ),
+    ("cache_safety", "checking cache-key soundness of the memoized simulator",
+     "analyze_cache_safety"),
+    ("concurrency", "checking concurrency safety: no thread or process fan-out",
+     "CONCURRENCY_PASS"),
+    ("numeric", "checking numeric safety of the simulator tree", "NUMERIC_PASS"),
+    ("kernel_parity", "checking scalar/vectorized kernel parity", "analyze_kernel_parity"),
+    ("units", "checking dimensional consistency of the cost model", "UNITS_PASS"),
 )
 
 
@@ -352,7 +334,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         check_plan_dict,
     )
     from .analysis.invariants import Report, ratchet_violations
-    from .analysis.lint import lint_tree
+    from .analysis.walker import TreePass, sweep
     from .arch.config import DEFAULT_CONFIG
     from .arch.mapping import map_layer
     from .core.allocation import allocate_tile_based, apply_tile_sharing
@@ -465,22 +447,32 @@ def cmd_check(args: argparse.Namespace) -> int:
     # must be laid out like the repro package); default is the installed
     # package itself.
     root = Path(args.source) if args.source else None
-    if args.source is not None or not targeted:
-        say(f"linting source tree: {root or 'repro package'}")
-        report.extend(lint_tree(root))
+    lint = ("source", f"linting source tree: {root or 'repro package'}", "LINT_PASS")
+    selected = [
+        (flag, narration, getattr(analysis, name))
+        for flag, narration, name in (lint, *_TREE_PASSES)
+        if not targeted or (args.source is not None if flag == "source" else getattr(args, flag))
+    ]
+    # One read of the tree runs every selected per-module pass.
+    swept = sweep(root, {flag: e for flag, _, e in selected if isinstance(e, TreePass)})
 
-    # A pass that refuses the tree (a missing root, an unparsable
-    # module) is reported on stderr and fails the run; the other passes
-    # still run.
+    # A pass that refuses the tree (a missing or empty root, an
+    # unparsable module) is reported on stderr and fails the run; the
+    # other passes still run.
     refused = False
-    for flag, narration, entry_point in _TREE_PASSES:
-        if getattr(args, flag) or not targeted:
-            say(narration)
+    for flag, narration, entry in selected:
+        say(narration)
+        outcome = swept.get(flag)
+        if outcome is None:
             try:
-                report.extend(getattr(analysis, entry_point)(root))
+                outcome = entry(root)
             except ValueError as exc:
-                print(f"check: --{flag.replace('_', '-')}: {exc}", file=sys.stderr)
-                refused = True
+                outcome = exc
+        if isinstance(outcome, ValueError):
+            print(f"check: --{flag.replace('_', '-')}: {outcome}", file=sys.stderr)
+            refused = True
+        else:
+            report.extend(outcome)
 
     exit_code = 1 if refused else report.exit_code
     violations: list[str] = []

@@ -10,9 +10,8 @@ Fig. 4 quantifies and the tile-shared scheme (§3.4) removes.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from ...arch.config import CrossbarShape
 from ...arch.mapping import LayerMapping
 from .tiles import Allocation, Tile
 

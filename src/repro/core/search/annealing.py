@@ -24,7 +24,7 @@ from ...models.graph import Network
 from ...obs import metrics as obs_metrics
 from ...obs.trace import Tracer
 from ...sim.metrics import SystemMetrics
-from ...sim.simulator import CapacityError, Simulator, Strategy
+from ...sim.simulator import CapacityError, Simulator
 from .strategies import SearchOutcome, _search_tracer
 
 

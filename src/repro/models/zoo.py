@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from .datasets import CIFAR10, IMAGENET, MNIST, DatasetSpec, get_dataset
 from .graph import Network
-from .layers import LayerSpec, LayerType, PoolSpec, Stage
+from .layers import LayerSpec, PoolSpec, Stage
 
 
 def _from_layers(

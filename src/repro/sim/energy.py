@@ -25,7 +25,6 @@ from __future__ import annotations
 from ..arch.config import HardwareConfig
 from ..arch.mapping import LayerMapping
 from ..models.graph import Network
-from ..models.layers import LayerSpec
 from .units_constants import NW_NS_TO_NJ
 from .metrics import EnergyBreakdown
 

@@ -19,7 +19,6 @@ Pooling stages add one pooling-module cycle per pooled output element.
 
 from __future__ import annotations
 
-import math
 
 from ..arch.config import HardwareConfig
 from ..arch.mapping import LayerMapping

@@ -27,7 +27,7 @@ from typing import Sequence
 from ..arch.config import CrossbarShape, DEFAULT_CONFIG, HardwareConfig
 from ..arch.mapping import map_layer
 from ..models.graph import Network
-from .latency import layer_latency_ns, pooling_latency_ns
+from .latency import layer_latency_ns
 from .units_constants import NS_PER_S
 
 

@@ -125,6 +125,35 @@ class TestCheckSource:
         assert main(["check", "--source", str(tmp_path)]) == 1
         assert "LNT002" in capsys.readouterr().out
 
+    # A tree with no module to lint is refused, not passed: a lint of
+    # nothing would report a clean bill it never earned.
+    @staticmethod
+    def no_modules(tmp_path, kind):
+        if kind == "missing":
+            return tmp_path / "nonexistent_dir"
+        (tmp_path / "empty").mkdir()
+        return tmp_path / "empty"
+
+    @pytest.mark.parametrize("kind", ["missing", "empty"])
+    def test_tree_without_modules_is_refused(self, tmp_path, capsys, kind):
+        tree = self.no_modules(tmp_path, kind)
+        assert main(["check", "--source", str(tree)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"check: --source: no modules to analyze under {tree}"
+        ]
+        assert "check passed" not in captured.out
+
+    @pytest.mark.parametrize("kind", ["missing", "empty"])
+    def test_tree_without_modules_json_is_not_ok(self, tmp_path, capsys, kind):
+        tree = self.no_modules(tmp_path, kind)
+        assert main(["check", "--source", str(tree), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["ok"] is False
+        assert captured.err.splitlines() == [
+            f"check: --source: no modules to analyze under {tree}"
+        ]
+
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

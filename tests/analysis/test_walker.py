@@ -194,13 +194,13 @@ class TestNullDomain:
     def test_walks_every_construct_and_reports_nothing(self):
         import re
 
-        from repro.analysis.walker import Walker
+        from repro.analysis.walker import Walker, read_module
 
         class Null(Walker[None]):
             UNKNOWN = None
             WAIVER = re.compile(r"#\s*null-ok:\s*(X\d{3})")
 
-        assert Null(self.SOURCE, "mod.py").run() == []
+        assert Null(read_module(self.SOURCE, "mod.py")).run() == []
 
 
 class TestUnitsScope:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.arch.accelerator import HeterogeneousAccelerator
 from repro.arch.config import CrossbarShape, HardwareConfig
-from repro.models import lenet, tiny_cnn
 from repro.sim import Simulator
 from repro.sim.functional import random_weights, unfold_weights
 from repro.sim.quantization import quantize

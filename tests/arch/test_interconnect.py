@@ -5,7 +5,6 @@ import pytest
 from repro.arch.config import CrossbarShape
 from repro.arch.interconnect import (
     InterconnectConfig,
-    TrafficReport,
     traffic_report,
 )
 from repro.sim import Simulator

@@ -3,7 +3,6 @@ property-based verification against brute-force occupancy grids."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

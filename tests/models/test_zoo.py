@@ -5,8 +5,6 @@ from collections import Counter
 import pytest
 
 from repro.models import (
-    CIFAR10,
-    IMAGENET,
     MNIST,
     alexnet,
     get_model,

@@ -20,7 +20,6 @@ import json
 import math
 from pathlib import Path
 
-import pytest
 
 from repro.arch.config import CrossbarShape, DEFAULT_CANDIDATES
 from repro.core.search.strategies import (

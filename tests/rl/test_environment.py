@@ -8,10 +8,8 @@ from repro.core.rl.environment import (
     STATE_DIM,
     CrossbarSearchEnv,
     reward_energy,
-    reward_rue,
     reward_utilization,
 )
-from repro.models import lenet
 from repro.sim import Simulator
 
 

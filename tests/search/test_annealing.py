@@ -5,11 +5,8 @@ import pytest
 from repro.arch.config import CrossbarShape, DEFAULT_CANDIDATES
 from repro.core.search import (
     AnnealingSchedule,
-    best_homogeneous,
     simulated_annealing,
 )
-from repro.models import lenet
-from repro.sim import Simulator
 
 
 class TestSchedule:

@@ -5,8 +5,6 @@ import pytest
 from repro.arch.config import CrossbarShape, DEFAULT_CANDIDATES
 from repro.core import AutoHet, autohet_search
 from repro.core.search import homogeneous_strategy, random_search
-from repro.models import lenet, tiny_cnn
-from repro.sim import Simulator
 
 
 class TestSearchResult:

@@ -13,8 +13,6 @@ from repro.core.search import (
     manual_hetero_strategy,
     random_search,
 )
-from repro.models import lenet, tiny_cnn, vgg16
-from repro.sim import Simulator
 
 SMALL_CANDIDATES = (CrossbarShape(36, 32), CrossbarShape(288, 256))
 

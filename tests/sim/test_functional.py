@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.config import CrossbarShape, DEFAULT_CANDIDATES, HardwareConfig
-from repro.models import lenet, tiny_cnn
 from repro.models.layers import LayerSpec
 from repro.sim.functional import (
     FunctionalLayerEngine,

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch.config import CrossbarShape, HardwareConfig
 from repro.arch.mapping import map_layer
-from repro.models import CIFAR10, MNIST, Network
+from repro.models import CIFAR10, Network
 from repro.models.layers import LayerSpec
 from repro.sim import Simulator
 from repro.sim.energy import layer_dynamic_energy

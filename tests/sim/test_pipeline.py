@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.config import CrossbarShape
-from repro.models import lenet, vgg16
+from repro.models import lenet
 from repro.sim.pipeline import (
-    PipelineReport,
     pipeline_report,
     replication_crossbar_cost,
 )

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.sim.quantization import (
-    QuantizedTensor,
     bit_slices,
     from_bit_slices,
     offset_decode_dot,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.arch.config import CrossbarShape, HardwareConfig
-from repro.models import lenet, tiny_cnn
 from repro.sim import CapacityError, Simulator
 from repro.sim.metrics import SystemMetrics
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch.config import CrossbarShape, HardwareConfig
+from repro.arch.config import CrossbarShape
 from repro.models.layers import LayerSpec
 from repro.sim.functional import FunctionalLayerEngine, unfold_weights
 from repro.sim.quantization import quantize

@@ -16,7 +16,6 @@ from repro.bench import (
     table5_area_latency,
 )
 from repro.bench.reporting import format_table, format_value, normalize_series
-from repro.models import lenet
 
 FAST = dict(rounds=25, seed=0)
 
