@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Union
 
-from .walker import Module, list_modules, module_name, package_root, read_module
+from .walker import ParsedModule, list_modules, module_name, package_root, read_module
 
 
 @dataclass(eq=False)
@@ -220,7 +220,7 @@ def _resolve_relative(module: ModuleInfo, node: ast.ImportFrom) -> str:
     return ".".join(base)
 
 
-def _index_module(name: str, parsed: Module, is_package: bool) -> ModuleInfo:
+def _index_module(name: str, parsed: ParsedModule, is_package: bool) -> ModuleInfo:
     module = ModuleInfo(name=name, is_package=is_package, node=parsed.tree, nodes=parsed.nodes)
 
     # Imports anywhere in the module (incl. inside function bodies — lazy

@@ -38,7 +38,7 @@ from .invariants import (
     LNT008,
     Diagnostic,
 )
-from .walker import Module, TreePass, Unparsable, read_module, sweep_one
+from .walker import ParsedModule, TreePass, Unparsable, read_module, sweep_one
 
 #: module paths (relative, POSIX) where ``print`` is user-facing output
 PRINT_ALLOWED_PREFIXES = ("cli.py", "__main__.py", "bench/")
@@ -178,7 +178,7 @@ def lint_source(source: str, rel_path: str) -> list[Diagnostic]:
         return _does_not_parse(exc)
 
 
-def _lint_module(module: Module) -> list[Diagnostic]:
+def _lint_module(module: ParsedModule) -> list[Diagnostic]:
     rel_path, lines = module.rel, module.lines
     out: list[Diagnostic] = []
     # One walk per module; every rule below iterates this list.

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .invariants import UNI001, UNI002, UNI003, UNI004, UNI005, Diagnostic
-from .walker import Module, TreePass, Walker, literal_number, read_module, sweep_one
+from .walker import ParsedModule, TreePass, Walker, literal_number, read_module, sweep_one
 
 #: A unit is a sorted tuple of (dimension, exponent) pairs; ``()`` is
 #: dimensionless and ``None`` is unknown.
@@ -288,7 +288,7 @@ class _UnitWalker(Walker[tuple | None]):
     UNKNOWN = None
     WAIVER = re.compile(r"#\s*unit-ok:\s*(UNI\d{3})")
 
-    def __init__(self, module: Module, tables: UnitTables) -> None:
+    def __init__(self, module: ParsedModule, tables: UnitTables) -> None:
         super().__init__(module)
         self.tables = tables
         #: module-level string constants (stream-name resolution, UNI005)
@@ -658,7 +658,8 @@ def _conversion_drift(tree: ast.Module, rel: str, tables: UnitTables) -> list[Di
     return out
 
 
-def _check_units(module: Module) -> list[Diagnostic]:
+def _check_units(module: ParsedModule) -> list[Diagnostic]:
+    # Rebuilt per module (about 0.1 ms): the pass keeps no state between sweeps.
     tables = load_tables()
     diagnostics = _UnitWalker(module, tables).run()
     if module.rel == "sim/units_constants.py":

@@ -88,7 +88,7 @@ def all_nodes(tree: ast.AST) -> list[ast.AST]:
 
 
 def sort_diagnostics(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
-    """The canonical report order shared by every NUM/UNI entry point."""
+    """The canonical report order of the CON, NUM and UNI passes."""
     return sorted(diagnostics, key=lambda d: (d.rule_id, d.location, d.message))
 
 
@@ -101,7 +101,7 @@ class Unparsable(ValueError):
 
 
 @dataclass(frozen=True)
-class Module:
+class ParsedModule:
     """One parsed module, as every pass reads it."""
 
     #: the module's path relative to the tree root (POSIX separators)
@@ -112,13 +112,13 @@ class Module:
     nodes: list[ast.AST]
 
 
-def read_module(source: str, rel: str) -> Module:
+def read_module(source: str, rel: str) -> ParsedModule:
     """Parse ``source`` as module ``rel`` (every tree pass parses here), or refuse it."""
     try:
         tree = ast.parse(source, filename=rel)
     except SyntaxError as exc:
         raise Unparsable(rel, exc) from exc
-    return Module(rel, source.splitlines(), tree, all_nodes(tree))
+    return ParsedModule(rel, source.splitlines(), tree, all_nodes(tree))
 
 
 def package_root(root: Path | str | None) -> Path:
@@ -145,7 +145,7 @@ class TreePass:
     what: str
     #: whether the module at a relative path is in the pass's scope
     scope: Callable[[str], bool]
-    check: Callable[[Module], list[Diagnostic]]
+    check: Callable[[ParsedModule], list[Diagnostic]]
     #: the findings on a module that does not parse; ``None`` refuses the tree
     unparsable: Callable[[Unparsable], list[Diagnostic]] | None = None
     #: report in :func:`sort_diagnostics` order rather than as found
@@ -209,7 +209,7 @@ class Walker(Generic[V]):
     #: in-place waiver comment; group 1 is the waived rule id
     WAIVER: re.Pattern[str]
 
-    def __init__(self, module: Module) -> None:
+    def __init__(self, module: ParsedModule) -> None:
         self.rel_path = module.rel
         self.tree = module.tree
         self.diags: list[Diagnostic] = []
