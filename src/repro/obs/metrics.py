@@ -21,9 +21,10 @@ from .trace import Tracer
 
 # -- span names ------------------------------------------------------
 SPAN_EVALUATE = "sim.evaluate"        #: one cold Simulator.evaluate
-SPAN_SCORE_BATCH = "sim.score_batch"  #: one (S, L) kernel pass of evaluate_many
+SPAN_SCORE_BATCH = "sim.score_batch"  #: one (S, L) kernel pass, S >= 1
+# The three stages below trace only the reference path (memoize_costs off).
 SPAN_MAP = "sim.map"                  #: weight-matrix -> crossbar mapping
-SPAN_ALLOCATE = "sim.allocate"        #: allocation / summary (Algorithm 1)
+SPAN_ALLOCATE = "sim.allocate"        #: materialised allocation (Algorithm 1)
 SPAN_COST = "sim.cost"                #: energy/latency/area rollup
 SPAN_SEARCH = "search"                #: one whole strategy search
 SPAN_EPISODE = "search.episode"       #: one RL episode (decide+eval+learn)

@@ -15,10 +15,14 @@ re-expresses the whole model as array kernels:
   Eq. 4 / Fig. 7 group counts for one strategy (arrays of shape ``(L,)``)
   or a whole candidate batch (shape ``(S, L)``), computed with integer
   array ceils — no :class:`~repro.arch.mapping.LayerMapping` objects;
-* energy / latency / area / utilization kernels over those arrays, plus a
-  strategy-batched scorer (:func:`score_strategy_batch`) that rolls an
-  ``(S, L)`` matrix of candidate shapes into ``S`` full
-  :class:`~repro.sim.metrics.SystemMetrics` in one shot.
+* energy / latency / area / utilization kernels over those arrays, run
+  once per (network, config) into a memoised :class:`ShapeTable`;
+* the simulator's one fast path, :func:`score_strategy_batch`, which
+  rolls an ``(S, L)`` matrix of candidate shapes into ``S`` full
+  :class:`~repro.sim.metrics.SystemMetrics` in two stages: the kernel
+  gather (:func:`strategy_view`) and, per strategy, metric assembly
+  (:func:`metrics_from_view`).  A cold
+  :meth:`~repro.sim.simulator.Simulator.evaluate` is a batch of one.
 
 **Exactness contract.**  Kernel results are *bit-identical* to the scalar
 reference, not merely close (``tests/sim/test_vectorized_parity.py`` and
@@ -665,32 +669,39 @@ def shape_table(
 
 
 def strategy_view(
-    network: Network, strategy: Sequence[CrossbarShape], config: HardwareConfig
+    network: Network,
+    strategies: Sequence[Sequence[CrossbarShape]],
+    config: HardwareConfig,
 ) -> tuple[NetworkArrays, np.ndarray, np.ndarray]:
-    """Gather one strategy's per-layer kernel rows from the shape table.
+    """Gather a batch's per-layer kernel rows from the shape table.
 
-    Returns ``(net, floats, ints)`` with ``floats`` of shape ``(10, L)``
-    and ``ints`` of shape ``(3, L)`` (row order: the ``_F_*`` / ``_I_*``
-    constants).
+    Returns ``(net, floats, ints)`` with ``floats`` of shape ``(10, S, L)``
+    and ``ints`` of shape ``(3, S, L)`` (row order: the ``_F_*`` /
+    ``_I_*`` constants).  Shapes are looked up in the table first; only
+    a shape it does not know (a ``KeyError``) extends it, once.
     """
     net = network_arrays(network)
-    if len(strategy) != net.num_layers:
-        raise ValueError(
-            f"strategy length {len(strategy)} != layer count {net.num_layers}"
-        )
+    for strategy in strategies:
+        if len(strategy) != net.num_layers:
+            raise ValueError(
+                f"strategy length {len(strategy)} != layer count "
+                f"{net.num_layers}"
+            )
     table = network_constants(net, config).table
-    if table is None:
-        table = shape_table(net, config, strategy)
     try:
-        idx = np.fromiter(
-            (table.index[s._str] for s in strategy), np.int64, net.num_layers
-        )
+        if table is None:
+            raise KeyError("no shape table yet")
+        index = table.index
+        idx = [index[s._str] for strategy in strategies for s in strategy]
     except KeyError:
-        # Unknown shape — extend the table once, then gather.
-        table = shape_table(net, config, strategy)
-        idx = np.fromiter(
-            (table.index[s._str] for s in strategy), np.int64, net.num_layers
+        # Unknown shape, or a network's first gather: extend the table
+        # once, then gather.
+        table = shape_table(
+            net, config, [s for strategy in strategies for s in strategy]
         )
+        index = table.index
+        idx = [index[s._str] for strategy in strategies for s in strategy]
+    idx = np.array(idx, dtype=np.int64).reshape(len(strategies), net.num_layers)
     return net, table.floats[:, idx, table.layers], table.ints[:, idx, table.layers]
 
 
@@ -779,7 +790,7 @@ def _layer_costs(
     )
 
 
-def _assemble_metrics(
+def metrics_from_view(
     network: Network,
     strategy: Sequence[CrossbarShape],
     net: NetworkArrays,
@@ -792,11 +803,14 @@ def _assemble_metrics(
     tile_shared: bool,
     detailed: bool,
 ) -> SystemMetrics:
-    """One strategy's :class:`SystemMetrics` from folded kernel rows.
+    """One strategy's :class:`SystemMetrics` from its gathered rows.
 
+    The metric-assembly stage of :func:`score_strategy_batch`, the
+    vectorized equivalent of ``Simulator._evaluate_reference``'s cost rollup.
     ``totals`` holds the eight folds (seven energy components + dynamic
-    latency); ``floats``/``ints`` are the strategy's gathered per-layer
-    rows.  Each rollup is bit-identical to the scalar loop.
+    latency); ``floats``/``ints`` are the strategy's ``(10, L)`` /
+    ``(3, L)`` slices of the :func:`strategy_view` gather.  Each rollup
+    is bit-identical to the scalar loop.
     """
     (adc_t, dac_t, xbar_t, shift_t, tree_t, buf_t, bus_t,
      dynamic_latency) = totals
@@ -843,40 +857,6 @@ def _assemble_metrics(
     )
 
 
-def metrics_from_view(
-    network: Network,
-    strategy: Sequence[CrossbarShape],
-    net: NetworkArrays,
-    floats: np.ndarray,
-    ints: np.ndarray,
-    summary: AllocationSummary,
-    config: HardwareConfig,
-    *,
-    tile_shared: bool,
-    detailed: bool,
-) -> SystemMetrics:
-    """Assemble one strategy's :class:`SystemMetrics` from a gathered view.
-
-    The vectorized equivalent of ``Simulator._evaluate_impl``'s cost
-    rollup.  One stacked cumsum folds the seven component rows plus the
-    latency row at once; each row folds independently, so the per-row
-    result is the same strict left fold as eight separate scalar loops.
-    """
-    totals = left_fold(floats[:_F_AREA]).tolist()
-    return _assemble_metrics(
-        network,
-        strategy,
-        net,
-        summary,
-        totals,
-        floats,
-        ints,
-        config,
-        tile_shared=tile_shared,
-        detailed=detailed,
-    )
-
-
 def score_strategy_batch(
     network: Network,
     strategies: Sequence[Sequence[CrossbarShape]],
@@ -896,27 +876,10 @@ def score_strategy_batch(
     per strategy, in order: a :class:`SystemMetrics`, or the
     :func:`capacity_verdict` on an overflowing one.
     """
-    strategies = [tuple(s) for s in strategies]
-    net = network_arrays(network)
-    for strategy in strategies:
-        if len(strategy) != net.num_layers:
-            raise ValueError(
-                f"strategy length {len(strategy)} != layer count "
-                f"{net.num_layers}"
-            )
-    table = shape_table(
-        net, config, [s for strategy in strategies for s in strategy]
-    )
-    index = table.index
-    idx = np.array(
-        [[index[s._str] for s in strategy] for strategy in strategies],
-        dtype=np.int64,
-    ).reshape(len(strategies), net.num_layers)
-    floats = table.floats[:, idx, table.layers]   # (10, S, L)
-    ints = table.ints[:, idx, table.layers]       # (3, S, L)
-    # (8, S) folds — each (strategy, component) row folds independently.
-    totals = left_fold(floats[:_F_AREA])
-    totals_rows = totals.T.tolist()
+    net, floats, ints = strategy_view(network, strategies, config)
+    # (8, S) folds — each (strategy, component) row folds independently,
+    # so each is the same strict left fold as a scalar ``total += x``.
+    totals_rows = left_fold(floats[:_F_AREA]).T.tolist()
     counts_rows = ints[_I_XBARS].tolist()
 
     results: list[SystemMetrics | InfeasibleScore] = []
@@ -936,7 +899,7 @@ def score_strategy_batch(
             results.append(verdict)
             continue
         results.append(
-            _assemble_metrics(
+            metrics_from_view(
                 network,
                 strategy,
                 net,

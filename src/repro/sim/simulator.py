@@ -12,10 +12,12 @@ the analytic energy / latency / area models.  Because it is pure, a
 strategy-level :class:`~repro.sim.cache.EvaluationCache` sits in front of
 it, and a miss runs one of two paths:
 
-* the NumPy kernels (``repro.sim.kernels``) over the aggregate allocation
-  summary (``repro.core.allocation.summary``) — the default fast path;
-  :meth:`Simulator.evaluate_many` scores a whole batch through the
-  ``(S, L)`` kernel scorer;
+* the fast path, the ``(S, L)`` batch scorer
+  (``repro.sim.kernels.score_strategy_batch``) over the aggregate
+  allocation summary (``repro.core.allocation.summary``).  A cold
+  :meth:`Simulator.evaluate` is a batch of one;
+  :meth:`Simulator.evaluate_many` scores all its cold strategies in one
+  pass;
 * the materialised reference, which maps every layer, builds and
   validates the full tile plan, and calls the scalar cost models.
 
@@ -36,7 +38,9 @@ from ..core.allocation import (
     allocate_tile_based,
     apply_tile_sharing,
 )
-from ..core.allocation.summary import summarize_counts
+# Re-exported only so perfbench/layers.py can patch the name here: it
+# wraps ``repro.sim.simulator.summarize_counts`` by name.
+from ..core.allocation.summary import summarize_counts as summarize_counts
 from ..models.graph import Network
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
@@ -61,6 +65,20 @@ Strategy = tuple[CrossbarShape, ...]
 
 class CapacityError(RuntimeError):
     """Raised when a strategy needs more tiles than one bank provides."""
+
+
+def _emit_outcome(
+    tracer: Tracer, network: Network, outcome: SystemMetrics | InfeasibleScore
+) -> None:
+    """Report one scored strategy: ``sim.infeasible`` or its metrics."""
+    if isinstance(outcome, InfeasibleScore):
+        tracer.event(
+            obs_metrics.EVENT_INFEASIBLE,
+            network=network.name,
+            message=outcome.message,
+        )
+    else:
+        obs_metrics.emit_system_metrics(tracer, outcome, network=network.name)
 
 
 @dataclass(frozen=True)
@@ -119,29 +137,25 @@ class Simulator:
         """Tile allocation, optionally followed by Algorithm 1 remapping.
 
         Always materialises (and validates) the full tile plan — use this
-        for deployable plans; :meth:`evaluate` takes the kernel path
-        over the aggregate summary when ``memoize_costs`` is set.
+        for deployable plans.  Only the reference path (``memoize_costs``
+        off) calls it; the batch scorer works from the aggregate summary.
         """
         allocation = allocate_tile_based(
             mappings, self.config.logical_xbars_per_tile
         )
         if tile_shared:
             allocation = apply_tile_sharing(allocation, tracer=tracer)
-        self._capacity_check(allocation.occupied_tiles)
-        return allocation
-
-    def _capacity_check(self, occupied_tiles: int) -> None:
-        """Raise :class:`CapacityError` when the bank overflows.
-
-        The message is the ``kernels.capacity_verdict`` the batch scorer
-        returns and the cache stores, so every path reports one text
-        (``tests/sim/test_infeasible_messages.py``).
-        """
+        # The message is the verdict the batch scorer returns and the
+        # cache stores, so every path reports one text
+        # (``tests/sim/test_infeasible_messages.py``).
         verdict = kernels.capacity_verdict(
-            occupied_tiles, self.config, enforce_capacity=self.enforce_capacity
+            allocation.occupied_tiles,
+            self.config,
+            enforce_capacity=self.enforce_capacity,
         )
         if verdict is not None:
             raise CapacityError(verdict.message)
+        return allocation
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -190,35 +204,35 @@ class Simulator:
                 return hit  # type: ignore[return-value]
             if tracer.enabled:
                 obs_metrics.emit_cache_lookup(tracer, None, network=network.name)
-        try:
-            with tracer.span(
-                obs_metrics.SPAN_EVALUATE,
-                network=network.name,
-                layers=len(strategy),
-                tile_shared=tile_shared,
-                detailed=detailed,
-            ):
-                metrics = self._evaluate_impl(
-                    network, strategy, tile_shared=tile_shared, detailed=detailed,
-                    tracer=tracer,
+        with tracer.span(
+            obs_metrics.SPAN_EVALUATE,
+            network=network.name,
+            layers=len(strategy),
+            tile_shared=tile_shared,
+            detailed=detailed,
+        ):
+            if self.memoize_costs:
+                (outcome,) = self._score_batch(
+                    network, [strategy], tile_shared=tile_shared,
+                    detailed=detailed, tracer=tracer,
                 )
-        except CapacityError as exc:
-            if tracer.enabled:
-                tracer.event(
-                    obs_metrics.EVENT_INFEASIBLE,
-                    network=network.name,
-                    message=str(exc),
-                )
-            if cache is not None:
-                cache.put(key, InfeasibleScore(str(exc)))
-            raise
+            else:
+                try:
+                    outcome = self._evaluate_reference(
+                        network, strategy, tile_shared=tile_shared,
+                        detailed=detailed, tracer=tracer,
+                    )
+                except CapacityError as exc:
+                    outcome = InfeasibleScore(str(exc))
         if cache is not None:
-            cache.put(key, metrics)
+            cache.put(key, outcome)
         if tracer.enabled:
-            obs_metrics.emit_system_metrics(tracer, metrics, network=network.name)
-        return metrics
+            _emit_outcome(tracer, network, outcome)
+        if isinstance(outcome, InfeasibleScore):
+            raise CapacityError(outcome.message)
+        return outcome
 
-    def _evaluate_impl(
+    def _evaluate_reference(
         self,
         network: Network,
         strategy: Strategy,
@@ -227,42 +241,9 @@ class Simulator:
         detailed: bool,
         tracer: Tracer = NULL_TRACER,
     ) -> SystemMetrics:
+        """The reference oracle: materialise and validate the full tile
+        plan, then run the scalar cost models one layer at a time."""
         cfg = self.config
-        if self.memoize_costs:
-            # Fast path: one fancy-index gather of the per-(network,
-            # config) shape table (repro.sim.kernels) plus array folds,
-            # over the aggregate allocation summary — no LayerMapping or
-            # Tile objects.  Bit-identical to the reference below; the
-            # parity battery is the proof.
-            with tracer.span(obs_metrics.SPAN_MAP, network=network.name):
-                net, floats, ints = kernels.strategy_view(
-                    network, strategy, cfg
-                )
-            with tracer.span(obs_metrics.SPAN_ALLOCATE, mode="summary"):
-                summary = summarize_counts(
-                    strategy,
-                    tuple(ints[kernels._I_XBARS].tolist()),
-                    net.weight_cells_total,
-                    cfg.logical_xbars_per_tile,
-                    tile_shared=tile_shared,
-                    tracer=tracer,
-                )
-                self._capacity_check(summary.occupied_tiles)
-            with tracer.span(obs_metrics.SPAN_COST, layers=len(strategy)):
-                return kernels.metrics_from_view(
-                    network,
-                    strategy,
-                    net,
-                    floats,
-                    ints,
-                    summary,
-                    cfg,
-                    tile_shared=tile_shared,
-                    detailed=detailed,
-                )
-
-        # Reference path: materialise and validate the full tile plan,
-        # then run the scalar cost models one layer at a time.
         with tracer.span(obs_metrics.SPAN_MAP, network=network.name):
             mappings = self.map_network(network, strategy)
         with tracer.span(obs_metrics.SPAN_ALLOCATE, mode="materialized"):
@@ -355,10 +336,12 @@ class Simulator:
         Returns one entry per strategy, ``None`` for an infeasible one.
         """
         batch = [tuple(s) for s in strategies]
-        # A batch on the kernel path takes the (S, L) scorer; anything
-        # else is a try_evaluate loop.  The tracer never picks the path;
-        # it observes either one.  Results are bit-identical either way.
-        if self.memoize_costs and len(batch) > 1:
+        if not batch:
+            return []
+        # The kernel path scores the whole batch in one (S, L) pass; the
+        # reference path is a try_evaluate loop.  The tracer never picks
+        # the path; it observes either one.
+        if self.memoize_costs:
             tracer = self.tracer
             if tracer is None:
                 tracer = obs_trace._AMBIENT
@@ -407,6 +390,8 @@ class Simulator:
                 tile_shared=tile_shared, detailed=detailed, tracer=tracer,
             )
             for positions, outcome in zip(unique.values(), scored):
+                if tracer.enabled:
+                    _emit_outcome(tracer, network, outcome)
                 value = None if isinstance(outcome, InfeasibleScore) else outcome
                 for i in positions:
                     results[i] = value
@@ -457,6 +442,8 @@ class Simulator:
                 tile_shared=tile_shared, detailed=detailed, tracer=tracer,
             )
             for i, outcome in zip(to_score, scored):
+                if tracer.enabled:
+                    _emit_outcome(tracer, network, outcome)
                 if not isinstance(outcome, InfeasibleScore):
                     results[i] = outcome
                 cache.put(keys[i], outcome)
@@ -484,7 +471,11 @@ class Simulator:
         detailed: bool,
         tracer: Tracer,
     ) -> list[SystemMetrics | InfeasibleScore]:
-        """One kernel pass, traced like the serial misses it replaces."""
+        """One kernel pass in one ``sim.score_batch`` span.
+
+        The caller reports each outcome (:func:`_emit_outcome`) once it
+        has consumed it.
+        """
         with tracer.span(
             obs_metrics.SPAN_SCORE_BATCH,
             network=network.name,
@@ -492,7 +483,7 @@ class Simulator:
             tile_shared=tile_shared,
             detailed=detailed,
         ):
-            scored = kernels.score_strategy_batch(
+            return kernels.score_strategy_batch(
                 network,
                 strategies,
                 self.config,
@@ -501,19 +492,6 @@ class Simulator:
                 detailed=detailed,
                 tracer=tracer,
             )
-        if tracer.enabled:
-            for outcome in scored:
-                if isinstance(outcome, InfeasibleScore):
-                    tracer.event(
-                        obs_metrics.EVENT_INFEASIBLE,
-                        network=network.name,
-                        message=outcome.message,
-                    )
-                else:
-                    obs_metrics.emit_system_metrics(
-                        tracer, outcome, network=network.name
-                    )
-        return scored
 
     # ------------------------------------------------------------------
     def evaluate_homogeneous(

@@ -356,6 +356,49 @@ class TestTracedBatchScoring:
         )
         assert lookups == sim.cache_stats().lookups
 
+    def test_evaluate_runs_the_one_scorer(self, lenet_net, kernel_passes):
+        """A cold kernel-path ``evaluate`` is a batch of one; a hit runs
+        no kernel pass; the reference path keeps its three stage spans."""
+        from repro.arch.config import DEFAULT_CANDIDATES
+        from repro.obs import metrics as obs_metrics
+        from repro.sim.simulator import Simulator
+
+        strategy = tuple(DEFAULT_CANDIDATES[2] for _ in lenet_net.layers)
+        other = tuple(DEFAULT_CANDIDATES[3] for _ in lenet_net.layers)
+        stages = {
+            obs_metrics.SPAN_MAP,
+            obs_metrics.SPAN_ALLOCATE,
+            obs_metrics.SPAN_COST,
+        }
+
+        sim = Simulator()
+        sim.evaluate(lenet_net, strategy)
+        assert kernel_passes == [1]
+        sim.evaluate(lenet_net, strategy)
+        assert kernel_passes == [1]
+        assert sim.evaluate_many(lenet_net, [other]) != [None]
+        assert kernel_passes == [1, 1]
+
+        sink = InMemorySink()
+        Simulator(tracer=Tracer([sink])).evaluate(lenet_net, strategy)
+        spans = [r for r in sink.records if r["type"] == "span"]
+        assert [r["name"] for r in spans] == [
+            obs_metrics.SPAN_SCORE_BATCH,
+            obs_metrics.SPAN_EVALUATE,
+        ]
+        inner, outer = spans
+        assert inner["depth"] == outer["depth"] + 1
+        assert inner["attrs"]["strategies"] == 1
+        assert kernel_passes == [1, 1, 1]
+
+        sink = InMemorySink()
+        Simulator(memoize_costs=False, tracer=Tracer([sink])).evaluate(
+            lenet_net, strategy
+        )
+        names = {r["name"] for r in sink.records if r["type"] == "span"}
+        assert names == stages | {obs_metrics.SPAN_EVALUATE}
+        assert kernel_passes == [1, 1, 1]
+
     def test_batch_reports_what_the_serial_loop_reports(self, lenet_net):
         """Per-name event and counter counts match a serial ``try_evaluate``
         loop over the same strategies — cold, duplicate and warm, feasible

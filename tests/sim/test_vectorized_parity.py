@@ -4,15 +4,17 @@ The exactness contract of ``repro.sim.kernels`` is *bit-identical*
 metrics — not approximately equal — because the NumPy kernels mirror the
 scalar evaluation's arithmetic operation-for-operation (strict left
 folds via ``cumsum``, identical association order, identical int→float
-conversion points).  These tests enforce the contract three ways:
+conversion points).  There are two paths: the materialising reference
+and the ``(S, L)`` batch scorer, which a cold ``evaluate`` runs as a
+batch of one.  These tests enforce the contract four ways:
 
 * a hypothesis battery over random networks × strategies × configs,
-  comparing the materialising reference, the per-strategy kernel
-  evaluation and the ``(S, L)`` batch scorer pairwise, infeasible
-  verdicts included;
+  comparing the reference, ``evaluate``'s kernel path and a direct call
+  of the batch scorer pairwise, infeasible verdicts included;
 * the paper workloads (VGG16 et al.) under the paper's strategies;
 * the batched ``evaluate_many`` fast path against the serial loop,
-  duplicates and infeasible entries included, cache counters and all.
+  duplicates and infeasible entries included, cache counters and all;
+* shapes outside a warm shape table, which extend it once.
 """
 
 from __future__ import annotations
@@ -230,6 +232,76 @@ class TestBatchedEvaluateMany:
         )[0]
         assert isinstance(scored, kernels.InfeasibleScore)
         assert scored.message == str(serial_exc.value)
+
+
+class TestWarmShapeTableExtension:
+    """A gather that meets a shape its warm table lacks extends the table
+    once, by exactly the new shapes, and still matches the reference."""
+
+    NEW = (CrossbarShape(100, 200), CrossbarShape(48, 96))
+
+    @pytest.fixture
+    def warm(self, monkeypatch):
+        """A fresh VGG16 whose table holds the candidates, and a counter
+        of the table builds that follow."""
+        from repro.models import vgg16
+
+        network = vgg16()
+        config = HardwareConfig()
+        arrays = kernels.network_arrays(network)
+        assert kernels.shape_table(arrays, config, SHAPES).shapes == SHAPES
+        builds = []
+        real = kernels._build_table
+
+        def counting(net, cfg, shapes):
+            builds.append(shapes)
+            return real(net, cfg, shapes)
+
+        monkeypatch.setattr(kernels, "_build_table", counting)
+
+        def table():
+            return kernels.network_constants(arrays, config).table
+
+        return network, builds, table
+
+    def strategy(self, network, new_shapes):
+        """Off-candidate shapes on the first layers, 576x512 elsewhere."""
+        big = CrossbarShape(576, 512)
+        return tuple(new_shapes) + (big,) * (
+            network.num_layers - len(new_shapes)
+        )
+
+    def test_evaluate_extends_the_table_once(self, warm):
+        network, builds, table = warm
+        strategy = self.strategy(network, self.NEW)
+        for tile_shared in (True, False):
+            result = outcome(
+                vector_sim(), network, strategy,
+                tile_shared=tile_shared, detailed=True,
+            )
+            assert not isinstance(result, tuple)  # feasible: real metrics
+            assert result == outcome(
+                reference_sim(), network, strategy,
+                tile_shared=tile_shared, detailed=True,
+            )
+        assert builds == [SHAPES + self.NEW]
+        assert table().shapes == SHAPES + self.NEW
+
+    def test_evaluate_many_mixes_known_and_unknown(self, warm):
+        network, builds, table = warm
+        batch = [
+            self.strategy(network, ()),
+            self.strategy(network, self.NEW[:1]),
+            self.strategy(network, (SHAPES[2],) + self.NEW[1:]),
+            self.strategy(network, self.NEW),
+            self.strategy(network, ()),
+        ]
+        assert Simulator(cache=None).evaluate_many(network, batch) == [
+            reference_sim().try_evaluate(network, s, detailed=False)
+            for s in batch
+        ]
+        assert builds == [SHAPES + self.NEW]
+        assert table().shapes == SHAPES + self.NEW
 
 
 class TestAdcChainInvariant:
