@@ -18,6 +18,10 @@ Implementation notes:
   builds none.
 * The actor ascends ``Q(s, mu(s))`` by backpropagating ``dQ/da`` through
   the critic's action input into the actor.
+* The learner computes in float32, from the experience pool to the
+  optimiser: the environment hands over float32 states, the pool stores
+  float32, and every network and optimiser buffer is float32, so no
+  update casts.
 """
 
 from __future__ import annotations
@@ -126,7 +130,9 @@ class DDPGAgent:
         self._policy_delay = 1
         self._update_count = 0
         #: dMean/dQ, the upstream of the actor step's pass through a critic.
-        self._mean_grad = np.ones((config.batch_size, 1)) / config.batch_size
+        self._mean_grad = np.full(
+            (config.batch_size, 1), 1.0 / config.batch_size, dtype=np.float32
+        )
         self.pool = ExperiencePool(config.pool_capacity, seed=config.seed)
         self.noise = TruncatedNormalNoise(
             sigma=config.noise_sigma, decay=config.noise_decay, seed=config.seed

@@ -165,7 +165,13 @@ class CrossbarSearchEnv:
         return norms
 
     def observe(self, layer_index: int, prev_action: float, prev_util: float) -> np.ndarray:
-        """Build the normalised 10-dim state vector for one layer."""
+        """Build the normalised 10-dim state vector for one layer.
+
+        The vector is normalised in float64 and handed to the agent in
+        float32, the learner's dtype.  This is the one place a state
+        changes dtype: the agent acts on it and the experience pool
+        stores it as it is.
+        """
         layer = self.network.layers[layer_index]
         raw = np.array(
             [
@@ -182,7 +188,7 @@ class CrossbarSearchEnv:
             ],
             dtype=np.float64,
         )
-        return raw / self._norms
+        return (raw / self._norms).astype(np.float32)
 
     # ------------------------------------------------------------------
     def reset(self) -> np.ndarray:

@@ -14,11 +14,17 @@ and biases are views into them.  The optimiser and the target updates are
 therefore a handful of in-place elementwise ops over one array each,
 whatever the depth of the network.
 
+The learner computes in float32: :meth:`MLP.create` builds float32
+buffers, and a network's gradients and scratch take the dtype of the
+params buffer it is built on, as do an :class:`Adam`'s moments.  The
+finite-difference tests build networks over a float64 buffer instead.
+
 Gradients are verified against finite differences in the test suite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,7 +54,11 @@ def unit_clip(a: float) -> float:
 
 
 def mean_array(x: np.ndarray) -> float:
-    """``float(np.mean(x))`` of a float64 array without the wrapper."""
+    """``float(np.mean(x))`` of a float32 or float64 array without the wrapper.
+
+    ``np.mean`` sums a float array in its own dtype and divides the sum
+    by the count in that dtype too; so does this.
+    """
     return float(np.add.reduce(x, axis=None) / x.size)
 
 
@@ -108,7 +118,8 @@ class MLP:
 
     ``params`` is laid out as every weight matrix (row-major) followed by
     every bias vector, in layer order — the order of :meth:`parameters`.
-    ``grads`` has the same layout and is filled by :meth:`backward`.
+    ``grads`` has the same layout and dtype and is filled by
+    :meth:`backward`.  Without a ``params`` buffer the network is float32.
     """
 
     def __init__(
@@ -127,12 +138,12 @@ class MLP:
         n_weights = sum(fan_in * fan_out for fan_in, fan_out in pairs)
         n = n_weights + sum(fan_out for _, fan_out in pairs)
         if params is None:
-            params = np.zeros(n)
+            params = np.zeros(n, dtype=np.float32)
         elif params.shape != (n,):
             raise ValueError(f"expected {n} parameters, got shape {params.shape}")
         self.params = params
-        self.grads = np.zeros(n)
-        self._scratch = np.empty(n)
+        self.grads = np.zeros(n, dtype=params.dtype)
+        self._scratch = np.empty(n, dtype=params.dtype)
         bias_shapes = [(fan_out,) for _, fan_out in pairs]
         self.weights = _views(params[:n_weights], pairs)
         self.biases = _views(params[n_weights:], bias_shapes)
@@ -151,7 +162,8 @@ class MLP:
         output_activation: Activation = "linear",
         rng: np.random.Generator | None = None,
     ) -> "MLP":
-        """He-initialised network (weights drawn layer by layer, zero biases)."""
+        """He-initialised float32 network (weights drawn layer by layer in
+        float64 and stored rounded, zero biases)."""
         net = MLP(sizes, hidden_activation, output_activation)
         rng = rng if rng is not None else np.random.default_rng(0)
         for w in net.weights:
@@ -261,7 +273,22 @@ class MLP:
 
 @dataclass
 class Adam:
-    """Adam optimizer over one flat parameter buffer (updated in place)."""
+    """Adam optimizer over one flat parameter buffer (updated in place).
+
+    The step is Kingma & Ba's efficient form: the two bias corrections
+    fold into one step size ``alpha_t = lr * sqrt(1 - beta2^t) /
+    (1 - beta1^t)``, so ``p <- p - alpha_t * m / (sqrt(v) + eps)``.  The
+    moments take the dtype of ``params``.
+
+    A moment entry below the dtype's smallest normal number is flushed to
+    zero after every update.  Without the flush, the first moment of a
+    parameter whose gradient stays zero (a dead ReLU's weights) decays by
+    ``beta1`` per step into the float32 subnormal range after about 700
+    steps, and rounding then holds it there: ``4 * 0.9`` rounds back to
+    ``4`` units of the last place.  A 100-round VGG16 search left each
+    optimiser with 260-510 such entries, and on a Xeon host a float32
+    multiply ran about 13 times slower per subnormal element.
+    """
 
     params: np.ndarray
     lr: float = 1e-3
@@ -271,10 +298,18 @@ class Adam:
     _t: int = 0
 
     def __post_init__(self) -> None:
-        self._m = np.zeros_like(self.params)
-        self._v = np.zeros_like(self.params)
-        # scratch for the step and its denominator
-        self._step = np.empty_like(self.params)
+        dtype = self.params.dtype
+        # m and v are the rows of one buffer, so that each elementwise
+        # pass over both moments is one NumPy call.
+        self._moments = np.zeros((2, *self.params.shape), dtype=dtype)
+        self._m, self._v = self._moments
+        self._decay = np.array([[self.beta1], [self.beta2]], dtype=dtype)
+        self._gain = np.array([[1.0 - self.beta1], [1.0 - self.beta2]], dtype=dtype)
+        self._tiny = np.finfo(dtype).tiny
+        # scratch: one row per moment's increment, the flush mask, and
+        # the step's denominator
+        self._step = np.empty_like(self._moments)
+        self._below_tiny = np.empty(self._moments.shape, dtype=bool)
         self._denom = np.empty_like(self.params)
 
     def step(self, grad: np.ndarray) -> None:
@@ -284,23 +319,30 @@ class Adam:
                 f"parameters {self.params.shape}"
             )
         self._t += 1
-        bc1 = 1.0 - self.beta1**self._t
-        bc2 = 1.0 - self.beta2**self._t
-        m, v, step, denom = self._m, self._v, self._step, self._denom
-        # m <- beta1 * m + (1 - beta1) * g
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=step)
-        m += step
-        # v <- beta2 * v + (1 - beta2) * g^2
-        v *= self.beta2
-        np.multiply(grad, grad, out=step)
-        step *= 1.0 - self.beta2
-        v += step
-        # p <- p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        np.divide(m, bc1, out=step)
-        step *= self.lr
-        np.divide(v, bc2, out=denom)
-        np.sqrt(denom, out=denom)
+        alpha = (
+            self.lr
+            * math.sqrt(1.0 - self.beta2**self._t)
+            / (1.0 - self.beta1**self._t)
+        )
+        moments, step, below_tiny, denom = (
+            self._moments,
+            self._step,
+            self._below_tiny,
+            self._denom,
+        )
+        # m <- beta1 * m + (1 - beta1) * g;  v <- beta2 * v + (1 - beta2) * g * g
+        moments *= self._decay
+        np.multiply(grad, self._gain, out=step)
+        step[1] *= grad
+        moments += step
+        # flush entries below the smallest normal number to zero
+        np.abs(moments, out=step)
+        np.less(step, self._tiny, out=below_tiny)
+        np.copyto(moments, 0.0, where=below_tiny)
+        # p <- p - alpha_t * m / (sqrt(v) + eps)
+        np.sqrt(self._v, out=denom)
         denom += self.eps
-        step /= denom
-        self.params -= step
+        update = step[0]
+        np.multiply(self._m, alpha, out=update)
+        update /= denom
+        self.params -= update

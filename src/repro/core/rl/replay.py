@@ -27,10 +27,11 @@ class Transition:
 class ExperiencePool:
     """Fixed-capacity ring buffer with uniform sampling.
 
-    Stored as one array per field (struct of arrays), allocated on the
-    first :meth:`add` once the state width is known; every state and next
-    state must be 1-D of that width.  Rows past the fill level are never
-    written, so unused capacity stays untouched memory.
+    Stored as one float32 array per field (struct of arrays), the
+    learner's dtype, allocated on the first :meth:`add` once the state
+    width is known; every state and next state must be 1-D of that
+    width.  Rows past the fill level are never written, so unused
+    capacity stays untouched memory.
     """
 
     def __init__(self, capacity: int, *, seed: int = 0) -> None:
@@ -40,11 +41,11 @@ class ExperiencePool:
         self._size = 0
         self._cursor = 0
         self._rng = np.random.default_rng(seed)
-        self._states = np.empty((0, 0))
-        self._next_states = np.empty((0, 0))
-        self._actions = np.empty((0, 1))
-        self._rewards = np.empty((0, 1))
-        self._dones = np.empty((0, 1))
+        self._states = np.empty((0, 0), dtype=np.float32)
+        self._next_states = np.empty((0, 0), dtype=np.float32)
+        self._actions = np.empty((0, 1), dtype=np.float32)
+        self._rewards = np.empty((0, 1), dtype=np.float32)
+        self._dones = np.empty((0, 1), dtype=np.float32)
 
     def __len__(self) -> int:
         return self._size
@@ -56,11 +57,11 @@ class ExperiencePool:
     def add(self, transition: Transition) -> None:
         if self._size == 0:
             dim = len(transition.state)
-            self._states = np.empty((self.capacity, dim))
-            self._next_states = np.empty((self.capacity, dim))
-            self._actions = np.empty((self.capacity, 1))
-            self._rewards = np.empty((self.capacity, 1))
-            self._dones = np.empty((self.capacity, 1))
+            self._states = np.empty((self.capacity, dim), dtype=np.float32)
+            self._next_states = np.empty((self.capacity, dim), dtype=np.float32)
+            self._actions = np.empty((self.capacity, 1), dtype=np.float32)
+            self._rewards = np.empty((self.capacity, 1), dtype=np.float32)
+            self._dones = np.empty((self.capacity, 1), dtype=np.float32)
         width = self._states.shape[1]
         for name in ("state", "next_state"):
             shape = np.shape(getattr(transition, name))
@@ -85,7 +86,7 @@ class ExperiencePool:
     def sample(
         self, batch_size: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Uniform mini-batch (with replacement) as fresh float64 arrays.
+        """Uniform mini-batch (with replacement) as fresh float32 arrays.
 
         Returns ``(states, next_states, actions, rewards, dones)`` with
         shapes ``(B, D), (B, D), (B, 1), (B, 1), (B, 1)``.

@@ -66,12 +66,11 @@ class TD3Agent(DDPGAgent):
         cfg: TD3Config = self.config  # type: ignore[assignment]
         next_actions = self.actor_target.forward(next_states)
         if cfg.target_noise_sigma > 0:
-            noise = clip_ufunc(
-                self._smooth_rng.normal(
-                    0.0, cfg.target_noise_sigma, size=next_actions.shape
-                ),
-                -cfg.target_noise_clip,
-                cfg.target_noise_clip,
+            # Drawn in float32, the learner's dtype.
+            noise = self._smooth_rng.standard_normal(
+                next_actions.shape, dtype=np.float32
             )
+            noise *= cfg.target_noise_sigma
+            clip_ufunc(noise, -cfg.target_noise_clip, cfg.target_noise_clip, out=noise)
             next_actions = clip_ufunc(next_actions + noise, 0.0, 1.0)
         return next_actions

@@ -1,5 +1,7 @@
 """MLP + Adam tests, including finite-difference gradient verification."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +38,21 @@ def finite_diff_grads(net, x, upstream, eps=1e-6):
             it.iternext()
         grads.append(g)
     return np.concatenate([g.ravel() for g in grads])
+
+
+def float64_net(sizes, *, rng, **activations):
+    """``MLP.create``'s network, rebuilt over a float64 params buffer.
+
+    The learner is float32, but a central difference with ``eps=1e-6``
+    needs float64 to resolve; a network's dtype follows its buffer.
+    """
+    net = MLP.create(sizes, rng=rng, **activations)
+    return MLP(
+        net.sizes,
+        net.hidden_activation,
+        net.output_activation,
+        net.params.astype(np.float64),
+    )
 
 
 def analytic_grads(net, x, upstream):
@@ -82,7 +99,7 @@ class TestBackward:
     )
     def test_gradients_match_finite_differences(self, hidden_act, out_act):
         rng = np.random.default_rng(1)
-        net = MLP.create(
+        net = float64_net(
             [3, 6, 2],
             hidden_activation=hidden_act,
             output_activation=out_act,
@@ -98,7 +115,7 @@ class TestBackward:
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        net = MLP.create([3, 5, 1], hidden_activation="tanh", rng=rng)
+        net = float64_net([3, 5, 1], hidden_activation="tanh", rng=rng)
         x = rng.normal(size=(2, 3))
         upstream = np.ones((2, 1))
         net.forward(x)
@@ -115,7 +132,7 @@ class TestBackward:
     @given(st.integers(0, 10_000))
     def test_gradient_property_random_nets(self, seed):
         rng = np.random.default_rng(seed)
-        net = MLP.create([2, 4, 1], hidden_activation="tanh", rng=rng)
+        net = float64_net([2, 4, 1], hidden_activation="tanh", rng=rng)
         x = rng.normal(size=(3, 2))
         upstream = rng.normal(size=(3, 1))
         analytic = analytic_grads(net, x, upstream)
@@ -217,12 +234,34 @@ class TestFlatBuffers:
     def test_forward_matches_per_layer_formula(self):
         rng = np.random.default_rng(1)
         net = MLP.create([3, 5, 4, 1], hidden_activation="tanh", rng=rng)
-        x = rng.normal(size=(7, 3))
+        x = rng.normal(size=(7, 3)).astype(np.float32)
         a = x
         for i, (w, b) in enumerate(zip(net.weights, net.biases)):
             z = a @ w + b
             a = z if i == net.num_layers - 1 else np.tanh(z)
+        assert a.dtype == np.float32
         assert np.array_equal(net.forward(x), a)
+
+
+class TestDtype:
+    def test_create_builds_float32(self):
+        net = MLP.create([3, 5, 1])
+        for buffer in (net.params, net.grads, net._scratch, *net.parameters()):
+            assert buffer.dtype == np.float32
+
+    def test_network_follows_its_params_buffer(self):
+        net = MLP([3, 5, 1], params=np.zeros(26))
+        assert net.params.dtype == net.grads.dtype == np.float64
+        assert net._scratch.dtype == np.float64
+        net.forward(np.ones((2, 3)))
+        net.backward(np.ones((2, 1)))
+        assert net.grads.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_follows_its_params_buffer(self, dtype):
+        opt = Adam(np.zeros(4, dtype=dtype))
+        for buffer in (opt._m, opt._v, opt._step, opt._denom):
+            assert buffer.dtype == dtype
 
 
 def reference_soft_update(mine, theirs, tau):
@@ -288,24 +327,63 @@ class TestAdam:
         assert abs(p[0]) < 0.05
 
     def test_matches_per_array_formula_bit_for_bit(self):
-        """The flat in-place step reproduces the textbook per-array step."""
+        """The flat in-place float32 step reproduces the per-array step.
+
+        The reference is Kingma & Ba's form, with both bias corrections in
+        one step size, and the flush of moments below the smallest normal
+        float32.  Some gradient entries are tiny or zero, so the flush
+        acts during the run.
+        """
         rng = np.random.default_rng(2)
         net = MLP.create([4, 8, 8, 1], rng=rng)
         params = [p.copy() for p in net.parameters()]
         m = [np.zeros_like(p) for p in params]
         v = [np.zeros_like(p) for p in params]
+        tiny = np.finfo(np.float32).tiny
         opt = Adam(net.params, lr=3e-3)
         for t in range(1, 30):
-            grads = [rng.normal(size=p.shape) for p in params]
-            bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            grads = [rng.normal(size=p.shape).astype(np.float32) for p in params]
+            grads[0][0] = 1e-20
+            grads[1][0, :] = 0.0
+            alpha = 3e-3 * math.sqrt(1.0 - 0.999**t) / (1.0 - 0.9**t)
             for p, g, m_k, v_k in zip(params, grads, m, v):
                 m_k *= 0.9
                 m_k += (1.0 - 0.9) * g
                 v_k *= 0.999
-                v_k += (1.0 - 0.999) * (g * g)
-                p -= 3e-3 * (m_k / bc1) / (np.sqrt(v_k / bc2) + 1e-8)
+                v_k += (1.0 - 0.999) * g * g
+                m_k[np.abs(m_k) < tiny] = 0.0
+                v_k[v_k < tiny] = 0.0
+                p -= alpha * m_k / (np.sqrt(v_k) + 1e-8)
             opt.step(np.concatenate([g.ravel() for g in grads]))
+        assert all(p.dtype == np.float32 for p in params)
         assert all(np.array_equal(x, y) for x, y in zip(net.parameters(), params))
+        assert np.array_equal(opt._m, np.concatenate([m_k.ravel() for m_k in m]))
+        assert np.array_equal(opt._v, np.concatenate([v_k.ravel() for v_k in v]))
+
+    def test_no_moment_turns_subnormal(self):
+        """Moments of zero or tiny gradients are flushed, not left subnormal.
+
+        A first moment whose gradient drops to zero decays by beta1 a step
+        and enters the float32 subnormal range after about 700 steps; a
+        second moment of a gradient near 1e-20 is subnormal from its first
+        increment.  Subnormal arithmetic is many times slower.
+        """
+        rng = np.random.default_rng(3)
+        params = rng.normal(size=200).astype(np.float32)
+        opt = Adam(params)
+        zero_later = np.arange(200) % 3 == 0
+        tiny_grad = np.arange(200) % 3 == 1
+        for t in range(1500):
+            grad = rng.normal(size=200).astype(np.float32)
+            grad[tiny_grad] *= np.float32(1e-20)
+            if t >= 5:
+                grad[zero_later] = 0.0
+            opt.step(grad)
+        tiny = np.finfo(np.float32).tiny
+        for moment in (opt._m, opt._v):
+            subnormal = (moment != 0.0) & (np.abs(moment) < tiny)
+            assert not subnormal.any(), f"{subnormal.sum()} subnormal entries"
+        assert np.all(opt._m[zero_later] == 0.0)
 
     def test_trains_mlp_on_regression(self):
         rng = np.random.default_rng(0)
@@ -338,30 +416,37 @@ class TestAdam:
 #: show: both zeros, NaN of either sign, both infinities, the extremes
 SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1.7e308, -1.7e308]
 any_float = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+#: the same for float32, the learner's dtype
+SPECIAL32 = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-45, 3.4e38, -3.4e38]
+any_float32 = st.one_of(st.sampled_from(SPECIAL32), st.floats(width=32))
+ANY_FLOAT = {np.float32: any_float32, np.float64: any_float}
 # The learner's batch columns and its single-row act path.
 LEARNER_SHAPES = [(64, 1), (1, 1)]
+DTYPES = [np.float32, np.float64]
 
 
 def float_bits(value):
     return np.float64(value).tobytes()
 
 
-def learner_arrays(shape):
-    return hnp.arrays(np.float64, shape, elements=any_float)
+def learner_arrays(shape, dtype):
+    return hnp.arrays(dtype, shape, elements=ANY_FLOAT[dtype])
 
 
 class TestBitIdenticalStandIns:
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("shape", LEARNER_SHAPES)
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_mean_array_is_np_mean(self, shape, data):
-        x = data.draw(learner_arrays(shape))
+    def test_mean_array_is_np_mean(self, shape, dtype, data):
+        x = data.draw(learner_arrays(shape, dtype))
         with np.errstate(all="ignore"):
             assert float_bits(mean_array(x)) == float_bits(np.mean(x))
 
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("shape", LEARNER_SHAPES)
-    def test_mean_array_of_negative_zeros_is_np_mean(self, shape):
-        x = np.full(shape, -0.0)
+    def test_mean_array_of_negative_zeros_is_np_mean(self, shape, dtype):
+        x = np.full(shape, -0.0, dtype=dtype)
         assert float_bits(mean_array(x)) == float_bits(np.mean(x))
 
     @settings(max_examples=500, deadline=None)
@@ -382,21 +467,30 @@ class TestBitIdenticalStandIns:
     def test_unit_clip_is_np_clip(self, a):
         expected = float_bits(np.clip(a, 0.0, 1.0))
         assert float_bits(unit_clip(a)) == expected
-        # act() clips the actor's np.float64 output.
         assert float_bits(unit_clip(np.float64(a))) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=any_float32)
+    def test_unit_clip_is_np_clip_on_float32(self, a):
+        # act() clips the actor's np.float32 output.
+        a = np.float32(a)
+        assert float_bits(unit_clip(a)) == float_bits(np.clip(a, 0.0, 1.0))
 
     @pytest.mark.parametrize("a", SPECIAL)
     def test_unit_clip_on_special_values(self, a):
         assert float_bits(unit_clip(a)) == float_bits(np.clip(a, 0.0, 1.0))
 
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("shape", LEARNER_SHAPES)
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), lo=any_float, hi=any_float)
-    def test_clip_ufunc_is_np_clip_on_arrays(self, shape, data, lo, hi):
-        x = data.draw(learner_arrays(shape))
+    @given(data=st.data())
+    def test_clip_ufunc_is_np_clip_on_arrays(self, shape, dtype, data):
+        x = data.draw(learner_arrays(shape, dtype))
+        lo, hi = data.draw(ANY_FLOAT[dtype]), data.draw(ANY_FLOAT[dtype])
         assert clip_ufunc(x, lo, hi).tobytes() == np.clip(x, lo, hi).tobytes()
         # The actor step clips into a column of a wider buffer.
-        mine, theirs = np.zeros((shape[0], 3)), np.zeros((shape[0], 3))
+        mine = np.zeros((shape[0], 3), dtype=dtype)
+        theirs = np.zeros((shape[0], 3), dtype=dtype)
         clip_ufunc(x, lo, hi, out=mine[:, -1:])
         np.clip(x, lo, hi, out=theirs[:, -1:])
         assert mine.tobytes() == theirs.tobytes()

@@ -52,14 +52,16 @@ class TestExperiencePool:
 
         The reference keeps the transitions in a list with the same
         overwrite-at-cursor rule, draws the same ``rng.integers`` indices
-        and stacks them, as the list-backed pool did.
+        and stacks them in float32, as the list-backed pool did in the
+        learner's dtype.  States are float32, as the environment emits
+        them.
         """
         capacity, seed = 7, 4
         rng = np.random.default_rng(0)
         transitions = [
             Transition(
-                state=rng.normal(size=5),
-                next_state=rng.normal(size=5),
+                state=rng.normal(size=5).astype(np.float32),
+                next_state=rng.normal(size=5).astype(np.float32),
                 action=float(rng.uniform()),
                 reward=float(rng.normal()),
                 done=bool(i % 3 == 0),
@@ -84,14 +86,14 @@ class TestExperiencePool:
             expected = (
                 np.stack([t.state for t in batch]),
                 np.stack([t.next_state for t in batch]),
-                np.array([[t.action] for t in batch]),
-                np.array([[t.reward] for t in batch]),
-                np.array([[float(t.done)] for t in batch]),
+                np.array([[t.action] for t in batch], dtype=np.float32),
+                np.array([[t.reward] for t in batch], dtype=np.float32),
+                np.array([[float(t.done)] for t in batch], dtype=np.float32),
             )
             got = pool.sample(9)
             shapes = [(9, 5), (9, 5), (9, 1), (9, 1), (9, 1)]
             for g, e, shape in zip(got, expected, shapes):
-                assert g.dtype == np.float64
+                assert g.dtype == np.float32
                 assert g.shape == shape
                 assert np.array_equal(g, e)
 
