@@ -14,9 +14,11 @@ Two oracles per search:
   online critic, the critic-loss history, and, for bootstrapping agents,
   the target networks (bandit-mode agents have none).
 
-A hash is ``sha256`` over the float64 bytes of the array.  When a change
-is *meant* to alter the trajectory, regenerate the hashes in a separate
-step and explain the diff.
+A hash is ``sha256`` over the bytes of the array: float32 for the
+learner's parameters, float64 for the reward and critic-loss histories
+(lists of Python floats).  When a change is *meant* to alter the
+trajectory, regenerate the hashes in a separate step and explain the
+diff.
 """
 
 import hashlib
@@ -41,9 +43,9 @@ GOLDEN = [
         "d2aeab22f07da0c6",
         BEST_576x512,
         {
-            "losses": "cf702a21ccc2dc01",
-            "actor": "922b8adf24bbfb15",
-            "critic": "9536994c52f902c0",
+            "losses": "17f1565c1d7a191e",
+            "actor": "61b4757ac778ada4",
+            "critic": "61c04920d80eb598",
         },
         id="ddpg",
     ),
@@ -52,11 +54,11 @@ GOLDEN = [
         "35e3a570b05702ae",
         BEST_576x512,
         {
-            "losses": "1568b1cc695df3c0",
-            "actor": "66b73411619bc7ba",
-            "critic": "70852ce2328ccf0a",
-            "actor_target": "0442158cbe508753",
-            "critic_target": "7e34801b00702c31",
+            "losses": "6cedaca809ddb416",
+            "actor": "6524ca266645228d",
+            "critic": "6b4c80301643edf4",
+            "actor_target": "900ff6bf392bef8e",
+            "critic_target": "8ddb3981372ce9f3",
         },
         id="ddpg-bootstrap",
     ),
@@ -65,10 +67,10 @@ GOLDEN = [
         "430d4c5ec7416928",
         BEST_576x512,
         {
-            "losses": "171faa06228fc4ff",
-            "actor": "dffa846f4577a48c",
-            "critic": "282abd0335ec4632",
-            "critic2": "cba1c2daf17cfc70",
+            "losses": "ad81a137cd3ac567",
+            "actor": "f95c35eba6f10e21",
+            "critic": "868c89544958c1f8",
+            "critic2": "37f364910f4a7763",
         },
         id="td3",
     ),
@@ -77,13 +79,13 @@ GOLDEN = [
         "73d2e39e16459faa",
         BEST_576x512,
         {
-            "losses": "9359f2acc6283953",
-            "actor": "7b9800607d92c37a",
-            "critic": "f3217778f532c935",
-            "critic2": "386f35f07a7eba10",
-            "actor_target": "39fee55682856afe",
-            "critic_target": "c8ab9f9d178c2c5c",
-            "critic2_target": "8248f8d94dbc3ad0",
+            "losses": "5f3099cda01e7b8b",
+            "actor": "548e46165c41c7ac",
+            "critic": "b9066bb810823392",
+            "critic2": "54dd6e42117097e1",
+            "actor_target": "3d5be343b6099ee0",
+            "critic_target": "89258d8ed62a17c8",
+            "critic2_target": "151e4dcf2174516e",
         },
         id="td3-bootstrap",
     ),
