@@ -799,6 +799,7 @@ def metrics_from_view(
     floats: np.ndarray,
     ints: np.ndarray,
     config: HardwareConfig,
+    const: _NetworkConstants,
     *,
     tile_shared: bool,
     detailed: bool,
@@ -809,12 +810,12 @@ def metrics_from_view(
     vectorized equivalent of ``Simulator._evaluate_reference``'s cost rollup.
     ``totals`` holds the eight folds (seven energy components + dynamic
     latency); ``floats``/``ints`` are the strategy's ``(10, L)`` /
-    ``(3, L)`` slices of the :func:`strategy_view` gather.  Each rollup
-    is bit-identical to the scalar loop.
+    ``(3, L)`` slices of the :func:`strategy_view` gather; ``const`` is
+    the pair's :func:`network_constants` record, resolved once per batch.
+    Each rollup is bit-identical to the scalar loop.
     """
     (adc_t, dac_t, xbar_t, shift_t, tree_t, buf_t, bus_t,
      dynamic_latency) = totals
-    const = network_constants(net, config)
     latency = dynamic_latency + const.pool_latency_ns
     leak = float(
         _leakage_energy_nj(
@@ -877,6 +878,7 @@ def score_strategy_batch(
     :func:`capacity_verdict` on an overflowing one.
     """
     net, floats, ints = strategy_view(network, strategies, config)
+    const = network_constants(net, config)
     # (8, S) folds — each (strategy, component) row folds independently,
     # so each is the same strict left fold as a scalar ``total += x``.
     totals_rows = left_fold(floats[:_F_AREA]).T.tolist()
@@ -908,6 +910,7 @@ def score_strategy_batch(
                 floats[:, s],
                 ints[:, s],
                 config,
+                const,
                 tile_shared=tile_shared,
                 detailed=detailed,
             )
