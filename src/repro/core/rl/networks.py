@@ -103,6 +103,17 @@ def _act_grad(name: Activation, a: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _dot_transposed(delta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``delta @ w.T``, bit for bit, through ``np.dot``.
+
+    ``matmul`` forms the output layer's ``(B, 1) @ (1, n)`` outer product
+    in a loop of its own rather than in BLAS; ``np.dot`` hands it to BLAS
+    (1.5 against 8.3 µs for a 64-row float32 batch) and is no slower on
+    the other layers.
+    """
+    return np.dot(delta, w.T)
+
+
 def _views(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
     """Consecutive reshaped views of ``flat``, one per shape."""
     views, start = [], 0
@@ -236,7 +247,7 @@ class MLP:
             np.matmul(activations[i].T, delta, out=self._grad_w[i])
             np.add.reduce(delta, axis=0, out=self._grad_b[i])
             if i:
-                delta = delta @ self.weights[i].T
+                delta = _dot_transposed(delta, self.weights[i])
 
     def input_grad(self, upstream: np.ndarray) -> np.ndarray:
         """dLoss/dInput through the last :meth:`forward`; ``grads`` is untouched.
@@ -245,7 +256,7 @@ class MLP:
         """
         delta = self._output_delta(upstream)
         for i in range(len(self.weights) - 1, -1, -1):
-            delta = self._layer_delta(i, delta) @ self.weights[i].T
+            delta = _dot_transposed(self._layer_delta(i, delta), self.weights[i])
         return delta
 
     # ------------------------------------------------------------------
@@ -309,7 +320,7 @@ class Adam:
         # scratch: one row per moment's increment, the flush mask, and
         # the step's denominator
         self._step = np.empty_like(self._moments)
-        self._below_tiny = np.empty(self._moments.shape, dtype=bool)
+        self._normal = np.empty(self._moments.shape, dtype=bool)
         self._denom = np.empty_like(self.params)
 
     def step(self, grad: np.ndarray) -> None:
@@ -324,10 +335,10 @@ class Adam:
             * math.sqrt(1.0 - self.beta2**self._t)
             / (1.0 - self.beta1**self._t)
         )
-        moments, step, below_tiny, denom = (
+        moments, step, normal, denom = (
             self._moments,
             self._step,
-            self._below_tiny,
+            self._normal,
             self._denom,
         )
         # m <- beta1 * m + (1 - beta1) * g;  v <- beta2 * v + (1 - beta2) * g * g
@@ -335,10 +346,14 @@ class Adam:
         np.multiply(grad, self._gain, out=step)
         step[1] *= grad
         moments += step
-        # flush entries below the smallest normal number to zero
+        # Flush entries below the smallest normal number to zero.  A
+        # multiply by the mask costs the same whatever its pattern; a
+        # masked copy branches per entry, and the learner's masks (every
+        # zero moment of a dead unit is in one) made it the step's
+        # slowest call.
         np.abs(moments, out=step)
-        np.less(step, self._tiny, out=below_tiny)
-        np.copyto(moments, 0.0, where=below_tiny)
+        np.greater_equal(step, self._tiny, out=normal)
+        moments *= normal
         # p <- p - alpha_t * m / (sqrt(v) + eps)
         np.sqrt(self._v, out=denom)
         denom += self.eps

@@ -139,6 +139,29 @@ class TestBackward:
         numeric = finite_diff_grads(net, x, upstream)
         assert np.allclose(analytic, numeric, atol=1e-4)
 
+    def test_reverse_passes_match_per_layer_formula(self):
+        """Both reverse passes give the bits of the per-layer ``@`` chain."""
+        rng = np.random.default_rng(9)
+        net = MLP.create([11, 64, 64, 1], rng=rng)
+        x = rng.normal(size=(64, 11)).astype(np.float32)
+        upstream = rng.normal(size=(64, 1)).astype(np.float32)
+        activations = [x]
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            z = activations[-1] @ w + b
+            activations.append(z if i == net.num_layers - 1 else np.maximum(z, 0.0))
+        grads, delta = [], upstream
+        for i in range(net.num_layers - 1, -1, -1):
+            if i < net.num_layers - 1:
+                delta = delta * (activations[i + 1] > 0.0)
+            grads.append((activations[i].T @ delta, np.add.reduce(delta, axis=0)))
+            delta = delta @ net.weights[i].T
+        grads.reverse()
+        net.forward(x)
+        assert np.array_equal(net.input_grad(upstream), delta)
+        net.backward(upstream)
+        for (gw, gb), w_view, b_view in zip(grads, net._grad_w, net._grad_b):
+            assert np.array_equal(w_view, gw) and np.array_equal(b_view, gb)
+
     def test_backward_uses_the_last_forward(self):
         rng = np.random.default_rng(4)
         net = MLP.create([3, 5, 2], rng=rng)
@@ -351,8 +374,8 @@ class TestAdam:
                 m_k += (1.0 - 0.9) * g
                 v_k *= 0.999
                 v_k += (1.0 - 0.999) * g * g
-                m_k[np.abs(m_k) < tiny] = 0.0
-                v_k[v_k < tiny] = 0.0
+                m_k *= np.abs(m_k) >= tiny
+                v_k *= v_k >= tiny
                 p -= alpha * m_k / (np.sqrt(v_k) + 1e-8)
             opt.step(np.concatenate([g.ravel() for g in grads]))
         assert all(p.dtype == np.float32 for p in params)
