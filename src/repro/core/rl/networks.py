@@ -335,12 +335,7 @@ class Adam:
             * math.sqrt(1.0 - self.beta2**self._t)
             / (1.0 - self.beta1**self._t)
         )
-        moments, step, normal, denom = (
-            self._moments,
-            self._step,
-            self._normal,
-            self._denom,
-        )
+        moments, step, normal, denom = self._moments, self._step, self._normal, self._denom
         # m <- beta1 * m + (1 - beta1) * g;  v <- beta2 * v + (1 - beta2) * g * g
         moments *= self._decay
         np.multiply(grad, self._gain, out=step)
