@@ -400,6 +400,7 @@ UNIT_TABLE: dict[str, dict[str, str]] = {
         "allocated_cells": "count",
         "weight_cells": "count",
         "tiles_per_layer": "count",
+        "crossbar_counts": "count",
         "total_crossbar_slots": "count",
         "utilization": "fraction",
     },

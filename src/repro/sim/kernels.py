@@ -23,6 +23,13 @@ re-expresses the whole model as array kernels:
   gather (:func:`strategy_view`) and, per strategy, metric assembly
   (:func:`metrics_from_view`).  A cold
   :meth:`~repro.sim.simulator.Simulator.evaluate` is a batch of one.
+  Each strategy is scored from the one scored before it (the previous
+  row of the batch, or the :class:`ScoredStrategy` snapshot a
+  :class:`ScoringBase` slot keeps across calls): where their shape-table
+  rows differ in few layers, the allocation summary, the shapes' text
+  and, for a lone strategy, the gathered columns are the previous
+  strategy's with those layers redone.  The float folds always run over
+  every layer and tile.
 
 **Exactness contract.**  Kernel results are *bit-identical* to the scalar
 reference, not merely close (``tests/sim/test_vectorized_parity.py`` and
@@ -50,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,6 +87,8 @@ __all__ = [
     "area_from_layer_runs",
     "ShapeTable",
     "shape_table",
+    "ScoredStrategy",
+    "ScoringBase",
     "strategy_view",
     "metrics_from_view",
     "score_strategy_batch",
@@ -96,7 +105,7 @@ def left_fold(values: np.ndarray) -> np.ndarray:
     """
     if values.shape[-1] == 0:
         return np.zeros(values.shape[:-1], dtype=np.float64)
-    return np.cumsum(values, axis=-1)[..., -1]
+    return values.cumsum(axis=-1)[..., -1]
 
 
 def _ceil_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -518,10 +527,10 @@ def area_from_layer_runs(
     counts drop out, like the scalar ``count <= 0`` skip) and the cumsum
     left-folds the expansion exactly like the scalar per-tile loop.
     """
-    expanded = np.repeat(tile_areas, counts)
+    expanded = tile_areas.repeat(counts)
     if expanded.size == 0:
         return 0.0
-    return float(np.cumsum(expanded)[-1])
+    return float(expanded.cumsum()[-1])
 
 
 # ----------------------------------------------------------------------
@@ -668,17 +677,109 @@ def shape_table(
     return table
 
 
+class ScoredStrategy(NamedTuple):
+    """One strategy as the batch scorer left it: the base of the next.
+
+    An immutable snapshot of what :func:`score_strategy_batch` derived
+    from the strategy that depends on nothing but the strategy, its
+    network and config: the shape-table row, the gathered columns, the
+    allocation summary and the shapes' text.  A strategy scored after it
+    that differs in a few layers reuses them and recomputes those layers;
+    no result is ever read from it.  The arrays are views of the scorer's
+    own gather, which nothing writes once the batch is scored.
+    """
+
+    #: the table :attr:`row` indexes; a later gather reuses the snapshot
+    #: only from this very table, so a row means the same shapes
+    table: ShapeTable
+    tile_shared: bool
+    row: np.ndarray            #: ``(L,)`` shape-table row
+    floats: np.ndarray         #: ``(10, L)`` gathered columns
+    ints: np.ndarray           #: ``(3, L)`` gathered columns
+    summary: AllocationSummary
+    shape_strs: tuple[str, ...]
+
+
+class ScoringBase:
+    """One scorer's slot for the strategy it scored last.
+
+    A :class:`~repro.sim.simulator.Simulator` holds one and passes it to
+    every :func:`score_strategy_batch` call: the scorer reads
+    :attr:`last` once, diffs its first strategy against it, and swaps in
+    the snapshot of its last strategy with one attribute assignment.  The
+    slot decides only how much of a result is recomputed, never what the
+    result is.
+    """
+
+    __slots__ = ("last",)
+
+    def __init__(self) -> None:
+        self.last: ScoredStrategy | None = None
+
+
+def _row_changes(
+    rows: np.ndarray, base_row: np.ndarray | None
+) -> list[list[int] | None] | None:
+    """Per row of ``rows``, the layers that differ from the row before it.
+
+    The first row is compared with ``base_row`` (``None``: no base).  A
+    row that differs in a quarter of its layers or more gets ``None``:
+    there, splicing the groups it touches costs about as much as
+    regrouping every layer (measured on ResNet152).  Returns ``None``
+    when every row gets ``None``.
+    """
+    num, layers = rows.shape
+    if num == 1:
+        if base_row is None:
+            return None
+        changed = (rows[0] != base_row).nonzero()[0]
+        return [changed.tolist()] if 4 * len(changed) < layers else None
+    diff = rows != (rows[0] if base_row is None else base_row)
+    diff[1:] = rows[1:] != rows[:-1]
+    which, where = diff.nonzero()
+    changed = where.tolist()
+    changes: list[list[int] | None] = []
+    start = 0
+    for count in np.bincount(which, minlength=num).tolist():
+        changes.append(changed[start:start + count] if 4 * count < layers else None)
+        start += count
+    if base_row is None:
+        changes[0] = None
+    return changes if any(c is not None for c in changes) else None
+
+
 def strategy_view(
     network: Network,
     strategies: Sequence[Sequence[CrossbarShape]],
     config: HardwareConfig,
-) -> tuple[NetworkArrays, np.ndarray, np.ndarray]:
+    *,
+    base: ScoredStrategy | None = None,
+) -> tuple[
+    NetworkArrays,
+    ShapeTable,
+    np.ndarray,
+    list[list[int] | None],
+    np.ndarray,
+    np.ndarray,
+]:
     """Gather a batch's per-layer kernel rows from the shape table.
 
-    Returns ``(net, floats, ints)`` with ``floats`` of shape ``(10, S, L)``
-    and ``ints`` of shape ``(3, S, L)`` (row order: the ``_F_*`` /
-    ``_I_*`` constants).  Shapes are looked up in the table first; only
-    a shape it does not know (a ``KeyError``) extends it, once.
+    Returns ``(net, table, rows, changes, floats, ints)``: the table the
+    ``(S, L)`` shape-table ``rows`` index; per strategy, the ascending
+    layers whose row entry differs from the row before it (``base``'s row
+    for the first), or ``None`` where the strategy is gathered and
+    summarised in full; and ``floats`` of shape ``(10, S, L)`` and
+    ``ints`` of shape ``(3, S, L)`` (row order: the ``_F_*`` / ``_I_*``
+    constants).
+
+    Shapes are looked up in the table first; only a shape it does not
+    know (a ``KeyError``) extends it, once.  Each strategy's table row is
+    then compared with the row before it, and with ``base``'s row for
+    the first (when ``base`` indexes the same table).  A lone strategy
+    that differs from ``base`` in a few layers copies ``base``'s columns
+    and re-gathers those layers; otherwise the batch is gathered in one
+    pass.  Every column is a copy of a table value, so both give the same
+    bits.
     """
     net = network_arrays(network)
     for strategy in strategies:
@@ -701,8 +802,34 @@ def strategy_view(
         )
         index = table.index
         idx = [index[s._str] for strategy in strategies for s in strategy]
-    idx = np.array(idx, dtype=np.int64).reshape(len(strategies), net.num_layers)
-    return net, table.floats[:, idx, table.layers], table.ints[:, idx, table.layers]
+    rows = np.array(idx, dtype=np.int64).reshape(len(strategies), net.num_layers)
+    if base is not None and base.table is not table:
+        base = None
+    changes = _row_changes(rows, None if base is None else base.row)
+    if changes is None:
+        changes = [None] * len(strategies)
+    elif (
+        base is not None
+        and len(strategies) == 1
+        and changes[0] is not None
+        and 16 * len(changes[0]) <= net.num_layers
+    ):
+        # A lone neighbour: its base's columns with the changed layers
+        # re-gathered, one layer at a time.  That beats one full gather
+        # up to about L/16 changed layers (ResNet152 and VGG16); a batch
+        # is one gather below, which costs less than copying columns row
+        # by row.
+        floats, ints = base.floats.copy(), base.ints.copy()
+        row = rows[0]
+        for layer in changes[0]:
+            floats[:, layer] = table.floats[:, row[layer], layer]
+            ints[:, layer] = table.ints[:, row[layer], layer]
+        return net, table, rows, changes, floats[:, None], ints[:, None]
+    return (
+        net, table, rows, changes,
+        table.floats[:, rows, table.layers],
+        table.ints[:, rows, table.layers],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -756,7 +883,7 @@ def _leakage_energy_nj(
 
 
 def _layer_costs(
-    strategy: Sequence[CrossbarShape],
+    shape_strs: Sequence[str],
     net: NetworkArrays,
     floats: np.ndarray,
     ints: np.ndarray,
@@ -769,7 +896,7 @@ def _layer_costs(
     return tuple(
         LayerCost(
             layer_index=layer_indices[i],
-            shape_str=strategy[i]._str,
+            shape_str=shape_strs[i],
             mvm_ops=mvm_ops[i],
             num_crossbars=n[_I_XBARS][i],
             adc_conversions=n[_I_ADC_CONV][i],
@@ -792,7 +919,7 @@ def _layer_costs(
 
 def metrics_from_view(
     network: Network,
-    strategy: Sequence[CrossbarShape],
+    shape_strs: tuple[str, ...],
     net: NetworkArrays,
     summary: AllocationSummary,
     totals: Sequence[float],
@@ -808,8 +935,9 @@ def metrics_from_view(
 
     The metric-assembly stage of :func:`score_strategy_batch`, the
     vectorized equivalent of ``Simulator._evaluate_reference``'s cost rollup.
-    ``totals`` holds the eight folds (seven energy components + dynamic
-    latency); ``floats``/``ints`` are the strategy's ``(10, L)`` /
+    ``shape_strs`` is each layer's ``"RxC"`` text; ``totals`` holds the
+    eight folds (seven energy components + dynamic latency);
+    ``floats``/``ints`` are the strategy's ``(10, L)`` /
     ``(3, L)`` slices of the :func:`strategy_view` gather; ``const`` is
     the pair's :func:`network_constants` record, resolved once per batch.
     Each rollup is bit-identical to the scalar loop.
@@ -839,10 +967,10 @@ def metrics_from_view(
     )
     layer_costs: tuple[LayerCost, ...] = ()
     if detailed:
-        layer_costs = _layer_costs(strategy, net, floats, ints)
+        layer_costs = _layer_costs(shape_strs, net, floats, ints)
     return SystemMetrics(
         network_name=network.name,
-        strategy=tuple([s._str for s in strategy]),
+        strategy=shape_strs,
         utilization=summary.utilization,
         energy_nj=breakdown.total,
         latency_ns=latency,
@@ -850,7 +978,7 @@ def metrics_from_view(
             floats[_F_AREA], summary.tiles_per_layer
         ),
         occupied_tiles=summary.occupied_tiles,
-        occupied_crossbars=int(ints[_I_XBARS].sum()),
+        occupied_crossbars=sum(summary.crossbar_counts),
         empty_crossbars=summary.empty_crossbars,
         tile_shared=tile_shared,
         energy_breakdown=breakdown,
@@ -867,6 +995,7 @@ def score_strategy_batch(
     enforce_capacity: bool,
     detailed: bool = False,
     tracer: Tracer = NULL_TRACER,
+    base: ScoringBase | None = None,
 ) -> list[SystemMetrics | InfeasibleScore]:
     """Score a whole candidate batch with ``(S, L)`` array gathers.
 
@@ -876,24 +1005,51 @@ def score_strategy_batch(
     :class:`SystemMetrics` assembly stay per-strategy.  Returns one entry
     per strategy, in order: a :class:`SystemMetrics`, or the
     :func:`capacity_verdict` on an overflowing one.
+
+    Each strategy is scored from the one before it: where their table
+    rows differ in a few layers, its gathered columns, allocation summary
+    and shape text are the previous strategy's with those layers redone
+    (:func:`strategy_view`, ``summarize_counts(base=...)``).  The first
+    strategy's predecessor is ``base.last``, the last strategy the same
+    scorer scored, and the batch's last strategy replaces it.  Every float
+    fold still runs over all L layers, so the results are the bits a
+    scorer without a base computes.
     """
-    net, floats, ints = strategy_view(network, strategies, config)
+    last = None if base is None else base.last
+    if last is not None and last.tile_shared != tile_shared:
+        last = None
+    net, table, rows, changes, floats, ints = strategy_view(
+        network, strategies, config, base=last
+    )
     const = network_constants(net, config)
     # (8, S) folds — each (strategy, component) row folds independently,
     # so each is the same strict left fold as a scalar ``total += x``.
     totals_rows = left_fold(floats[:_F_AREA]).T.tolist()
     counts_rows = ints[_I_XBARS].tolist()
 
+    capacity = config.logical_xbars_per_tile
+    summary = None if last is None else last.summary
+    shape_strs: tuple[str, ...] = () if last is None else last.shape_strs
     results: list[SystemMetrics | InfeasibleScore] = []
     for s, strategy in enumerate(strategies):
+        changed = changes[s]
         summary = summarize_counts(
             strategy,
             tuple(counts_rows[s]),
             net.weight_cells_total,
-            config.logical_xbars_per_tile,
+            capacity,
             tile_shared=tile_shared,
             tracer=tracer,
+            base=None if changed is None else summary,
+            changed=changed or (),
         )
+        if changed is None:
+            shape_strs = tuple([shape._str for shape in strategy])
+        elif changed:
+            strs = list(shape_strs)
+            for layer in changed:
+                strs[layer] = strategy[layer]._str
+            shape_strs = tuple(strs)
         verdict = capacity_verdict(
             summary.occupied_tiles, config, enforce_capacity=enforce_capacity
         )
@@ -903,7 +1059,7 @@ def score_strategy_batch(
         results.append(
             metrics_from_view(
                 network,
-                strategy,
+                shape_strs,
                 net,
                 summary,
                 totals_rows[s],
@@ -914,5 +1070,10 @@ def score_strategy_batch(
                 tile_shared=tile_shared,
                 detailed=detailed,
             )
+        )
+    if base is not None and strategies:
+        base.last = ScoredStrategy(
+            table, tile_shared, rows[-1], floats[:, -1], ints[:, -1],
+            summary, shape_strs,
         )
     return results

@@ -55,7 +55,7 @@ from .energy import (
     leakage_energy,
     pooling_energy,
 )
-from .kernels import InfeasibleScore
+from .kernels import InfeasibleScore, ScoringBase
 from .latency import layer_latency_ns, pooling_latency_ns
 from .metrics import EnergyBreakdown, LayerCost, SystemMetrics
 
@@ -109,6 +109,17 @@ class Simulator:
     #: no-op ``NULL_TRACER`` unless tracing was explicitly enabled.
     #: Result-invariant by construction (``tests/obs`` proves it).
     tracer: Tracer | None = field(default=None, compare=False)
+    #: the strategy this simulator scored last, which the batch scorer
+    #: diffs the next one against so that a neighbour recomputes only its
+    #: changed layers.  It changes how much is recomputed, never a result
+    #: bit (``tests/sim/test_vectorized_parity.py``,
+    #: ``TestScoringOrderIndependence``).
+    scoring_base: ScoringBase = field(
+        default_factory=ScoringBase,
+        init=False,
+        compare=False,
+        repr=False,
+    )
 
     @property
     def effective_tracer(self) -> Tracer:
@@ -491,6 +502,7 @@ class Simulator:
                 enforce_capacity=self.enforce_capacity,
                 detailed=detailed,
                 tracer=tracer,
+                base=self.scoring_base,
             )
 
     # ------------------------------------------------------------------

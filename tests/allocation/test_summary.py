@@ -1,7 +1,9 @@
 """``summarize_allocation`` must reproduce the materialised allocator's
 aggregates exactly — it is the fast path ``Simulator.evaluate`` trusts
-instead of building tiles (docs/performance.md)."""
+instead of building tiles (docs/performance.md).  A summary updated from
+a base summary must equal the one built from scratch."""
 
+import dataclasses
 import math
 
 import pytest
@@ -15,6 +17,7 @@ from repro.core.allocation import (
     apply_tile_sharing,
     clear_summary_cache,
     summarize_allocation,
+    summarize_counts,
     summary_cache_info,
 )
 from repro.models import LayerSpec
@@ -133,3 +136,86 @@ def test_summary_rejects_nonpositive_capacity(lenet_net):
     mapping = map_layer(lenet_net.layers[0], DEFAULT_CANDIDATES[0])
     with pytest.raises(ValueError):
         summarize_allocation((mapping,), 0, tile_shared=True)
+
+
+def assert_same_summary(incremental, full):
+    """Every field equal, the bookkeeping ones included."""
+    for spec in dataclasses.fields(full):
+        ours, theirs = getattr(incremental, spec.name), getattr(full, spec.name)
+        if spec.name == "groups" and theirs is not None:
+            # A mapping with no order: compare it as one.
+            ours, theirs = dict(ours), dict(theirs)
+        assert ours == theirs, spec.name
+
+
+@st.composite
+def edit_chains(draw):
+    """A base strategy over a pool of shapes, plus a chain of 1-3-layer
+    edits of it.
+
+    The base gives one layer a shape no other layer has and never uses
+    the pool's last shape.  The chain's first edit moves that layer off
+    its shape, which empties a group; one later edit brings in the last
+    shape, which the base lacks.  Every other edit is random.
+    """
+    num_layers = draw(st.integers(2, 12))
+    pool = DEFAULT_CANDIDATES
+    # crossbar count per (layer, shape): any positive count, so tiles
+    # fill exactly, stay partial, or span several tiles.
+    counts = draw(
+        st.lists(
+            st.lists(st.integers(1, 70), min_size=len(pool), max_size=len(pool)),
+            min_size=num_layers,
+            max_size=num_layers,
+        )
+    )
+    lone = draw(st.integers(0, num_layers - 1))
+    base = [
+        0 if layer == lone else draw(st.integers(1, len(pool) - 2))
+        for layer in range(num_layers)
+    ]
+    layer_choices = st.integers(0, num_layers - 1)
+
+    def random_edit(shapes):
+        layers = draw(st.lists(layer_choices, min_size=1, max_size=3, unique=True))
+        return [(layer, draw(shapes)) for layer in layers]
+
+    others = st.integers(1, len(pool) - 2)
+    first = [(lone, draw(others))] + [
+        (layer, shape) for layer, shape in random_edit(others) if layer != lone
+    ]
+    edits = [first[:3]]
+    old_shapes = st.integers(0, len(pool) - 2)
+    edits += [random_edit(old_shapes) for _ in range(draw(st.integers(0, 4)))]
+    edits.insert(
+        draw(st.integers(1, len(edits))),
+        [(draw(layer_choices), len(pool) - 1)],
+    )
+    return pool, counts, base, edits
+
+
+@pytest.mark.parametrize("tile_shared", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(chain=edit_chains(), capacity=st.integers(1, 16))
+def test_incremental_summary_matches_full(chain, capacity, tile_shared):
+    pool, counts, picks, edits = chain
+
+    def summarize(picks, **base):
+        return summarize_counts(
+            [pool[p] for p in picks],
+            [counts[layer][p] for layer, p in enumerate(picks)],
+            123,
+            capacity,
+            tile_shared=tile_shared,
+            **base,
+        )
+
+    summary = summarize(picks)
+    for edit in edits:
+        edited = list(picks)
+        for layer, pick in edit:
+            edited[layer] = pick
+        changed = [layer for layer in range(len(picks)) if edited[layer] != picks[layer]]
+        summary = summarize(edited, base=summary, changed=changed)
+        assert_same_summary(summary, summarize(edited))
+        picks = edited

@@ -89,6 +89,60 @@ class TestEvaluateInvariance:
         )
 
 
+class TestIncrementalGroupEvents:
+    """A neighbour's allocation summary is updated from the strategy
+    scored before it, yet its trace is the trace of a fresh scoring."""
+
+    @staticmethod
+    def group_events(sink):
+        return [
+            r["attrs"]
+            for r in sink.records
+            if r["type"] == "event" and r["name"] == "alloc.group"
+        ]
+
+    def test_greedy_sweep_emits_fresh_group_events(self, resnet_net, monkeypatch):
+        from repro.sim import kernels
+
+        bases = []
+        real = kernels.summarize_counts
+
+        def spy(*args, **kwargs):
+            bases.append(kwargs.get("base") is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "summarize_counts", spy)
+        # Two layers of a coordinate-ascent sweep: each layer scores one
+        # batch of its candidates, then keeps the first.
+        strategy = list(mixed_strategy(resnet_net))
+        scored = []
+        sink = InMemorySink()
+        sim = Simulator(cache=None, tracer=Tracer([sink]))
+        for layer in (40, 41):
+            trials = []
+            for shape in DEFAULT_CANDIDATES:
+                trial = list(strategy)
+                trial[layer] = shape
+                trials.append(tuple(trial))
+            sim.evaluate_many(resnet_net, trials)
+            scored += trials
+            strategy[layer] = DEFAULT_CANDIDATES[0]
+        assert len(bases) == len(scored) and all(bases[1:])
+
+        fresh = []
+        for trial in scored:
+            fresh_sink = InMemorySink()
+            Simulator(cache=None, tracer=Tracer([fresh_sink])).evaluate(
+                resnet_net, trial, detailed=False
+            )
+            events = self.group_events(fresh_sink)
+            # First appearance in layer order.
+            first = {s._str: i for i, s in reversed(list(enumerate(trial)))}
+            assert [e["shape"] for e in events] == sorted(first, key=first.get)
+            fresh += events
+        assert self.group_events(sink) == fresh
+
+
 class TestSearchInvariance:
     def test_greedy_identical(self, lenet_net):
         plain_sim = Simulator()

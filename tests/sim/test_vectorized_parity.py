@@ -6,7 +6,7 @@ scalar evaluation's arithmetic operation-for-operation (strict left
 folds via ``cumsum``, identical association order, identical int→float
 conversion points).  There are two paths: the materialising reference
 and the ``(S, L)`` batch scorer, which a cold ``evaluate`` runs as a
-batch of one.  These tests enforce the contract four ways:
+batch of one.  These tests enforce the contract five ways:
 
 * a hypothesis battery over random networks × strategies × configs,
   comparing the reference, ``evaluate``'s kernel path and a direct call
@@ -14,6 +14,9 @@ batch of one.  These tests enforce the contract four ways:
 * the paper workloads (VGG16 et al.) under the paper's strategies;
 * the batched ``evaluate_many`` fast path against the serial loop,
   duplicates and infeasible entries included, cache counters and all;
+* one strategy scored after a neighbour, after a distant strategy,
+  inside a batch and first, which reuse different amounts of the
+  strategy scored before it;
 * shapes outside a warm shape table, which extend it once.
 """
 
@@ -232,6 +235,131 @@ class TestBatchedEvaluateMany:
         )[0]
         assert isinstance(scored, kernels.InfeasibleScore)
         assert scored.message == str(serial_exc.value)
+
+
+class TestScoringOrderIndependence:
+    """A strategy scores to the same bits whatever its ``Simulator``
+    scored just before it: the evidence behind ``Simulator.scoring_base``
+    in ``RESULT_INVARIANT_FIELDS``.
+
+    The batch scorer diffs each strategy against the one scored before
+    it and recomputes only the changed layers.  One strategy is scored
+    right after a one-layer neighbour, right after a distant strategy,
+    inside a coordinate-ascent batch, and first in a fresh simulator; all
+    four must equal each other and the reference oracle, infeasible
+    verdicts included.
+    """
+
+    LAYER = 9
+
+    @staticmethod
+    def target_for(network):
+        """A mixed strategy: several shapes, groups of several sizes."""
+        return tuple(
+            SHAPES[(3 * i) % 5 if i % 4 else 1] for i in range(network.num_layers)
+        )
+
+    @classmethod
+    def family(cls, strategy):
+        """The strategy with layer ``LAYER`` set to each candidate."""
+        layer = cls.LAYER
+        return [
+            strategy[:layer] + (shape,) + strategy[layer + 1:] for shape in SHAPES
+        ]
+
+    @staticmethod
+    def distant(strategy):
+        """Every layer on another candidate."""
+        return tuple(SHAPES[(SHAPES.index(s) + 2) % len(SHAPES)] for s in strategy)
+
+    @staticmethod
+    def scored(sim, network, batch):
+        """Score ``batch`` through ``sim``'s scorer and its base slot."""
+        return [
+            ("infeasible", result.message)
+            if isinstance(result, kernels.InfeasibleScore)
+            else result
+            for result in kernels.score_strategy_batch(
+                network,
+                batch,
+                sim.config,
+                tile_shared=True,
+                enforce_capacity=True,
+                detailed=True,
+                base=sim.scoring_base,
+            )
+        ]
+
+    def four_ways(self, network, target, before, other, config):
+        """``target`` right after ``before``, right after a distant
+        strategy, inside a batch between ``before`` and ``other``, and
+        first in a fresh simulator.  Each simulator but the last scores
+        a third strategy first, so the base it hands on has already been
+        replaced once."""
+        far = self.distant(target)
+
+        def after(*prefix):
+            sim = vector_sim(config)
+            for strategy in prefix:
+                outcome(sim, network, strategy, tile_shared=True, detailed=True)
+            return sim
+
+        ways = {
+            "after a neighbour": outcome(
+                after(far, before), network, target,
+                tile_shared=True, detailed=True,
+            ),
+            "after a distant strategy": outcome(
+                after(before, far), network, target,
+                tile_shared=True, detailed=True,
+            ),
+            "inside a batch": self.scored(
+                after(far), network, [before, target, other]
+            )[1],
+            "first": outcome(
+                vector_sim(config), network, target,
+                tile_shared=True, detailed=True,
+            ),
+        }
+        return ways
+
+    @pytest.mark.parametrize("net_fixture", ["vgg_net", "resnet_net"])
+    @pytest.mark.parametrize(
+        "case", ["feasible", "overflowing neighbour", "overflowing target"]
+    )
+    def test_any_order_gives_the_reference_bits(self, net_fixture, case, request):
+        network = request.getfixturevalue(net_fixture)
+        # One layer's five choices, by tiles: the target in the middle has
+        # a neighbour with fewer tiles and one with more.
+        family = sorted(
+            self.family(self.target_for(network)),
+            key=lambda s: vector_sim().evaluate(network, s).occupied_tiles,
+        )
+        fewer, target, more = family[0], family[len(family) // 2], family[-1]
+        tiles = [
+            vector_sim().evaluate(network, s).occupied_tiles
+            for s in (fewer, target, more)
+        ]
+        assert tiles[0] < tiles[1] < tiles[2]
+        config, before = HardwareConfig(), fewer
+        if case == "overflowing neighbour":
+            # The bank holds the target exactly; the neighbour overflows.
+            config, before = HardwareConfig(tiles_per_bank=tiles[1]), more
+        elif case == "overflowing target":
+            config = HardwareConfig(tiles_per_bank=tiles[1] - 1)
+        expected = outcome(
+            reference_sim(config), network, target, tile_shared=True, detailed=True
+        )
+        assert isinstance(expected, tuple) == (case == "overflowing target")
+        if case == "overflowing neighbour":
+            assert outcome(
+                reference_sim(config), network, before,
+                tile_shared=True, detailed=True,
+            )[0] == "infeasible"
+        others = [s for s in family if s not in (before, target)]
+        ways = self.four_ways(network, target, before, others[0], config)
+        for way, result in ways.items():
+            assert result == expected, way
 
 
 class TestWarmShapeTableExtension:
