@@ -57,6 +57,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
+from operator import is_not
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -685,17 +687,19 @@ class ScoredStrategy(NamedTuple):
     network and config: the shape-table row, the gathered columns, the
     allocation summary and the shapes' text.  A strategy scored after it
     that differs in a few layers reuses them and recomputes those layers;
-    no result is ever read from it.  The arrays are views of the scorer's
-    own gather, which nothing writes once the batch is scored.
+    no result is ever read from it.  The arrays are the scorer's own
+    gather, which nothing writes once the batch is scored.
     """
 
     #: the table :attr:`row` indexes; a later gather reuses the snapshot
     #: only from this very table, so a row means the same shapes
     table: ShapeTable
     tile_shared: bool
-    row: np.ndarray            #: ``(L,)`` shape-table row
-    floats: np.ndarray         #: ``(10, L)`` gathered columns
-    ints: np.ndarray           #: ``(3, L)`` gathered columns
+    row: list[int]             #: shape-table row
+    #: the ``(10, S, L)`` / ``(3, S, L)`` gather of the batch the strategy
+    #: ended; its columns are the last along the ``S`` axis
+    floats: np.ndarray
+    ints: np.ndarray
     summary: AllocationSummary
     shape_strs: tuple[str, ...]
 
@@ -717,35 +721,48 @@ class ScoringBase:
         self.last: ScoredStrategy | None = None
 
 
-def _row_changes(
-    rows: np.ndarray, base_row: np.ndarray | None
-) -> list[list[int] | None] | None:
-    """Per row of ``rows``, the layers that differ from the row before it.
+def _table_rows(
+    strategies: Sequence[Sequence[CrossbarShape]],
+    index: dict[str, int],
+    base: ScoredStrategy | None,
+    layers: int,
+) -> tuple[list[list[int]], list[list[int] | None]]:
+    """Each strategy's shape-table row, and where it differs from the
+    row before it (``base``'s row for the first; ``None``: no base).
 
-    The first row is compared with ``base_row`` (``None``: no base).  A
-    row that differs in a quarter of its layers or more gets ``None``:
+    A layer that holds the very shape object its predecessor held has
+    its predecessor's row entry; only the other layers are looked up and
+    compared.  A strategy with a quarter of its layers or more on other
+    objects is looked up in full and gets ``None`` for its changes:
     there, splicing the groups it touches costs about as much as
-    regrouping every layer (measured on ResNet152).  Returns ``None``
-    when every row gets ``None``.
+    regrouping every layer (measured on ResNet152).  Raises ``KeyError``
+    on a shape the table lacks.
     """
-    num, layers = rows.shape
-    if num == 1:
-        if base_row is None:
-            return None
-        changed = (rows[0] != base_row).nonzero()[0]
-        return [changed.tolist()] if 4 * len(changed) < layers else None
-    diff = rows != (rows[0] if base_row is None else base_row)
-    diff[1:] = rows[1:] != rows[:-1]
-    which, where = diff.nonzero()
-    changed = where.tolist()
+    rows: list[list[int]] = []
     changes: list[list[int] | None] = []
-    start = 0
-    for count in np.bincount(which, minlength=num).tolist():
-        changes.append(changed[start:start + count] if 4 * count < layers else None)
-        start += count
-    if base_row is None:
-        changes[0] = None
-    return changes if any(c is not None for c in changes) else None
+    span = range(layers)
+    prev_shapes, prev_row = (None, None) if base is None else (
+        base.summary.shapes_per_layer, base.row
+    )
+    moved: list[int] = []
+    for strategy in strategies:
+        if prev_row is not None:
+            moved = list(compress(span, map(is_not, strategy, prev_shapes)))
+        if prev_row is None or 4 * len(moved) >= layers:
+            row = [index[shape._str] for shape in strategy]
+            changes.append(None)
+        else:
+            row = list(prev_row)
+            changed = []
+            for layer in moved:
+                entry = index[strategy[layer]._str]
+                if entry != row[layer]:
+                    row[layer] = entry
+                    changed.append(layer)
+            changes.append(changed)
+        rows.append(row)
+        prev_shapes, prev_row = strategy, row
+    return rows, changes
 
 
 def strategy_view(
@@ -757,7 +774,7 @@ def strategy_view(
 ) -> tuple[
     NetworkArrays,
     ShapeTable,
-    np.ndarray,
+    list[list[int]],
     list[list[int] | None],
     np.ndarray,
     np.ndarray,
@@ -765,21 +782,22 @@ def strategy_view(
     """Gather a batch's per-layer kernel rows from the shape table.
 
     Returns ``(net, table, rows, changes, floats, ints)``: the table the
-    ``(S, L)`` shape-table ``rows`` index; per strategy, the ascending
-    layers whose row entry differs from the row before it (``base``'s row
-    for the first), or ``None`` where the strategy is gathered and
-    summarised in full; and ``floats`` of shape ``(10, S, L)`` and
-    ``ints`` of shape ``(3, S, L)`` (row order: the ``_F_*`` / ``_I_*``
-    constants).
+    ``S`` shape-table ``rows`` (lists of ``L`` ints) index; per strategy,
+    the ascending layers whose row entry differs from the row before it
+    (``base``'s row for the first), or ``None`` where the strategy is
+    gathered and summarised in full; and ``floats`` of shape
+    ``(10, S, L)`` and ``ints`` of shape ``(3, S, L)`` (row order: the
+    ``_F_*`` / ``_I_*`` constants).
 
+    Each strategy's row is built from the row before it (``base``'s for
+    the first, when ``base`` indexes the same table): only the layers
+    whose shape object changed are looked up (:func:`_table_rows`).
     Shapes are looked up in the table first; only a shape it does not
-    know (a ``KeyError``) extends it, once.  Each strategy's table row is
-    then compared with the row before it, and with ``base``'s row for
-    the first (when ``base`` indexes the same table).  A lone strategy
-    that differs from ``base`` in a few layers copies ``base``'s columns
-    and re-gathers those layers; otherwise the batch is gathered in one
-    pass.  Every column is a copy of a table value, so both give the same
-    bits.
+    know (a ``KeyError``) extends it, once, and then every row is looked
+    up in full.  A lone strategy that differs from ``base`` in a few
+    layers copies ``base``'s columns and re-gathers those layers;
+    otherwise the batch is gathered in one pass.  Every column is a copy
+    of a table value, so both give the same bits.
     """
     net = network_arrays(network)
     for strategy in strategies:
@@ -789,46 +807,40 @@ def strategy_view(
                 f"{net.num_layers}"
             )
     table = network_constants(net, config).table
+    if base is not None and base.table is not table:
+        base = None
     try:
         if table is None:
             raise KeyError("no shape table yet")
-        index = table.index
-        idx = [index[s._str] for strategy in strategies for s in strategy]
+        rows, changes = _table_rows(strategies, table.index, base, net.num_layers)
     except KeyError:
         # Unknown shape, or a network's first gather: extend the table
-        # once, then gather.
+        # once, then gather from scratch (the base indexes the old table).
         table = shape_table(
             net, config, [s for strategy in strategies for s in strategy]
         )
-        index = table.index
-        idx = [index[s._str] for strategy in strategies for s in strategy]
-    rows = np.array(idx, dtype=np.int64).reshape(len(strategies), net.num_layers)
-    if base is not None and base.table is not table:
         base = None
-    changes = _row_changes(rows, None if base is None else base.row)
-    if changes is None:
-        changes = [None] * len(strategies)
-    elif (
-        base is not None
-        and len(strategies) == 1
-        and changes[0] is not None
-        and 16 * len(changes[0]) <= net.num_layers
-    ):
+        rows, changes = _table_rows(strategies, table.index, None, net.num_layers)
+    lone = changes[0] if len(strategies) == 1 else None
+    if base is not None and lone is not None and 16 * len(lone) <= net.num_layers:
         # A lone neighbour: its base's columns with the changed layers
         # re-gathered, one layer at a time.  That beats one full gather
         # up to about L/16 changed layers (ResNet152 and VGG16); a batch
         # is one gather below, which costs less than copying columns row
         # by row.
-        floats, ints = base.floats.copy(), base.ints.copy()
+        floats, ints = base.floats[:, -1].copy(), base.ints[:, -1].copy()
         row = rows[0]
-        for layer in changes[0]:
+        for layer in lone:
             floats[:, layer] = table.floats[:, row[layer], layer]
             ints[:, layer] = table.ints[:, row[layer], layer]
         return net, table, rows, changes, floats[:, None], ints[:, None]
+    idx = np.fromiter(
+        chain.from_iterable(rows), np.int64, len(rows) * net.num_layers
+    ).reshape(len(rows), net.num_layers)
     return (
         net, table, rows, changes,
-        table.floats[:, rows, table.layers],
-        table.ints[:, rows, table.layers],
+        table.floats[:, idx, table.layers],
+        table.ints[:, idx, table.layers],
     )
 
 
@@ -1073,7 +1085,6 @@ def score_strategy_batch(
         )
     if base is not None and strategies:
         base.last = ScoredStrategy(
-            table, tile_shared, rows[-1], floats[:, -1], ints[:, -1],
-            summary, shape_strs,
+            table, tile_shared, rows[-1], floats, ints, summary, shape_strs
         )
     return results
