@@ -687,8 +687,8 @@ class ScoredStrategy(NamedTuple):
     network and config: the shape-table row, the gathered columns, the
     allocation summary and the shapes' text.  A strategy scored after it
     that differs in a few layers reuses them and recomputes those layers;
-    no result is ever read from it.  The arrays are the scorer's own
-    gather, which nothing writes once the batch is scored.
+    no result is ever read from it.  Nothing writes its arrays once the
+    batch is scored.
     """
 
     #: the table :attr:`row` indexes; a later gather reuses the snapshot
@@ -696,10 +696,8 @@ class ScoredStrategy(NamedTuple):
     table: ShapeTable
     tile_shared: bool
     row: list[int]             #: shape-table row
-    #: the ``(10, S, L)`` / ``(3, S, L)`` gather of the batch the strategy
-    #: ended; its columns are the last along the ``S`` axis
-    floats: np.ndarray
-    ints: np.ndarray
+    floats: np.ndarray         #: ``(10, 1, L)`` gathered columns
+    ints: np.ndarray           #: ``(3, 1, L)`` gathered columns
     summary: AllocationSummary
     shape_strs: tuple[str, ...]
 
@@ -828,7 +826,7 @@ def strategy_view(
         # up to about L/16 changed layers (ResNet152 and VGG16); a batch
         # is one gather below, which costs less than copying columns row
         # by row.
-        floats, ints = base.floats[:, -1].copy(), base.ints[:, -1].copy()
+        floats, ints = base.floats[:, 0].copy(), base.ints[:, 0].copy()
         row = rows[0]
         for layer in lone:
             floats[:, layer] = table.floats[:, row[layer], layer]
@@ -1084,6 +1082,10 @@ def score_strategy_batch(
             )
         )
     if base is not None and strategies:
+        if len(strategies) > 1:
+            # Only the last strategy's columns: the whole gather of a
+            # large batch would outlive the batch.
+            floats, ints = floats[:, -1:].copy(), ints[:, -1:].copy()
         base.last = ScoredStrategy(
             table, tile_shared, rows[-1], floats, ints, summary, shape_strs
         )
