@@ -533,18 +533,14 @@ def search_time_profile(
     *,
     rounds: int | None = None,
     seed: int = 0,
-    cached: bool = False,
 ) -> SearchResult:
     """Run the VGG16 search and report the decision/simulator time split.
 
-    Defaults to the *uncached* reference simulator so the §4.5 claim —
-    simulator feedback dominates the search — stays reproducible.  Pass
-    ``cached=True`` for the production configuration (evaluation cache +
-    memoised costs); the result then carries non-``None``
-    :attr:`~repro.core.autohet.SearchResult.cache_stats`.
+    Runs on the *uncached* reference simulator so the §4.5 claim —
+    simulator feedback dominates the search — stays reproducible.
     """
     rounds = rounds if rounds is not None else default_rounds()
-    sim = Simulator() if cached else Simulator(cache=None, memoize_costs=False)
+    sim = Simulator(cache=None, memoize_costs=False)
     return autohet_search(
         vgg16(), DEFAULT_CANDIDATES, rounds=rounds, simulator=sim, seed=seed
     )

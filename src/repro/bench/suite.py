@@ -9,7 +9,7 @@ counterpart of EXPERIMENTS.md.  The CLI exposes it as
 from __future__ import annotations
 
 import time
-from typing import Any
+from typing import Any, Callable
 
 from .experiments import (
     default_rounds,
@@ -27,6 +27,7 @@ from .experiments import (
     table5_area_latency,
 )
 from .export import (
+    Records,
     ablation_to_records,
     fig4_to_records,
     fig5_to_records,
@@ -36,6 +37,49 @@ from .export import (
     table3_to_records,
     table4_to_records,
 )
+
+#: The experiments with flat records, in suite order:
+#: ``name -> (runner(rounds, seed), to_records)``.  ``run_full_suite``
+#: and ``repro experiment NAME --export PATH`` both read this table.
+EXPORTERS: dict[
+    str, tuple[Callable[[int | None, int], Any], Callable[[Any], Records]]
+] = {
+    "fig3": (lambda rounds, seed: fig3_motivation(), rows_to_records),
+    "fig4": (lambda rounds, seed: fig4_empty_crossbars(), fig4_to_records),
+    "fig5": (lambda rounds, seed: fig5_tradeoff(), fig5_to_records),
+    "fig9": (
+        lambda rounds, seed: fig9_overall(rounds=rounds, seed=seed),
+        overall_to_records,
+    ),
+    "fig10": (
+        lambda rounds, seed: fig10_ablation(rounds=rounds, seed=seed),
+        ablation_to_records,
+    ),
+    "fig11a": (
+        lambda rounds, seed: fig11a_sxb_rxb_ratio(rounds=rounds, seed=seed),
+        lambda p: sensitivity_to_records(p, x_label="sxb_rxb_ratio"),
+    ),
+    "fig11b": (
+        lambda rounds, seed: fig11b_candidate_count(rounds=rounds, seed=seed),
+        lambda p: sensitivity_to_records(p, x_label="candidate_count"),
+    ),
+    "fig11c": (
+        lambda rounds, seed: fig11c_pes_per_tile(rounds=rounds, seed=seed),
+        lambda p: sensitivity_to_records(p, x_label="pes_per_tile"),
+    ),
+    "table3": (
+        lambda rounds, seed: table3_strategies(rounds=rounds, seed=seed),
+        table3_to_records,
+    ),
+    "table4": (
+        lambda rounds, seed: table4_tiles(rounds=rounds, seed=seed),
+        table4_to_records,
+    ),
+    "table5": (
+        lambda rounds, seed: table5_area_latency(rounds=rounds, seed=seed),
+        rows_to_records,
+    ),
+}
 
 
 def run_full_suite(
@@ -49,53 +93,12 @@ def run_full_suite(
     rounds = rounds if rounds is not None else default_rounds()
     doc: dict[str, Any] = {"meta": {"rounds": rounds, "seed": seed, "timing_s": {}}}
 
-    def run(name, fn, to_records):
+    for name, (runner, to_records) in EXPORTERS.items():
         t0 = time.perf_counter()
-        data = fn()
-        doc[name] = to_records(data)
+        doc[name] = to_records(runner(rounds, seed))
         doc["meta"]["timing_s"][name] = round(time.perf_counter() - t0, 3)
         if verbose:
             print(f"  {name}: {doc['meta']['timing_s'][name]:.1f}s")
-
-    run("fig3", fig3_motivation, rows_to_records)
-    run("fig4", fig4_empty_crossbars, fig4_to_records)
-    run("fig5", fig5_tradeoff, fig5_to_records)
-    run("fig9", lambda: fig9_overall(rounds=rounds, seed=seed), overall_to_records)
-    run(
-        "fig10",
-        lambda: fig10_ablation(rounds=rounds, seed=seed),
-        ablation_to_records,
-    )
-    run(
-        "fig11a",
-        lambda: fig11a_sxb_rxb_ratio(rounds=rounds, seed=seed),
-        lambda p: sensitivity_to_records(p, x_label="sxb_rxb_ratio"),
-    )
-    run(
-        "fig11b",
-        lambda: fig11b_candidate_count(rounds=rounds, seed=seed),
-        lambda p: sensitivity_to_records(p, x_label="candidate_count"),
-    )
-    run(
-        "fig11c",
-        lambda: fig11c_pes_per_tile(rounds=rounds, seed=seed),
-        lambda p: sensitivity_to_records(p, x_label="pes_per_tile"),
-    )
-    run(
-        "table3",
-        lambda: table3_strategies(rounds=rounds, seed=seed),
-        table3_to_records,
-    )
-    run(
-        "table4",
-        lambda: table4_tiles(rounds=rounds, seed=seed),
-        table4_to_records,
-    )
-    run(
-        "table5",
-        lambda: table5_area_latency(rounds=rounds, seed=seed),
-        rows_to_records,
-    )
 
     profile = search_time_profile(rounds=rounds, seed=seed)
     doc["search_time"] = [

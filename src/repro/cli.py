@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     t_run.add_argument("model", help="workload name (see `models`)")
     t_run.add_argument(
-        "--out", required=True, metavar="PATH",
+        "--out", required=True, metavar="PATH", dest="trace",
         help="JSONL file the trace records are written to",
     )
     t_run.add_argument("--rounds", type=int, default=60)
@@ -179,6 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-tile-shared", action="store_true",
         help="disable the tile-shared allocation scheme",
     )
+    t_run.set_defaults(seeds=None, verbose=False)
     t_sum = trace_sub.add_parser(
         "summarize",
         help="validate a JSONL trace against the schema and roll it up",
@@ -549,7 +550,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         if args.candidates
         else DEFAULT_CANDIDATES
     )
-    trace_path = getattr(args, "trace", None)
+    trace_path = args.trace
     with _tracing(trace_path):
         if args.seeds:
             seeds = tuple(int(s) for s in args.seeds.split(","))
@@ -616,29 +617,9 @@ def cmd_baselines(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_run(args: argparse.Namespace) -> int:
-    """Traced AutoHet search: search, detailed winner evaluation, rollup."""
-    network = get_model(args.model)
-    candidates = (
-        tuple(CrossbarShape.parse(t) for t in args.candidates.split(","))
-        if args.candidates
-        else DEFAULT_CANDIDATES
-    )
-    with _tracing(args.out):
-        result = autohet_search(
-            network,
-            candidates,
-            rounds=args.rounds,
-            tile_shared=not args.no_tile_shared,
-            seed=args.seed,
-        )
-        Simulator().evaluate(
-            network,
-            result.best_strategy,
-            tile_shared=not args.no_tile_shared,
-            detailed=True,
-        )
-    print(result.summary())
-    return _summarize_trace_file(args.out)
+    """Traced AutoHet search (``search --trace``), then its rollup."""
+    cmd_search(args)
+    return _summarize_trace_file(args.trace)
 
 
 def _summarize_trace_file(path: str) -> int:
@@ -843,43 +824,11 @@ def main(argv: list[str] | None = None) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-#: experiments with a flat-record exporter: name -> (runner, to_records)
-def _exporters():
-    from .bench import export as ex
-
-    return {
-        "fig3": (lambda a: fig3_motivation(), ex.rows_to_records),
-        "fig4": (lambda a: fig4_empty_crossbars(), ex.fig4_to_records),
-        "fig5": (lambda a: fig5_tradeoff(), ex.fig5_to_records),
-        "fig9": (
-            lambda a: fig9_overall(rounds=a.rounds, seed=a.seed),
-            ex.overall_to_records,
-        ),
-        "fig10": (
-            lambda a: fig10_ablation(rounds=a.rounds, seed=a.seed),
-            ex.ablation_to_records,
-        ),
-        "table3": (
-            lambda a: table3_strategies(rounds=a.rounds, seed=a.seed),
-            ex.table3_to_records,
-        ),
-        "table4": (
-            lambda a: table4_tiles(rounds=a.rounds, seed=a.seed),
-            ex.table4_to_records,
-        ),
-        "table5": (
-            lambda a: table5_area_latency(rounds=a.rounds, seed=a.seed),
-            ex.rows_to_records,
-        ),
-    }
-
-
 def cmd_experiment_export(args: argparse.Namespace) -> int:
     from .bench.export import to_csv, to_json
+    from .bench.suite import EXPORTERS, run_full_suite, summarize_suite
 
     if args.name == "all":
-        from .bench.suite import run_full_suite, summarize_suite
-
         doc = run_full_suite(rounds=args.rounds, seed=args.seed, verbose=True)
         import json as _json
         from pathlib import Path as _Path
@@ -889,14 +838,13 @@ def cmd_experiment_export(args: argparse.Namespace) -> int:
         print(f"wrote full suite document to {args.export}")
         return 0
 
-    exporters = _exporters()
-    if args.name not in exporters:
+    if args.name not in EXPORTERS:
         raise SystemExit(
             f"experiment {args.name!r} has no flat-record exporter; "
-            f"exportable: {sorted(exporters)}"
+            f"exportable: {sorted(EXPORTERS)}"
         )
-    runner, to_records = exporters[args.name]
-    records = to_records(runner(args))
+    runner, to_records = EXPORTERS[args.name]
+    records = to_records(runner(args.rounds, args.seed))
     path = args.export
     writer = to_csv if str(path).endswith(".csv") else to_json
     writer(records, path)

@@ -18,7 +18,7 @@ from ..arch.config import CrossbarShape, DEFAULT_CANDIDATES
 from ..models.graph import Network
 from ..obs import metrics as obs_metrics
 from ..obs.log import get_logger
-from ..obs.trace import Tracer
+from ..obs.trace import current_tracer
 from ..sim.cache import CacheStats
 from ..sim.metrics import SystemMetrics
 from ..sim.simulator import CapacityError, Simulator, Strategy
@@ -84,24 +84,21 @@ class AutoHet:
         reward_fn: RewardFn = reward_rue,
         agent_config: DDPGConfig | None = None,
         seed: int = 0,
-        tracer: Tracer | None = None,
     ) -> None:
         self.simulator = simulator if simulator is not None else Simulator()
-        self.tracer = tracer
         self.env = CrossbarSearchEnv(
             network,
             candidates,
             self.simulator,
             tile_shared=tile_shared,
             reward_fn=reward_fn,
-            tracer=tracer,
         )
         cfg = agent_config if agent_config is not None else DDPGConfig(seed=seed)
         # A TD3Config transparently selects the twin-critic agent.
         from .rl.td3 import TD3Agent, TD3Config
 
         agent_cls = TD3Agent if isinstance(cfg, TD3Config) else DDPGAgent
-        self.agent = agent_cls(cfg, tracer=tracer)
+        self.agent = agent_cls(cfg)
         self.network = network
 
     # ------------------------------------------------------------------
@@ -125,11 +122,7 @@ class AutoHet:
         if rounds <= 0:
             raise ValueError("rounds must be positive")
         env, agent = self.env, self.agent
-        tracer = (
-            self.tracer
-            if self.tracer is not None
-            else self.simulator.effective_tracer
-        )
+        tracer = current_tracer()
         best_reward = float("-inf")
         best: tuple[Strategy, SystemMetrics] | None = None
         rewards: list[float] = []
@@ -248,7 +241,6 @@ def autohet_search(
     simulator: Simulator | None = None,
     seed: int = 0,
     verbose: bool = False,
-    tracer: Tracer | None = None,
 ) -> SearchResult:
     """One-call convenience wrapper: build an :class:`AutoHet` and search."""
     engine = AutoHet(
@@ -257,7 +249,6 @@ def autohet_search(
         simulator,
         tile_shared=tile_shared,
         seed=seed,
-        tracer=tracer,
     )
     return engine.search(rounds, verbose=verbose)
 
@@ -271,7 +262,6 @@ def autohet_multi_seed(
     tile_shared: bool = True,
     simulator: Simulator | None = None,
     verbose: bool = False,
-    tracer: Tracer | None = None,
 ) -> tuple[SearchResult, tuple[SearchResult, ...]]:
     """Run :func:`autohet_search` under several RL seeds; keep the best.
 
@@ -309,7 +299,6 @@ def autohet_multi_seed(
             simulator=sim,
             seed=seed,
             verbose=verbose,
-            tracer=tracer,
         )
         for seed in seeds
     )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...obs import metrics as obs_metrics
-from ...obs.trace import Tracer, current_tracer
+from ...obs.trace import current_tracer
 from .networks import MLP, Adam, clip_ufunc, mean_array, mean_floats, unit_clip
 from .noise import TruncatedNormalNoise
 from .replay import ExperiencePool, Transition
@@ -95,15 +95,8 @@ class DDPGConfig:
 class DDPGAgent:
     """Actor-critic pair, experience pool, and targets when bootstrapping."""
 
-    def __init__(
-        self, config: DDPGConfig = DDPGConfig(), *, tracer: Tracer | None = None
-    ) -> None:
+    def __init__(self, config: DDPGConfig = DDPGConfig()) -> None:
         self.config = config
-        #: explicit tracer; ``None`` resolves the ambient one lazily.
-        #: Telemetry is read-only: every traced quantity is already computed
-        #: by the update, so enabling it cannot change the learning
-        #: trajectory.
-        self.tracer = tracer
         self._last_actor_objective: float | None = None
         rng = np.random.default_rng(config.seed)
         sizes_a = (config.state_dim, *config.hidden, 1)
@@ -223,7 +216,10 @@ class DDPGAgent:
                 sa[rows],
                 sa_mu[rows],
             )
-        tracer = self._effective_tracer()
+        # Telemetry is read-only: every traced quantity is already computed
+        # by the update, so enabling it cannot change the learning
+        # trajectory.
+        tracer = current_tracer()
         if tracer.enabled:
             tracer.counter(obs_metrics.CRITIC_LOSS, loss, episode=self.episodes)
             if self._last_actor_objective is not None:
@@ -233,9 +229,6 @@ class DDPGAgent:
                     episode=self.episodes,
                 )
         return loss
-
-    def _effective_tracer(self) -> Tracer:
-        return self.tracer if self.tracer is not None else current_tracer()
 
     def _target_actions(self, next_states: np.ndarray) -> np.ndarray:
         return self.actor_target.forward(next_states)

@@ -30,7 +30,7 @@ from ...arch.config import CrossbarShape
 from ...arch.mapping import map_layer
 from ...models.graph import Network
 from ...obs import metrics as obs_metrics
-from ...obs.trace import Tracer
+from ...obs.trace import current_tracer
 from ...sim.metrics import SystemMetrics
 from ...sim.simulator import CapacityError, Simulator
 from .networks import unit_clip
@@ -89,7 +89,6 @@ class CrossbarSearchEnv:
         tile_shared: bool = True,
         reward_fn: RewardFn = reward_rue,
         infeasible_reward: float = 0.0,
-        tracer: Tracer | None = None,
     ) -> None:
         if not candidates:
             raise ValueError("need at least one crossbar candidate")
@@ -114,9 +113,6 @@ class CrossbarSearchEnv:
         self.infeasible_episodes = 0
         #: episodes finished since construction (feasible or not)
         self.episodes_finished = 0
-        # Explicit tracer, else resolve the simulator's (which itself
-        # falls back to the ambient one) at each episode end.
-        self._tracer = tracer
         self._norms = self._feature_norms()
         self._pending: list[int] = []
         self._states: list[np.ndarray] = []
@@ -254,11 +250,7 @@ class CrossbarSearchEnv:
         else:
             reward = self.reward_fn(metrics)
         self.episodes_finished += 1
-        tracer = (
-            self._tracer
-            if self._tracer is not None
-            else self.simulator.effective_tracer
-        )
+        tracer = current_tracer()
         if tracer.enabled:
             obs_metrics.emit_episode(
                 tracer,

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...obs.trace import Tracer
 from .ddpg import DDPGAgent, DDPGConfig
 from .networks import MLP, Adam, clip_ufunc
 
@@ -47,10 +46,8 @@ class TD3Config(DDPGConfig):
 class TD3Agent(DDPGAgent):
     """DDPG agent with twin critics and delayed policy updates."""
 
-    def __init__(
-        self, config: TD3Config = TD3Config(), *, tracer: Tracer | None = None
-    ) -> None:
-        super().__init__(config, tracer=tracer)
+    def __init__(self, config: TD3Config = TD3Config()) -> None:
+        super().__init__(config)
         rng = np.random.default_rng(config.seed + 7919)
         sizes_c = (config.state_dim + 1, *config.hidden, 1)
         self.critic2 = MLP.create(sizes_c, rng=rng)

@@ -22,10 +22,10 @@ import numpy as np
 from ...arch.config import CrossbarShape
 from ...models.graph import Network
 from ...obs import metrics as obs_metrics
-from ...obs.trace import Tracer
+from ...obs.trace import current_tracer
 from ...sim.metrics import SystemMetrics
 from ...sim.simulator import CapacityError, Simulator
-from .strategies import SearchOutcome, _search_tracer
+from .strategies import SearchOutcome
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ def simulated_annealing(
     tile_shared: bool = True,
     schedule: AnnealingSchedule = AnnealingSchedule(),
     seed: int = 0,
-    tracer: Tracer | None = None,
 ) -> SearchOutcome:
     """Anneal over per-layer crossbar choices; returns the best found.
 
@@ -71,7 +70,7 @@ def simulated_annealing(
     if not candidates:
         raise ValueError("need at least one candidate")
     sim = simulator if simulator is not None else Simulator()
-    tr = _search_tracer(tracer, sim)
+    tr = current_tracer()
     rng = np.random.default_rng(seed)
     n = network.num_layers
     evaluations = infeasible = 0

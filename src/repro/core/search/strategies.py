@@ -25,14 +25,9 @@ from ...arch.config import CrossbarShape
 from ...arch.mapping import map_layer
 from ...models.graph import Network
 from ...obs import metrics as obs_metrics
-from ...obs.trace import Tracer
+from ...obs.trace import current_tracer
 from ...sim.metrics import SystemMetrics
 from ...sim.simulator import CapacityError, Simulator, Strategy
-
-
-def _search_tracer(tracer: Tracer | None, sim: Simulator) -> Tracer:
-    """Explicit tracer, else the simulator's (explicit or ambient)."""
-    return tracer if tracer is not None else sim.effective_tracer
 
 
 class SearchOutcome(tuple):
@@ -139,7 +134,6 @@ def greedy_reward_strategy(
     *,
     tile_shared: bool = True,
     stats: dict[str, int] | None = None,
-    tracer: Tracer | None = None,
 ) -> Strategy:
     """Coordinate-ascent greedy on the global reward.
 
@@ -152,7 +146,7 @@ def greedy_reward_strategy(
     ``stats`` dict to receive ``evaluations`` / ``infeasible`` counts.
     """
     sim = simulator if simulator is not None else Simulator()
-    tr = _search_tracer(tracer, sim)
+    tr = current_tracer()
     strategy = list(greedy_utilization_strategy(network, candidates))
     evaluations = infeasible = 0
     with tr.span(obs_metrics.SPAN_SEARCH, search="greedy", network=network.name):
@@ -210,7 +204,6 @@ def random_search(
     rounds: int = 100,
     tile_shared: bool = True,
     seed: int = 0,
-    tracer: Tracer | None = None,
 ) -> SearchOutcome:
     """Uniform random strategies; returns the best *feasible* one found.
 
@@ -221,7 +214,7 @@ def random_search(
     if rounds <= 0:
         raise ValueError("rounds must be positive")
     sim = simulator if simulator is not None else Simulator()
-    tr = _search_tracer(tracer, sim)
+    tr = current_tracer()
     rng = np.random.default_rng(seed)
     best: tuple[Strategy, SystemMetrics] | None = None
     infeasible = 0
@@ -281,7 +274,6 @@ def exhaustive_search(
     *,
     tile_shared: bool = True,
     limit: int = 2_000_000,
-    tracer: Tracer | None = None,
 ) -> SearchOutcome:
     """Brute-force oracle over the full C^N space (small models only).
 
@@ -296,7 +288,7 @@ def exhaustive_search(
             "exhaustive search is for small models"
         )
     sim = simulator if simulator is not None else Simulator()
-    tr = _search_tracer(tracer, sim)
+    tr = current_tracer()
     best: tuple[Strategy, SystemMetrics] | None = None
     infeasible = 0
     # One span and a result event only — per-candidate events over a C^N
@@ -341,14 +333,13 @@ def best_homogeneous(
     simulator: Simulator | None = None,
     *,
     tile_shared: bool = False,
-    tracer: Tracer | None = None,
 ) -> SearchOutcome:
     """The highest-RUE homogeneous accelerator ("Best-Homo", §4.4).
 
     Shapes whose uniform strategy overflows the bank are skipped.
     """
     sim = simulator if simulator is not None else Simulator()
-    tr = _search_tracer(tracer, sim)
+    tr = current_tracer()
     scored: list[tuple[CrossbarShape, SystemMetrics]] = []
     infeasible = 0
     for shape in shapes:

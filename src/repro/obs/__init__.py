@@ -29,7 +29,6 @@ from .trace import (
     NullTracer,
     Tracer,
     current_tracer,
-    set_ambient_tracer,
     use_tracer,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "current_tracer",
     "get_logger",
     "read_jsonl",
-    "set_ambient_tracer",
     "summarize_jsonl",
     "summarize_records",
     "use_tracer",

@@ -24,11 +24,11 @@ Two tracer classes exist:
   record-building block with ``if tracer.enabled:`` so the disabled
   path costs one attribute load.
 
-The module-level *ambient* tracer (:func:`current_tracer`,
-:func:`use_tracer`) lets the CLI enable tracing for a whole command
-without threading a tracer argument through every constructor.
-Components accept an explicit tracer and fall back to the ambient one
-when handed ``None``.
+The module-level *ambient* tracer is the one way to attach a tracer:
+:func:`use_tracer` installs it for a scope, and each component reads it
+(:func:`current_tracer`, or the module global on a hot path) where it
+emits, so no constructor takes a tracer argument.  Internal stages that
+a component calls hand the tracer it resolved down as an argument.
 
 This package must stay import-independent from ``repro.sim`` and
 ``repro.core`` — those packages import *us*, never the reverse — and
@@ -232,17 +232,8 @@ _AMBIENT: Tracer = NULL_TRACER
 
 def current_tracer() -> Tracer:
     """The ambient tracer (``NULL_TRACER`` unless :func:`use_tracer`
-    or :func:`set_ambient_tracer` installed one)."""
+    installed one)."""
     return _AMBIENT
-
-
-def set_ambient_tracer(tracer: Tracer | None) -> Tracer:
-    """Install ``tracer`` (or reset to the null tracer with ``None``)
-    as the ambient tracer; returns the previous one."""
-    global _AMBIENT
-    previous = _AMBIENT
-    _AMBIENT = tracer if tracer is not None else NULL_TRACER
-    return previous
 
 
 @contextmanager
@@ -254,8 +245,9 @@ def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
 
     Restores the previous ambient tracer on exit, even on error.
     """
-    previous = set_ambient_tracer(tracer)
+    global _AMBIENT
+    previous, _AMBIENT = _AMBIENT, tracer
     try:
         yield tracer
     finally:
-        set_ambient_tracer(previous)
+        _AMBIENT = previous

@@ -247,7 +247,6 @@ def simulate(
     *,
     config: HardwareConfig = DEFAULT_CONFIG,
     policy: ReallocationPolicy | None = None,
-    tracer=None,
 ) -> ServeResult:
     """Run one serving scenario to completion.
 
@@ -255,7 +254,7 @@ def simulate(
     ``scenario.realloc`` (pass one to plug in a custom re-allocation
     strategy; it is only consulted when ``scenario.realloc.enabled``).
     """
-    tracer = current_tracer() if tracer is None else tracer
+    tracer = current_tracer()
     capacity = config.logical_xbars_per_tile
     realloc_cfg = scenario.realloc
     if policy is None:

@@ -122,16 +122,14 @@ FINGERPRINTED_FIELDS: Mapping[str, tuple[str, ...]] = {
 #: they change how a result is computed (which memo, which cache), never
 #: what it is — the memoize/reference parity tests are the evidence.
 RESULT_INVARIANT_FIELDS: Mapping[str, tuple[str, ...]] = {
-    # ``tracer`` only observes the evaluation (spans/events/counters);
-    # the trace-invariance battery in ``tests/obs`` is the evidence that
-    # it never changes a metric bit.  ``memoize_costs`` selects the NumPy
-    # kernel path over the materialised reference, which is bit-identical
+    # ``memoize_costs`` selects the NumPy kernel path over the
+    # materialised reference, which is bit-identical
     # (``tests/sim/test_vectorized_parity.py``).  ``scoring_base`` holds
     # the strategy scored last, so a neighbour recomputes only the layers
     # that differ from it; scoring in any order gives the same bits
     # (``tests/sim/test_vectorized_parity.py``,
     # ``TestScoringOrderIndependence``).
-    "Simulator": ("cache", "memoize_costs", "tracer", "scoring_base"),
+    "Simulator": ("cache", "memoize_costs", "scoring_base"),
     # ``_hash`` / ``_str`` are ``__post_init__`` stashes derived purely
     # from ``rows`` and ``cols``, which *are* fingerprinted — two shapes
     # with equal fingerprints carry equal stashes by construction.

@@ -104,11 +104,6 @@ class Simulator:
     #: reference instead.  Bit-identical results either way
     #: (``tests/sim/test_vectorized_parity.py``).
     memoize_costs: bool = True
-    #: observability tracer; ``None`` (default) resolves the ambient
-    #: tracer (``repro.obs.use_tracer``) at each call, which is the
-    #: no-op ``NULL_TRACER`` unless tracing was explicitly enabled.
-    #: Result-invariant by construction (``tests/obs`` proves it).
-    tracer: Tracer | None = field(default=None, compare=False)
     #: the strategy this simulator scored last, which the batch scorer
     #: diffs the next one against so that a neighbour recomputes only its
     #: changed layers.  It changes how much is recomputed, never a result
@@ -120,11 +115,6 @@ class Simulator:
         compare=False,
         repr=False,
     )
-
-    @property
-    def effective_tracer(self) -> Tracer:
-        """The tracer evaluations use: :attr:`tracer`, else the ambient one."""
-        return self.tracer if self.tracer is not None else obs_trace._AMBIENT
 
     # ------------------------------------------------------------------
     def map_network(
@@ -183,12 +173,9 @@ class Simulator:
         evaluations (including infeasible ones) return memoised results.
         """
         strategy = tuple(strategy)
-        # Hot path: resolve the tracer with one field load and, for the
-        # default ``tracer=None``, one module-attribute read — never a
-        # function call (the cached-hit path budget is ~2µs).
-        tracer = self.tracer
-        if tracer is None:
-            tracer = obs_trace._AMBIENT
+        # Hot path: the ambient tracer is one module-attribute read, never
+        # a function call (the cached-hit path budget is ~2µs).
+        tracer = obs_trace._AMBIENT
         cache = self.cache
         key = None
         if cache is not None:
@@ -353,12 +340,9 @@ class Simulator:
         # reference path is a try_evaluate loop.  The tracer never picks
         # the path; it observes either one.
         if self.memoize_costs:
-            tracer = self.tracer
-            if tracer is None:
-                tracer = obs_trace._AMBIENT
             return self._evaluate_many_batched(
                 network, batch, tile_shared=tile_shared, detailed=detailed,
-                tracer=tracer,
+                tracer=obs_trace._AMBIENT,
             )
         return [
             self.try_evaluate(

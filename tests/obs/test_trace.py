@@ -17,7 +17,6 @@ from repro.obs import (
     SCHEMA_VERSION,
     Tracer,
     current_tracer,
-    set_ambient_tracer,
     summarize_jsonl,
     summarize_records,
     use_tracer,
@@ -142,15 +141,6 @@ class TestAmbientTracer:
             with use_tracer(t):
                 raise ValueError
         assert current_tracer() is NULL_TRACER
-
-    def test_set_ambient_none_resets_to_null(self):
-        previous = set_ambient_tracer(Tracer([]))
-        try:
-            assert current_tracer() is not NULL_TRACER
-            set_ambient_tracer(None)
-            assert current_tracer() is NULL_TRACER
-        finally:
-            set_ambient_tracer(previous)
 
 
 class TestSinks:
@@ -286,10 +276,8 @@ class TestSearchSpans:
 
         sink = InMemorySink()
         rounds = 6
-        autohet_search(
-            lenet_net, DEFAULT_CANDIDATES, rounds=rounds, seed=1,
-            tracer=Tracer([sink]),
-        )
+        with use_tracer(Tracer([sink])):
+            autohet_search(lenet_net, DEFAULT_CANDIDATES, rounds=rounds, seed=1)
         spans = [r for r in sink.records if r["type"] == "span"]
         episodes = [r for r in spans if r["name"] == obs_metrics.SPAN_EPISODE]
         learns = [r for r in spans if r["name"] == obs_metrics.SPAN_LEARN]
@@ -325,12 +313,16 @@ class TestTracedBatchScoring:
         monkeypatch.setattr(kernels, "score_strategy_batch", spy)
         return passes
 
-    @pytest.mark.parametrize("search", ["greedy", "random", "multi_seed"])
+    @pytest.mark.parametrize(
+        "search", ["greedy", "random", "multi_seed", "autohet", "annealing"]
+    )
     def test_traced_search_runs_the_batch_scorer(
         self, search, lenet_net, kernel_passes
     ):
+        """One trace holds a search's own records and its simulator's."""
         from repro.arch.config import DEFAULT_CANDIDATES
-        from repro.core.autohet import autohet_multi_seed
+        from repro.core.autohet import autohet_multi_seed, autohet_search
+        from repro.core.search.annealing import simulated_annealing
         from repro.core.search.strategies import (
             greedy_reward_strategy,
             random_search,
@@ -338,18 +330,30 @@ class TestTracedBatchScoring:
         from repro.sim.simulator import Simulator
 
         sink = InMemorySink()
-        sim = Simulator(tracer=Tracer([sink]))
-        if search == "greedy":
-            greedy_reward_strategy(lenet_net, DEFAULT_CANDIDATES, sim)
-        elif search == "random":
-            random_search(lenet_net, DEFAULT_CANDIDATES, sim, rounds=12)
-        else:
-            autohet_multi_seed(
-                lenet_net, DEFAULT_CANDIDATES, seeds=(0, 1), rounds=2,
-                simulator=sim,
-            )
+        sim = Simulator()
+        with use_tracer(Tracer([sink])):
+            if search == "greedy":
+                greedy_reward_strategy(lenet_net, DEFAULT_CANDIDATES, sim)
+            elif search == "random":
+                random_search(lenet_net, DEFAULT_CANDIDATES, sim, rounds=12)
+            elif search == "multi_seed":
+                autohet_multi_seed(
+                    lenet_net, DEFAULT_CANDIDATES, seeds=(0, 1), rounds=2,
+                    simulator=sim,
+                )
+            elif search == "autohet":
+                autohet_search(
+                    lenet_net, DEFAULT_CANDIDATES, rounds=4, seed=1,
+                    simulator=sim,
+                )
+            else:
+                simulated_annealing(
+                    lenet_net, DEFAULT_CANDIDATES, sim, rounds=40, seed=5
+                )
         assert kernel_passes
         summary = sink.summary()
+        rl = search in ("multi_seed", "autohet")
+        assert ("search.episode" if rl else "search") in summary.spans
         assert summary.spans["sim.score_batch"].count == len(kernel_passes)
         lookups = summary.events.get("cache.hit", 0) + summary.events.get(
             "cache.miss", 0
@@ -380,7 +384,8 @@ class TestTracedBatchScoring:
         assert kernel_passes == [1, 1]
 
         sink = InMemorySink()
-        Simulator(tracer=Tracer([sink])).evaluate(lenet_net, strategy)
+        with use_tracer(Tracer([sink])):
+            Simulator().evaluate(lenet_net, strategy)
         spans = [r for r in sink.records if r["type"] == "span"]
         assert [r["name"] for r in spans] == [
             obs_metrics.SPAN_SCORE_BATCH,
@@ -392,9 +397,8 @@ class TestTracedBatchScoring:
         assert kernel_passes == [1, 1, 1]
 
         sink = InMemorySink()
-        Simulator(memoize_costs=False, tracer=Tracer([sink])).evaluate(
-            lenet_net, strategy
-        )
+        with use_tracer(Tracer([sink])):
+            Simulator(memoize_costs=False).evaluate(lenet_net, strategy)
         names = {r["name"] for r in sink.records if r["type"] == "span"}
         assert names == stages | {obs_metrics.SPAN_EVALUATE}
         assert kernel_passes == [1, 1, 1]
@@ -426,8 +430,9 @@ class TestTracedBatchScoring:
 
         def run(score):
             sink = InMemorySink()
-            sim = Simulator(config=config, tracer=Tracer([sink]))
-            results = score(sim) + score(sim)
+            sim = Simulator(config=config)
+            with use_tracer(Tracer([sink])):
+                results = score(sim) + score(sim)
             records = Counter(
                 (r["type"], r["name"])
                 for r in sink.records

@@ -9,6 +9,8 @@ ResNet152), for the cache state, and for every search entry point
 (greedy, random, annealing, AutoHet RL).
 """
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.arch.config import DEFAULT_CANDIDATES
@@ -20,9 +22,12 @@ from repro.obs.sinks import InMemorySink
 from repro.sim.simulator import Simulator
 
 
-def traced_sim():
+@contextmanager
+def tracing():
+    """Attach a live tracer for the block; yields its sink."""
     sink = InMemorySink()
-    return Simulator(tracer=Tracer([sink])), sink
+    with use_tracer(Tracer([sink])):
+        yield sink
 
 
 def mixed_strategy(network):
@@ -41,10 +46,9 @@ class TestEvaluateInvariance:
     def test_metrics_bit_identical(self, fixture, request):
         network = request.getfixturevalue(fixture)
         strategy = mixed_strategy(network)
-        plain = Simulator()
-        traced, sink = traced_sim()
-        m_plain = plain.evaluate(network, strategy, detailed=True)
-        m_traced = traced.evaluate(network, strategy, detailed=True)
+        m_plain = Simulator().evaluate(network, strategy, detailed=True)
+        with tracing() as sink:
+            m_traced = Simulator().evaluate(network, strategy, detailed=True)
         # SystemMetrics is a frozen dataclass: == is exact, field by field.
         assert m_plain == m_traced
         assert len(sink) > 0  # tracing actually happened
@@ -54,12 +58,16 @@ class TestEvaluateInvariance:
         """Same evaluation sequence -> same cache keys and counters."""
         network = request.getfixturevalue(fixture)
         strategy = mixed_strategy(network)
-        plain = Simulator()
-        traced, _ = traced_sim()
-        for sim in (plain, traced):
+        plain, traced = Simulator(), Simulator()
+
+        def run(sim):
             sim.evaluate(network, strategy, detailed=True)
             sim.evaluate(network, strategy, detailed=True)  # hit
             sim.evaluate(network, strategy, detailed=False)  # distinct key
+
+        run(plain)
+        with tracing():
+            run(traced)
         assert list(plain.cache._entries.keys()) == list(
             traced.cache._entries.keys()
         )
@@ -78,11 +86,12 @@ class TestEvaluateInvariance:
     def test_infeasible_verdict_invariant(self, vgg_net):
         """Capacity failures trace identically too (event, not crash)."""
         big = tuple(DEFAULT_CANDIDATES[0] for _ in range(vgg_net.num_layers))
-        plain = Simulator()
-        traced, sink = traced_sim()
-        assert plain.try_evaluate(vgg_net, big, tile_shared=False) == (
-            traced.try_evaluate(vgg_net, big, tile_shared=False)
-        )
+        plain, traced = Simulator(), Simulator()
+        verdict = plain.try_evaluate(vgg_net, big, tile_shared=False)
+        with tracing():
+            assert verdict == traced.try_evaluate(
+                vgg_net, big, tile_shared=False
+            )
         # Both verdicts cached under the same key either way.
         assert list(plain.cache._entries.keys()) == list(
             traced.cache._entries.keys()
@@ -116,25 +125,25 @@ class TestIncrementalGroupEvents:
         # batch of its candidates, then keeps the first.
         strategy = list(mixed_strategy(resnet_net))
         scored = []
-        sink = InMemorySink()
-        sim = Simulator(cache=None, tracer=Tracer([sink]))
-        for layer in (40, 41):
-            trials = []
-            for shape in DEFAULT_CANDIDATES:
-                trial = list(strategy)
-                trial[layer] = shape
-                trials.append(tuple(trial))
-            sim.evaluate_many(resnet_net, trials)
-            scored += trials
-            strategy[layer] = DEFAULT_CANDIDATES[0]
+        sim = Simulator(cache=None)
+        with tracing() as sink:
+            for layer in (40, 41):
+                trials = []
+                for shape in DEFAULT_CANDIDATES:
+                    trial = list(strategy)
+                    trial[layer] = shape
+                    trials.append(tuple(trial))
+                sim.evaluate_many(resnet_net, trials)
+                scored += trials
+                strategy[layer] = DEFAULT_CANDIDATES[0]
         assert len(bases) == len(scored) and all(bases[1:])
 
         fresh = []
         for trial in scored:
-            fresh_sink = InMemorySink()
-            Simulator(cache=None, tracer=Tracer([fresh_sink])).evaluate(
-                resnet_net, trial, detailed=False
-            )
+            with tracing() as fresh_sink:
+                Simulator(cache=None).evaluate(
+                    resnet_net, trial, detailed=False
+                )
             events = self.group_events(fresh_sink)
             # First appearance in layer order.
             first = {s._str: i for i, s in reversed(list(enumerate(trial)))}
@@ -145,24 +154,24 @@ class TestIncrementalGroupEvents:
 
 class TestSearchInvariance:
     def test_greedy_identical(self, lenet_net):
-        plain_sim = Simulator()
+        plain_sim, sim = Simulator(), Simulator()
         plain = greedy_reward_strategy(lenet_net, DEFAULT_CANDIDATES, plain_sim)
-        sim, sink = traced_sim()
-        traced = greedy_reward_strategy(lenet_net, DEFAULT_CANDIDATES, sim)
+        with tracing() as sink:
+            traced = greedy_reward_strategy(lenet_net, DEFAULT_CANDIDATES, sim)
         assert plain == traced
         assert plain_sim.cache_stats() == sim.cache_stats()
         assert len(sink) > 0
 
     def test_random_search_identical_seed_for_seed(self, lenet_net):
         for seed in (0, 3):
-            plain_sim = Simulator()
+            plain_sim, sim = Simulator(), Simulator()
             plain = random_search(
                 lenet_net, DEFAULT_CANDIDATES, plain_sim, rounds=12, seed=seed
             )
-            sim, _ = traced_sim()
-            traced = random_search(
-                lenet_net, DEFAULT_CANDIDATES, sim, rounds=12, seed=seed
-            )
+            with tracing():
+                traced = random_search(
+                    lenet_net, DEFAULT_CANDIDATES, sim, rounds=12, seed=seed
+                )
             assert plain_sim.cache_stats() == sim.cache_stats()
             assert plain.strategy == traced.strategy
             assert plain.metrics == traced.metrics
@@ -175,10 +184,10 @@ class TestSearchInvariance:
         plain = simulated_annealing(
             lenet_net, DEFAULT_CANDIDATES, Simulator(), rounds=40, seed=5
         )
-        sim, sink = traced_sim()
-        traced = simulated_annealing(
-            lenet_net, DEFAULT_CANDIDATES, sim, rounds=40, seed=5
-        )
+        with tracing() as sink:
+            traced = simulated_annealing(
+                lenet_net, DEFAULT_CANDIDATES, Simulator(), rounds=40, seed=5
+            )
         assert plain.strategy == traced.strategy
         assert plain.metrics == traced.metrics
         assert plain.infeasible == traced.infeasible
@@ -191,13 +200,10 @@ class TestSearchInvariance:
         plain = autohet_search(
             lenet_net, DEFAULT_CANDIDATES, rounds=8, seed=1
         )
-        traced = autohet_search(
-            lenet_net,
-            DEFAULT_CANDIDATES,
-            rounds=8,
-            seed=1,
-            tracer=Tracer([InMemorySink()]),
-        )
+        with tracing():
+            traced = autohet_search(
+                lenet_net, DEFAULT_CANDIDATES, rounds=8, seed=1
+            )
         # Everything except wall-clock timings must be bit-identical.
         assert plain.best_strategy == traced.best_strategy
         assert plain.best_metrics == traced.best_metrics

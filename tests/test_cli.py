@@ -105,6 +105,18 @@ class TestCommands:
         assert main(["experiment", "fig4", "--export", str(path)]) == 0
         assert "empty_fraction" in path.read_text()
 
+    def test_experiment_export_sensitivity(self, capsys, tmp_path):
+        path = tmp_path / "fig11b.csv"
+        assert main([
+            "experiment", "fig11b", "--rounds", "2", "--export", str(path),
+        ]) == 0
+        assert "wrote 3 records" in capsys.readouterr().out
+        header, *rows = path.read_text().splitlines()
+        assert header.split(",") == [
+            "autohet_rue", "best_homo_rue", "candidate_count", "speedup",
+        ]
+        assert len(rows) == 3
+
     def test_experiment_export_unsupported(self, tmp_path):
         with pytest.raises(SystemExit, match="no flat-record exporter"):
             main([
@@ -150,6 +162,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "trace validates against schema v1" in out
         assert "sim.score_batch" in out
+
+    def test_trace_run_summarizes(self, capsys, tmp_path):
+        trace_path = tmp_path / "run.jsonl"
+        assert main([
+            "trace", "run", "lenet", "--out", str(trace_path), "--rounds", "3",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "AutoHet[LeNet] 3 rounds" in out
+        assert "trace validates against schema v1" in out
+        assert "search.episode" in out and "sim.score_batch" in out
 
     def test_serve_unknown_scenario_errors(self):
         with pytest.raises(SystemExit, match="cannot load scenario"):
