@@ -550,8 +550,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         if args.candidates
         else DEFAULT_CANDIDATES
     )
-    trace_path = args.trace
-    with _tracing(trace_path):
+    with _tracing(args.trace):
         if args.seeds:
             seeds = tuple(int(s) for s in args.seeds.split(","))
             result, per_seed = autohet_multi_seed(
@@ -576,7 +575,7 @@ def cmd_search(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 verbose=args.verbose,
             )
-        if trace_path:
+        if args.trace:
             # One detailed evaluation of the winner so the trace carries
             # the per-layer utilization / activated-ADC streams (the
             # search itself evaluates with detailed=False).
