@@ -131,9 +131,6 @@ class ModuleInfo:
     name: str
     is_package: bool
     node: ast.Module
-    #: every node of ``node`` in ``ast.walk`` order: the module's one walk,
-    #: for passes that scan the whole tree
-    nodes: list[ast.AST] = field(default_factory=list)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     imports: dict[str, Union[ImportedName, ImportedModule]] = field(
@@ -221,11 +218,11 @@ def _resolve_relative(module: ModuleInfo, node: ast.ImportFrom) -> str:
 
 
 def _index_module(name: str, parsed: ParsedModule, is_package: bool) -> ModuleInfo:
-    module = ModuleInfo(name=name, is_package=is_package, node=parsed.tree, nodes=parsed.nodes)
+    module = ModuleInfo(name=name, is_package=is_package, node=parsed.tree)
 
     # Imports anywhere in the module (incl. inside function bodies — lazy
     # imports are common in this tree) feed the module-wide alias table.
-    for node in module.nodes:
+    for node in parsed.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound = alias.asname or alias.name.partition(".")[0]

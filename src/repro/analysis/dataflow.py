@@ -248,8 +248,6 @@ class _Analyzer:
         self.contract = contract
         #: (class simple name, field) -> first witness location
         self.reads: dict[tuple[str, str], str] = {}
-        #: class simple name -> the class whose fields ``reads`` records
-        self.read_classes: dict[str, ClassInfo] = {}
         self.effects: list[Diagnostic] = []
         self._memo: dict[object, Value] = {}
         self._active: set[object] = set()
@@ -271,7 +269,6 @@ class _Analyzer:
         self, cls: ClassInfo, attr: str, frame: _Frame, node: ast.AST
     ) -> None:
         self.reads.setdefault((cls.name, attr), self._loc(frame, node))
-        self.read_classes.setdefault(cls.name, cls)
 
     def _flag_sink(self, qualname: str, frame: _Frame, node: ast.AST) -> None:
         key = ("sink", frame.func.qualname, qualname)
@@ -1121,10 +1118,10 @@ def analyze_memoized(
                 "it result-invariant if it cannot change the metrics",
             )
         )
-    read_classes = {cls_name for cls_name, _ in analyzer.reads}
+    classes_read = {cls_name for cls_name, _ in analyzer.reads}
     for cls_name in sorted(contract.coverage):
         spec = contract.coverage[cls_name]
-        if cls_name not in read_classes:
+        if cls_name not in classes_read:
             # The class never materialised in the traversal at all;
             # per-field "never read" noise would just repeat that.
             continue

@@ -346,27 +346,10 @@ PAR001 = _r(
     "PAR001", "scalar read not vectorized", Severity.ERROR,
     "parity contract",
     "The scalar cost path (Simulator.evaluate through energy/latency/"
-    "area/summary) reads an attribute that KERNEL_COVERAGE does not map "
+    "area) reads an attribute that KERNEL_COVERAGE does not map "
     "to a kernel column — or maps to a column that no longer exists — "
     "so the vectorized path cannot see that input and the two "
     "implementations silently desynchronize.",
-)
-PAR002 = _r(
-    "PAR002", "dead kernel column", Severity.WARNING,
-    "parity contract",
-    "A kernel array column (NetworkArrays/MappingBatch field, ShapeTable "
-    "row) is neither the target of a KERNEL_COVERAGE entry nor declared "
-    "derived in KERNEL_DERIVED_COLUMNS — or a declared entry points at a "
-    "column/read that no longer exists — dead weight that drifts from "
-    "the scalar source of truth without any test noticing.",
-)
-PAR003 = _r(
-    "PAR003", "kernel constant diverging from scalar source of truth",
-    Severity.ERROR, "parity contract",
-    "A replicated kernel constant is out of sync with its scalar source "
-    "of truth: a row-registry tuple-unpack disagrees with the declared "
-    "row names, or a derived MappingBatch column has no same-named "
-    "LayerMapping counterpart.",
 )
 UNI001 = _r(
     "UNI001", "mixed-unit add/sub/compare", Severity.ERROR,

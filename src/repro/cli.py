@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 from .arch.config import DEFAULT_CANDIDATES, SQUARE_CANDIDATES, CrossbarShape
 from .obs import (
@@ -39,14 +40,6 @@ from .obs import (
     use_tracer,
 )
 from .bench import (
-    fig3_motivation,
-    fig4_empty_crossbars,
-    fig5_tradeoff,
-    fig9_overall,
-    fig10_ablation,
-    fig11a_sxb_rxb_ratio,
-    fig11b_candidate_count,
-    fig11c_pes_per_tile,
     print_fig3,
     print_fig4,
     print_fig5,
@@ -60,40 +53,38 @@ from .bench import (
     print_table5,
     search_cache_profile,
     search_time_profile,
-    table3_strategies,
-    table4_tiles,
-    table5_area_latency,
 )
+from .bench.suite import EXPORTERS
 from .core.autohet import autohet_multi_seed, autohet_search
 from .core.search import manual_hetero_strategy
 from .models.zoo import _MODEL_BUILDERS, get_model
 from .sim.simulator import Simulator
 
+#: How ``repro experiment NAME`` prints each exportable experiment; the
+#: runner is the one ``EXPORTERS`` holds for ``--export`` and the suite.
+_PRINTERS = {
+    "fig3": print_fig3,
+    "fig4": print_fig4,
+    "fig5": print_fig5,
+    "fig9": print_fig9,
+    "fig10": print_fig10,
+    "fig11a": partial(print_fig11, panel="a", x_label="SXB:RXB ratio"),
+    "fig11b": partial(print_fig11, panel="b", x_label="candidate count"),
+    "fig11c": partial(print_fig11, panel="c", x_label="PEs per tile"),
+    "table3": print_table3,
+    "table4": print_table4,
+    "table5": print_table5,
+}
+
+
+def _print_exported(name: str):
+    runner = EXPORTERS[name][0]
+    printer = _PRINTERS[name]
+    return lambda a: printer(runner(a.rounds, a.seed))
+
+
 EXPERIMENTS = {
-    "fig3": lambda a: print_fig3(fig3_motivation()),
-    "fig4": lambda a: print_fig4(fig4_empty_crossbars()),
-    "fig5": lambda a: print_fig5(fig5_tradeoff()),
-    "fig9": lambda a: print_fig9(fig9_overall(rounds=a.rounds, seed=a.seed)),
-    "fig10": lambda a: print_fig10(fig10_ablation(rounds=a.rounds, seed=a.seed)),
-    "fig11a": lambda a: print_fig11(
-        fig11a_sxb_rxb_ratio(rounds=a.rounds, seed=a.seed),
-        panel="a", x_label="SXB:RXB ratio",
-    ),
-    "fig11b": lambda a: print_fig11(
-        fig11b_candidate_count(rounds=a.rounds, seed=a.seed),
-        panel="b", x_label="candidate count",
-    ),
-    "fig11c": lambda a: print_fig11(
-        fig11c_pes_per_tile(rounds=a.rounds, seed=a.seed),
-        panel="c", x_label="PEs per tile",
-    ),
-    "table3": lambda a: print_table3(
-        table3_strategies(rounds=a.rounds, seed=a.seed)
-    ),
-    "table4": lambda a: print_table4(table4_tiles(rounds=a.rounds, seed=a.seed)),
-    "table5": lambda a: print_table5(
-        table5_area_latency(rounds=a.rounds, seed=a.seed)
-    ),
+    **{name: _print_exported(name) for name in EXPORTERS},
     "search-time": lambda a: print_search_time(
         search_time_profile(rounds=a.rounds, seed=a.seed)
     ),
@@ -240,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--kernel-parity", action="store_true",
         help="cross-check the scalar cost path's attribute read-set "
-        "against the vectorized kernel coverage tables (PAR rules)",
+        "against the vectorized kernel coverage table (PAR001)",
     )
     p_check.add_argument(
         "--units", action="store_true",
@@ -825,7 +816,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def cmd_experiment_export(args: argparse.Namespace) -> int:
     from .bench.export import to_csv, to_json
-    from .bench.suite import EXPORTERS, run_full_suite, summarize_suite
+    from .bench.suite import run_full_suite, summarize_suite
 
     if args.name == "all":
         doc = run_full_suite(rounds=args.rounds, seed=args.seed, verbose=True)

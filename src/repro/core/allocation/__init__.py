@@ -15,7 +15,6 @@ from .tile_based import (
 from .summary import (
     AllocationSummary,
     clear_summary_cache,
-    summarize_allocation,
     summarize_counts,
     summary_cache_info,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "layer_tiles_needed",
     "multi_network_tile_counts",
     "plan_tile_sharing",
-    "summarize_allocation",
     "summarize_counts",
     "summary_cache_info",
 ]

@@ -29,7 +29,7 @@ summary over chains of edits).
 Bit-for-bit parity with the materialised path is part of the contract
 (``tests/allocation/test_summary.py`` checks it property-style): every
 integer aggregate is identical, and the per-layer surviving counts are
-ordered so that :func:`~repro.sim.area.area_from_tile_runs` reproduces
+ordered so that :func:`~repro.sim.kernels.area_from_layer_runs` reproduces
 :func:`~repro.sim.area.allocation_area_um2`'s float fold exactly.
 """
 
@@ -41,7 +41,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from ...arch.config import CrossbarShape
-from ...arch.mapping import LayerMapping
 from ...obs import metrics as obs_metrics
 from ...obs.trace import NULL_TRACER, Tracer
 
@@ -165,9 +164,10 @@ def summarize_counts(
 ) -> AllocationSummary:
     """Aggregate allocation outcome from per-layer counts alone.
 
-    The counts-based core of :func:`summarize_allocation`: everything the
-    aggregates need is the per-layer crossbar shape, the per-layer logical
-    crossbar count, and the total weight-cell count — no
+    Produces the same numbers as ``allocate_tile_based`` (optionally
+    followed by ``apply_tile_sharing``) without materialising tiles:
+    everything the aggregates need is the per-layer crossbar shape, the
+    per-layer logical crossbar count, and the total weight-cell count — no
     :class:`~repro.arch.mapping.LayerMapping` objects.  This is the entry
     point the vectorized batch scorer (``repro.sim.kernels``) uses, where
     group counts live in NumPy arrays and mappings are never materialised.
@@ -377,29 +377,6 @@ def _trace_groups(
             released=before - tiles,
             empty_slots=empty,
         )
-
-
-def summarize_allocation(
-    mappings: Sequence[LayerMapping],
-    tile_capacity: int,
-    *,
-    tile_shared: bool,
-    tracer: Tracer = NULL_TRACER,
-) -> AllocationSummary:
-    """Aggregate allocation outcome for one mapped strategy.
-
-    Produces the same numbers as ``allocate_tile_based`` (optionally
-    followed by ``apply_tile_sharing``) without materialising tiles.
-    A thin wrapper over :func:`summarize_counts`.
-    """
-    return summarize_counts(
-        tuple(m.shape for m in mappings),
-        tuple(m.num_crossbars for m in mappings),
-        sum(m.weight_cells for m in mappings),
-        tile_capacity,
-        tile_shared=tile_shared,
-        tracer=tracer,
-    )
 
 
 def summary_cache_info():

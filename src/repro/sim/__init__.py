@@ -2,7 +2,6 @@
 
 from .area import (
     allocation_area_um2,
-    area_from_tile_runs,
     crossbar_slot_area_um2,
     tile_area_um2,
 )
@@ -25,7 +24,6 @@ from .simulator import CapacityError, Simulator, Strategy
 
 __all__ = [
     "allocation_area_um2",
-    "area_from_tile_runs",
     "crossbar_slot_area_um2",
     "tile_area_um2",
     "CacheStats",

@@ -20,7 +20,6 @@ plus fixed per-PE and per-tile overheads (buffers, pooling, control).
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 from ..arch.config import CrossbarShape, HardwareConfig
 from ..core.allocation.tiles import Allocation
@@ -56,23 +55,3 @@ def allocation_area_um2(allocation: Allocation, config: HardwareConfig) -> float
         if t.occupied > 0
     )
 
-
-def area_from_tile_runs(
-    runs: Iterable[tuple[CrossbarShape, int]], config: HardwareConfig
-) -> float:
-    """Total area from per-layer ``(shape, surviving tiles)`` runs, um^2.
-
-    The aggregate-summary fast path (``repro.core.allocation.summary``)
-    knows how many tiles of each layer survive but never materialises
-    them.  Occupied tiles are ordered by tile id — i.e. grouped into
-    per-layer runs — so folding run by run, one addition per tile,
-    reproduces :func:`allocation_area_um2`'s float sum bit for bit.
-    """
-    total = 0.0
-    for shape, count in runs:
-        if count <= 0:
-            continue
-        tile = tile_area_um2(shape, config)
-        for _ in range(count):
-            total += tile
-    return total

@@ -42,7 +42,7 @@ the PR 4 golden/trace batteries enforce it).  The techniques:
   strict sequential left fold, unlike ``np.sum``'s pairwise reduction, so
   it replays the scalar ``total += x`` loop addition for addition;
 * the area roll-up repeats each layer's tile area ``count`` times
-  (``np.repeat`` + ``cumsum``), matching ``area_from_tile_runs``'s
+  (``np.repeat`` + ``cumsum``), matching ``area.allocation_area_um2``'s
   one-addition-per-tile fold;
 * integer quantities stay in ``int64`` (exact far beyond any realistic
   magnitude) and convert to float at the same point the scalar code does;
@@ -77,9 +77,6 @@ __all__ = [
     "InfeasibleScore",
     "capacity_verdict",
     "KERNEL_COVERAGE",
-    "KERNEL_DERIVED_COLUMNS",
-    "SHAPE_TABLE_FLOAT_ROWS",
-    "SHAPE_TABLE_INT_ROWS",
     "network_arrays",
     "batch_energy_terms",
     "batch_layer_latency_ns",
@@ -116,17 +113,17 @@ def _ceil_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Kernel parity coverage contract (PAR rules)
+# Kernel parity coverage contract (PAR001)
 # ----------------------------------------------------------------------
 #
 # The scalar cost path and these kernels must agree bit-for-bit, which
 # first requires them to agree on *inputs*: every attribute the scalar
 # path reads on the objects this module restructures into arrays must be
-# folded into some kernel column.  These tables declare that mapping —
+# folded into some kernel column.  This table declares that mapping —
 # the exact analogue of ``repro.sim.cache.FINGERPRINTED_FIELDS`` for the
-# vectorized fork — and ``repro.analysis.kernel_parity`` cross-checks
-# them against the dataflow read-set of ``Simulator.evaluate`` (PAR001)
-# and against the columns this module actually defines (PAR002).  See
+# vectorized fork — and ``repro.analysis.kernel_parity`` checks the
+# dataflow read-set of ``Simulator.evaluate`` against it and against the
+# columns this module actually defines (PAR001).  See
 # docs/static_analysis.md ("The kernel coverage-table contract").
 
 #: Scalar read -> kernel column.  Outer key: a class the kernels
@@ -172,44 +169,6 @@ KERNEL_COVERAGE: dict[str, dict[str, tuple[str, ...]]] = {
         "row_groups": ("MappingBatch.row_groups",),
         "col_groups": ("MappingBatch.col_groups",),
     },
-}
-
-#: Kernel columns that are *derived* from covered columns rather than
-#: read directly from scalar objects (products, group counts, ShapeTable
-#: rows — each the output of a scalar cost function).  Every column of
-#: :class:`NetworkArrays` / :class:`MappingBatch` and every
-#: :class:`ShapeTable` row must appear either as a KERNEL_COVERAGE
-#: target or here; anything else is a dead column (PAR002).  Derived
-#: ``MappingBatch`` columns must mirror a same-named
-#: :class:`~repro.arch.mapping.LayerMapping` member (PAR003).
-KERNEL_DERIVED_COLUMNS: dict[str, tuple[str, ...]] = {
-    "NetworkArrays": ("weight_counts", "in_bytes", "weight_cells_total"),
-    "MappingBatch": (
-        "kernel_split",
-        "num_crossbars",
-        "used_columns_total",
-        "allocated_columns_total",
-        "used_rows_total",
-        "allocated_rows_total",
-        "partial_sum_adds",
-        "adder_tree_depth",
-        "used_columns_per_crossbar_max",
-    ),
-    "ShapeTable": (
-        "adc",
-        "dac",
-        "crossbar",
-        "shift_add",
-        "adder_tree",
-        "buffer",
-        "bus",
-        "layer_latency_ns",
-        "tile_area_um2",
-        "utilization",
-        "num_crossbars",
-        "adc_conversions",
-        "dac_conversions",
-    ),
 }
 
 
@@ -523,11 +482,14 @@ def batch_utilization(batch: MappingBatch) -> np.ndarray:
 def area_from_layer_runs(
     tile_areas: np.ndarray, counts: Sequence[int] | np.ndarray
 ) -> float:
-    """``area.area_from_tile_runs`` on arrays — one addition per tile.
+    """Total area from per-layer tile areas and surviving tile counts.
 
-    ``np.repeat`` expands each layer's tile area ``count`` times (zero
-    counts drop out, like the scalar ``count <= 0`` skip) and the cumsum
-    left-folds the expansion exactly like the scalar per-tile loop.
+    The allocation summary knows how many tiles of each layer survive
+    but never materialises them.  Occupied tiles are ordered by tile id,
+    i.e. grouped into per-layer runs, so ``np.repeat`` expands each
+    layer's tile area ``count`` times (zero counts drop out) and the
+    cumsum left-folds the expansion one addition per tile, exactly like
+    :func:`~repro.sim.area.allocation_area_um2`'s sum.
     """
     expanded = tile_areas.repeat(counts)
     if expanded.size == 0:
@@ -548,33 +510,10 @@ def area_from_layer_runs(
 # copies the exact float64 values the kernels produced, so the table path
 # is bit-identical to computing each strategy from scratch.
 
-#: Row names of :attr:`ShapeTable.floats`, in row order.  The parity
-#: analyzer (PAR003) checks these registries against the ``_F_*`` /
-#: ``_I_*`` index unpacks below, so adding a row in one place but not
-#: the other fails ``repro check --kernel-parity``.
-SHAPE_TABLE_FLOAT_ROWS: tuple[str, ...] = (
-    "adc",
-    "dac",
-    "crossbar",
-    "shift_add",
-    "adder_tree",
-    "buffer",
-    "bus",
-    "layer_latency_ns",
-    "tile_area_um2",
-    "utilization",
-)
-#: Row names of :attr:`ShapeTable.ints`, in row order.
-SHAPE_TABLE_INT_ROWS: tuple[str, ...] = (
-    "num_crossbars",
-    "adc_conversions",
-    "dac_conversions",
-)
-
-#: Row order of :attr:`ShapeTable.floats`.
+#: Row order of :attr:`ShapeTable.floats` and :attr:`ShapeTable.ints`;
+#: :func:`_build_table` stacks the rows in this order.
 (_F_ADC, _F_DAC, _F_XBAR, _F_SHIFT, _F_TREE, _F_BUF, _F_BUS,
  _F_LATENCY, _F_AREA, _F_UTIL) = range(10)
-#: Row order of :attr:`ShapeTable.ints`.
 (_I_XBARS, _I_ADC_CONV, _I_DAC_CONV) = range(3)
 
 

@@ -1,4 +1,4 @@
-"""``summarize_allocation`` must reproduce the materialised allocator's
+"""``summarize_counts`` must reproduce the materialised allocator's
 aggregates exactly — it is the fast path ``Simulator.evaluate`` trusts
 instead of building tiles (docs/performance.md).  A summary updated from
 a base summary must equal the one built from scratch."""
@@ -6,6 +6,7 @@ a base summary must equal the one built from scratch."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,12 +17,23 @@ from repro.core.allocation import (
     allocate_tile_based,
     apply_tile_sharing,
     clear_summary_cache,
-    summarize_allocation,
     summarize_counts,
     summary_cache_info,
 )
 from repro.models import LayerSpec
-from repro.sim.area import allocation_area_um2, area_from_tile_runs
+from repro.sim.area import allocation_area_um2
+from repro.sim.kernels import area_from_layer_runs, batch_tile_area_um2
+
+
+def summarize(mappings, capacity, *, tile_shared):
+    """``summarize_counts`` over the mappings' shapes and crossbar counts."""
+    return summarize_counts(
+        tuple(m.shape for m in mappings),
+        tuple(m.num_crossbars for m in mappings),
+        sum(m.weight_cells for m in mappings),
+        capacity,
+        tile_shared=tile_shared,
+    )
 
 
 def materialize(mappings, capacity, *, tile_shared):
@@ -55,7 +67,7 @@ def surviving_tiles_per_layer(allocation, mappings, capacity):
 
 def assert_summary_matches(mappings, capacity, config, *, tile_shared):
     allocation = materialize(mappings, capacity, tile_shared=tile_shared)
-    summary = summarize_allocation(mappings, capacity, tile_shared=tile_shared)
+    summary = summarize(mappings, capacity, tile_shared=tile_shared)
     assert summary.occupied_tiles == allocation.occupied_tiles
     assert summary.empty_crossbars == allocation.empty_crossbars
     assert summary.allocated_cells == allocation.allocated_cells
@@ -68,8 +80,13 @@ def assert_summary_matches(mappings, capacity, config, *, tile_shared):
     assert summary.shapes_per_layer == tuple(m.shape for m in mappings)
     # The float fold over per-layer runs must replay the per-tile fold
     # bit for bit (tiles of one layer are contiguous and share a shape).
-    assert area_from_tile_runs(
-        zip(summary.shapes_per_layer, summary.tiles_per_layer), config
+    tile_areas = batch_tile_area_um2(
+        np.array([s.rows for s in summary.shapes_per_layer]),
+        np.array([s.cols for s in summary.shapes_per_layer]),
+        config,
+    )
+    assert area_from_layer_runs(
+        tile_areas, summary.tiles_per_layer
     ) == allocation_area_um2(allocation, config)
 
 
@@ -124,9 +141,9 @@ def test_summary_group_memo_is_shared(lenet_net):
     mappings = tuple(
         map_layer(layer, shape) for layer, shape in zip(lenet_net.layers, shapes)
     )
-    summarize_allocation(mappings, 4, tile_shared=True)
+    summarize(mappings, 4, tile_shared=True)
     misses = summary_cache_info().misses
-    summarize_allocation(mappings, 4, tile_shared=True)
+    summarize(mappings, 4, tile_shared=True)
     after = summary_cache_info()
     assert after.misses == misses  # second call re-pays nothing
     assert after.hits > 0
@@ -135,7 +152,7 @@ def test_summary_group_memo_is_shared(lenet_net):
 def test_summary_rejects_nonpositive_capacity(lenet_net):
     mapping = map_layer(lenet_net.layers[0], DEFAULT_CANDIDATES[0])
     with pytest.raises(ValueError):
-        summarize_allocation((mapping,), 0, tile_shared=True)
+        summarize((mapping,), 0, tile_shared=True)
 
 
 def assert_same_summary(incremental, full):

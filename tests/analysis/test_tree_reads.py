@@ -50,8 +50,8 @@ EDITS = [
     (analyze_concurrency, "unsound_tree", "sim/simulator.py",
      "from dataclasses import dataclass\n",
      "from dataclasses import dataclass\nimport multiprocessing\n", "CON001"),
-    (analyze_kernel_parity, "divergent_kernel_tree", "sim/kernels.py",
-     "    scratch_buffer: np.ndarray", "    # no scratch buffer", "PAR002"),
+    (analyze_kernel_parity, "divergent_kernel_tree", "sim/simulator.py",
+     " + len(layer.flavor)", "", "PAR001"),
 ]
 
 
