@@ -451,3 +451,38 @@ class TestTracedBatchScoring:
         assert b_records[("event", "alloc.group")] > 0
         assert "sim.score_batch" in b_spans and "sim.evaluate" not in b_spans
         assert "sim.evaluate" in s_spans
+
+
+class TestSystemMetricStreams:
+    """Each metric stream of a traced evaluation carries the value of the
+    ``SystemMetrics`` field its name states, read from the result rather
+    than from the emitter's own table."""
+
+    def test_streams_carry_the_metrics_they_name(self, lenet_net):
+        from repro.arch.config import CrossbarShape
+        from repro.sim.simulator import Simulator
+
+        strategy = tuple(
+            CrossbarShape(64, 64) if i % 2 else CrossbarShape(128, 128)
+            for i in range(lenet_net.num_layers)
+        )
+        sink = InMemorySink()
+        with use_tracer(Tracer([sink])):
+            metrics = Simulator().evaluate(lenet_net, strategy)
+        streams: dict[str, list] = {}
+        for record in sink.records:
+            if record["type"] == "counter":
+                streams.setdefault(record["name"], []).append(record["value"])
+        assert set(streams) >= {
+            "sim.utilization", "sim.energy_nj", "sim.latency_ns",
+            "sim.layer.utilization", "sim.layer.adc_conversions",
+        }
+        for name, values in streams.items():
+            if name.startswith("sim.layer."):
+                field = name.removeprefix("sim.layer.")
+                if field == "utilization":
+                    field = "intra_utilization"  # Eq. 4 within one layer
+                expected = [getattr(cost, field) for cost in metrics.layer_costs]
+            else:
+                expected = [getattr(metrics, name.partition(".")[2])]
+            assert values == expected, name

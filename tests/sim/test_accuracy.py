@@ -1,5 +1,6 @@
 """Tests for the crossbar-vs-float agreement utilities."""
 
+import numpy as np
 import pytest
 
 from repro.arch.config import CrossbarShape
@@ -57,3 +58,21 @@ class TestFaultyPipeline:
         sweep = fault_sweep(net, strategy, sigmas=(0.0, 0.5), batch=2)
         assert set(sweep) == {0.0, 0.5}
         assert all(isinstance(v, AgreementReport) for v in sweep.values())
+
+
+class TestZeroLogits:
+    def test_all_zero_reference_logits_report_zero_error(
+        self, net, strategy, monkeypatch
+    ):
+        # With no bias anywhere, an all-zero image gives all-zero logits
+        # on both paths: the relative error must fall back to an absolute
+        # one instead of dividing by the zero peak.
+        from repro.models.datasets import DatasetSpec
+
+        def zeros(self, batch, *, rng=None, seed=0):
+            return np.zeros((batch, *self.input_shape))
+
+        monkeypatch.setattr(DatasetSpec, "synthetic_batch", zeros)
+        report = evaluate_agreement(net, strategy, batch=2, seed=0)
+        assert report.mean_logit_rel_error == 0.0
+        assert report.agreement_rate == 1.0

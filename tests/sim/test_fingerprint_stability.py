@@ -25,7 +25,7 @@ from repro.models.datasets import DatasetSpec
 from repro.models.graph import Network
 from repro.models.layers import LayerSpec, LayerType, PoolSpec, Stage
 from repro.models.zoo import vgg16
-from repro.sim.cache import _LAYER_FIELDS, EvaluationCache, network_fingerprint
+from repro.sim.cache import EvaluationCache, network_fingerprint
 from repro.sim.simulator import Simulator
 
 _FINGERPRINT_SNIPPET = """
@@ -140,7 +140,12 @@ def _with_layer_field(net: Network, name: str) -> Network:
         if stage.layer is not None and stage.layer.layer_type is kind
     )
     layer = net.stages[pos].layer
-    value = LayerType.CONV if name == "layer_type" else getattr(layer, name) + 1
+    if name == "layer_type":
+        value = LayerType.CONV
+    elif name == "name":
+        value = layer.name + "'"
+    else:
+        value = getattr(layer, name) + 1
     stages = list(net.stages)
     stages[pos] = Stage(layer=dataclasses.replace(layer, **{name: value}))
     return Network(net.name, net.dataset, tuple(stages))
@@ -195,11 +200,19 @@ class TestCollisionRegression:
             sized_network(12)
         )
 
-    @pytest.mark.parametrize("name", _LAYER_FIELDS)
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(LayerSpec)])
     def test_network_fingerprint_tracks_every_layer_field(self, name):
+        # The cases come from LayerSpec itself, not from the fingerprint
+        # table under test: a field the key leaves out must be one that
+        # cannot change a cold evaluation.
         net = sized_network(12)
-        assert network_fingerprint(_with_layer_field(net, name)) != (
-            network_fingerprint(net)
+        changed = _with_layer_field(net, name)
+        if network_fingerprint(changed) != network_fingerprint(net):
+            return
+        strategy = tuple(CrossbarShape(64, 64) for _ in net.layers)
+        cold = Simulator(cache=None)
+        assert cold.evaluate(changed, strategy) == cold.evaluate(net, strategy), (
+            f"LayerSpec.{name} changes the metrics but not the cache key"
         )
 
     @pytest.mark.parametrize("name", ["window", "stride"])
