@@ -13,20 +13,22 @@ violates Eq. 4 bounds or Algorithm 1's accounting.  The modules:
 * :mod:`repro.analysis.lint` — project-specific AST lint rules for the
   source tree itself.
 * :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.dataflow` — the
-  interprocedural cache-key soundness and purity analysis behind
-  ``repro check --cache-safety`` (CAC/PUR rule families).
+  interprocedural read-set walk from the simulator's roots, and the
+  cache-key soundness analysis over it behind ``repro check
+  --cache-safety`` (CAC rule family).
 * :mod:`repro.analysis.concurrency` — the syntactic proof of the thread
   contract behind ``repro check --concurrency`` (CON001): no module
   outside ``repro.analysis`` starts a thread or a process, so each
   thread owns its ``Simulator``.
 * :mod:`repro.analysis.walker` — the one module reader of every tree
-  pass (a run parses each module once: one sweep feeds LNT, CON, NUM and
-  UNI, and CAC and PAR parse only what their roots reach), and the
+  pass (one sweep feeds LNT, CON, NUM and UNI, and one read-set walk,
+  which parses only what its roots reach, feeds CAC and PAR), and the
   abstract-interpretation walker that NUM and UNI share.
 * :mod:`repro.analysis.numeric` — NumPy-aware numeric-safety pass over
   ``sim/`` behind ``repro check --numeric`` (NUM rule family).
 * :mod:`repro.analysis.kernel_parity` — scalar-vs-vectorized read-set
-  parity behind ``repro check --kernel-parity`` (PAR rule family).
+  parity over the same walk, behind ``repro check --kernel-parity``
+  (PAR001).
 * :mod:`repro.analysis.units` — dimensional analysis of the cost model
   behind ``repro check --units`` (UNI rule family).
 
@@ -78,13 +80,15 @@ __all__ = [
     "lint_tree",
     "analyze_cache_safety",
     "analyze_memoized",
+    "cache_safety_findings",
+    "read_set_sweep",
     "analyze_concurrency",
     "fan_out_findings",
     "analyze_numeric",
     "numeric_findings",
     "analyze_kernel_parity",
     "analyze_kernel_parity_tree",
-    "kernel_parity_contract",
+    "kernel_parity_findings",
     "analyze_units",
     "units_findings",
 ]
@@ -96,12 +100,14 @@ _LAZY: dict[str, tuple[str, ...]] = {
         "check_mapping", "check_mappings", "check_network", "check_plan_dict", "check_shape",
     ),
     "lint": ("lint_source", "lint_tree", "LINT_PASS"),
-    "dataflow": ("analyze_cache_safety", "analyze_memoized", "simulator_contract"),
+    "dataflow": (
+        "analyze_cache_safety", "analyze_memoized", "cache_safety_findings",
+        "read_set_sweep", "simulator_contract",
+    ),
     "concurrency": ("analyze_concurrency", "fan_out_findings", "CONCURRENCY_PASS"),
     "numeric": ("analyze_numeric", "numeric_findings", "NUMERIC_PASS"),
     "kernel_parity": (
-        "analyze_kernel_parity", "analyze_kernel_parity_tree", "kernel_parity_contract",
-        "ParityContract",
+        "analyze_kernel_parity", "analyze_kernel_parity_tree", "kernel_parity_findings",
     ),
     "units": ("analyze_units", "units_findings", "load_tables", "UnitTables", "UNITS_PASS"),
 }

@@ -1,17 +1,18 @@
-"""Cache-key soundness and purity analysis of memoized call graphs.
+"""The read-set walk of memoized call graphs, and cache-key soundness.
 
 The memoization contract of :meth:`repro.sim.simulator.Simulator.evaluate`
 (docs/performance.md) is: *every attribute the evaluation reads must be
-folded into the cache key, and the evaluation must be pure*.  This module
-proves it statically.  An abstract interpreter walks the AST call graph
-reachable from the memoized roots, tracking parameter aliases through
-calls, attribute chains, properties, containers, and branches, and
-records
+folded into the cache key, and the evaluation must not read the clock,
+the environment or any I/O*.  This module proves it statically.  An
+abstract interpreter walks the AST call graph reachable from the
+memoized roots, tracking parameter aliases through calls, attribute
+chains, properties, containers, and branches, and records
 
 * the **attribute read-set** per class — every dataclass field the
   evaluation can observe on a ``HardwareConfig``, ``Network``, ``Stage``,
-  ``LayerSpec``, ``PoolSpec``, ``CrossbarShape``, or ``Simulator``;
-* **impure effects** — mutation of tracked inputs, module-state writes;
+  ``LayerSpec``, ``PoolSpec``, ``CrossbarShape``, or ``Simulator`` —
+  with the reads made outside the kernels kept apart as the **scalar
+  read-set**, which :mod:`repro.analysis.kernel_parity` checks;
 * **nondeterministic sinks** — ``random`` / ``time`` / environment / IO.
 
 The read-set is cross-checked against the declared fingerprint coverage
@@ -19,10 +20,7 @@ The read-set is cross-checked against the declared fingerprint coverage
 
 ========  =============================================================
 CAC001    attribute read by the evaluation but not fingerprinted (ERROR)
-CAC002    fingerprinted but never read — dead key component (WARNING)
 CAC003    reachable nondeterministic / IO sink (ERROR)
-PUR001    mutation of a tracked input object (ERROR)
-PUR002    module-state write (``global`` declaration) (ERROR)
 ========  =============================================================
 
 The interpreter is deliberately *optimistic about unknowns*: values it
@@ -33,17 +31,18 @@ cover.  The memo machinery itself (``repro.sim.cache``) is a declared
 boundary: it is what implements the key, so it is not subject to it.
 
 Entry points: :func:`analyze_memoized` (generic, over any
-:class:`~repro.analysis.callgraph.ModuleIndex`) and
+:class:`~repro.analysis.callgraph.ModuleIndex`),
 :func:`analyze_cache_safety` (the repro tree's simulator contract,
-wired into ``repro check --cache-safety``).
+wired into ``repro check --cache-safety``) and :func:`read_set_sweep`,
+which runs the CAC and PAR checks off one walk.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .callgraph import (
     ClassInfo,
@@ -55,7 +54,7 @@ from .callgraph import (
     ModuleInfo,
     TypeAlias,
 )
-from .invariants import CAC001, CAC002, CAC003, PUR001, PUR002, Diagnostic
+from .invariants import CAC001, CAC003, Diagnostic
 
 # ----------------------------------------------------------------------
 # Abstract values
@@ -165,7 +164,7 @@ class CoverageSpec:
     ``fingerprinted`` fields are folded into the key; ``exempt`` fields
     are declared result-invariant (they change *how* a result is
     computed, never *what* it is — e.g. a cache handle) and are excluded
-    from both CAC001 and CAC002.
+    from CAC001.
     """
 
     fingerprinted: frozenset[str]
@@ -188,32 +187,31 @@ DEFAULT_SINK_BUILTINS: frozenset[str] = frozenset(
     {"open", "input", "print", "eval", "exec", "globals", "vars",
      "__import__", "breakpoint", "id"}
 )
-#: container-mutator method names that count as mutation (PUR001)
-MUTATOR_METHODS: frozenset[str] = frozenset(
-    {"append", "extend", "insert", "remove", "pop", "clear", "update",
-     "setdefault", "popitem", "add", "discard", "sort", "reverse",
-     "move_to_end", "appendleft", "popleft", "extendleft", "rotate"}
-)
 
 
 @dataclass(frozen=True)
 class MemoContract:
-    """What to analyze and what the cache key claims to cover."""
+    """What the read-set walk analyzes, and the two tables it checks."""
 
     #: memoized entry points, ``"module:Class.method"`` / ``"module:func"``
     roots: tuple[str, ...]
-    #: simple class name -> declared key coverage
+    #: simple class name -> declared key coverage; the CAC001 side
     coverage: Mapping[str, CoverageSpec]
     #: module-name prefixes excluded from traversal (the memo machinery)
     boundary_modules: tuple[str, ...] = ()
-    #: classes whose instances must not be mutated (default: coverage keys)
-    purity_classes: frozenset[str] = frozenset()
+    #: module-name prefixes the scalar path stops at (the kernels): reads
+    #: made in them, or reached through them, are left out of the scalar
+    #: read-set
+    scalar_boundary: tuple[str, ...] = ()
+    #: dotted name of the kernels module inside the analyzed index
+    kernel_module: str = ""
+    #: scalar class -> field -> kernel columns (``"Class.column"``) or
+    #: sentinel targets; the PAR001 side
+    kernel_coverage: Mapping[str, Mapping[str, tuple[str, ...]]] = field(
+        default_factory=dict
+    )
     sink_prefixes: tuple[str, ...] = DEFAULT_SINK_PREFIXES
     sink_builtins: frozenset[str] = DEFAULT_SINK_BUILTINS
-
-    @property
-    def tracked_mutable(self) -> frozenset[str]:
-        return self.purity_classes or frozenset(self.coverage)
 
 
 # ----------------------------------------------------------------------
@@ -248,11 +246,16 @@ class _Analyzer:
         self.contract = contract
         #: (class simple name, field) -> first witness location
         self.reads: dict[tuple[str, str], str] = {}
-        self.effects: list[Diagnostic] = []
+        #: the reads made before ``contract.scalar_boundary``: the scalar
+        #: path's read-set, first witness each
+        self.scalar_reads: dict[tuple[str, str], str] = {}
+        self.sinks: list[Diagnostic] = []
         self._memo: dict[object, Value] = {}
         self._active: set[object] = set()
         self._flagged: set[object] = set()
         self._steps = 0
+        #: whether the function under analysis was reached through the kernels
+        self._kernel_side = False
 
     # -------------------------------------------------- helpers
     def _is_boundary(self, module: ModuleInfo) -> bool:
@@ -265,53 +268,32 @@ class _Analyzer:
         line = getattr(node, "lineno", frame.func.lineno)
         return f"{frame.module.name}:{line}"
 
+    def _past_scalar_path(self, module: ModuleInfo) -> bool:
+        return any(
+            module.name == p or module.name.startswith(p + ".")
+            for p in self.contract.scalar_boundary
+        )
+
     def _record_read(
         self, cls: ClassInfo, attr: str, frame: _Frame, node: ast.AST
     ) -> None:
-        self.reads.setdefault((cls.name, attr), self._loc(frame, node))
+        location = self._loc(frame, node)
+        self.reads.setdefault((cls.name, attr), location)
+        if not (self._kernel_side or self._past_scalar_path(cls.module)):
+            self.scalar_reads.setdefault((cls.name, attr), location)
 
     def _flag_sink(self, qualname: str, frame: _Frame, node: ast.AST) -> None:
-        key = ("sink", frame.func.qualname, qualname)
+        key = (frame.func.qualname, qualname)
         if key in self._flagged:
             return
         self._flagged.add(key)
-        self.effects.append(
+        self.sinks.append(
             CAC003.diag(
                 self._loc(frame, node),
                 f"memoized call graph reaches {qualname!r} via "
                 f"{frame.func.qualname}",
                 hint="hoist the nondeterministic input into an explicit, "
                 "fingerprinted argument",
-            )
-        )
-
-    def _flag_mutation(
-        self, cls_name: str, detail: str, frame: _Frame, node: ast.AST
-    ) -> None:
-        key = ("mut", frame.func.qualname, getattr(node, "lineno", 0))
-        if key in self._flagged:
-            return
-        self._flagged.add(key)
-        self.effects.append(
-            PUR001.diag(
-                self._loc(frame, node),
-                f"{frame.func.qualname} mutates a {cls_name} input ({detail})",
-                hint="memoized code must treat its key inputs as immutable; "
-                "build a modified copy instead",
-            )
-        )
-
-    def _flag_global(self, names: Sequence[str], frame: _Frame, node: ast.AST) -> None:
-        key = ("glob", frame.func.qualname, tuple(names))
-        if key in self._flagged:
-            return
-        self._flagged.add(key)
-        self.effects.append(
-            PUR002.diag(
-                self._loc(frame, node),
-                f"{frame.func.qualname} declares global {', '.join(names)} — "
-                "results would depend on call history",
-                hint="pass the state in as an argument and fingerprint it",
             )
         )
 
@@ -452,12 +434,16 @@ class _Analyzer:
         self._steps += 1
         if self._steps > _ANALYSIS_BUDGET:
             return UNKNOWN
-        key = (func, tuple(sorted(bindings.items())))
+        # The summary of a function reached through the kernels holds no
+        # scalar read, so it must not answer a call from the scalar path.
+        kernel_side = self._kernel_side or self._past_scalar_path(func.module)
+        key = (func, kernel_side, tuple(sorted(bindings.items())))
         if key in self._memo:
             return self._memo[key]
         if key in self._active:
             return UNKNOWN
         self._active.add(key)
+        outer, self._kernel_side = self._kernel_side, kernel_side
         try:
             env: _Env = dict(bindings)
             self._bind_missing_params(func, env)
@@ -473,6 +459,7 @@ class _Analyzer:
             self._memo[key] = ret
             return ret
         finally:
+            self._kernel_side = outer
             self._active.discard(key)
 
     def _bind_missing_params(self, func: FunctionInfo, env: _Env) -> None:
@@ -560,8 +547,6 @@ class _Analyzer:
             self._eval(stmt.test, frame)
             if stmt.msg is not None:
                 self._eval(stmt.msg, frame)
-        elif isinstance(stmt, ast.Global):
-            self._flag_global(stmt.names, frame, stmt)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             nested = FunctionInfo(
                 module=frame.module,
@@ -586,8 +571,8 @@ class _Analyzer:
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
                 if isinstance(target, (ast.Attribute, ast.Subscript)):
-                    self._check_store_target(target, frame)
-        # Pass / Break / Continue / Nonlocal: nothing to track.
+                    self._eval_store_target(target, frame)
+        # Pass / Break / Continue / Global / Nonlocal: nothing to track.
 
     def _exec_branches(
         self, frame: _Frame, body: Sequence[ast.stmt], orelse: Sequence[ast.stmt]
@@ -615,7 +600,7 @@ class _Analyzer:
         elif isinstance(target, ast.Starred):
             self._assign(target.value, _v(IterVal(_element_of(value))), frame)
         elif isinstance(target, (ast.Attribute, ast.Subscript)):
-            self._check_store_target(target, frame)
+            self._eval_store_target(target, frame)
 
     def _assign_unpack(
         self, targets: Sequence[ast.expr], value: Value, frame: _Frame
@@ -633,23 +618,13 @@ class _Analyzer:
         for target, part in zip(targets, per_target):
             self._assign(target, part, frame)
 
-    def _check_store_target(
+    def _eval_store_target(
         self, target: Union[ast.Attribute, ast.Subscript], frame: _Frame
     ) -> None:
-        base = self._eval(target.value, frame)
+        """A store reads its target's base (and index), not the stored member."""
+        self._eval(target.value, frame)
         if isinstance(target, ast.Subscript):
             self._eval(target.slice, frame)
-        for atom in base:
-            if (
-                isinstance(atom, Instance)
-                and atom.cls.name in self.contract.tracked_mutable
-            ):
-                detail = (
-                    f"sets .{target.attr}"
-                    if isinstance(target, ast.Attribute)
-                    else "assigns into a subscript"
-                )
-                self._flag_mutation(atom.cls.name, detail, frame, target)
 
     # -------------------------------------------------- expressions
     def _eval(self, expr: ast.expr, frame: _Frame) -> Value:
@@ -796,12 +771,6 @@ class _Analyzer:
                 return _v(FuncVal(cls.methods[attr], recv=_v(atom)))
             if attr in cls.class_attrs:
                 return _v(Instance(cls)) if cls.is_enum else UNKNOWN
-            if (
-                attr in MUTATOR_METHODS
-                and cls.name in self.contract.tracked_mutable
-            ):
-                self._flag_mutation(cls.name, f"calls .{attr}()", frame, node)
-                return UNKNOWN
             # Unknown attribute on a known class: record conservatively —
             # if the class is fingerprint-covered, the fingerprint must
             # account for whatever this is.
@@ -988,16 +957,6 @@ class _Analyzer:
             return args[1] if len(args) > 1 else UNKNOWN
         if name == "getattr":
             return self._dynamic_getattr(call, args, frame)
-        if name in ("setattr", "delattr"):
-            for atom in first:
-                if (
-                    isinstance(atom, Instance)
-                    and atom.cls.name in self.contract.tracked_mutable
-                ):
-                    self._flag_mutation(
-                        atom.cls.name, f"calls {name}()", frame, call
-                    )
-            return UNKNOWN
         if name == "str":
             for atom in first:
                 if isinstance(atom, Instance) and "__str__" in atom.cls.methods:
@@ -1087,15 +1046,12 @@ def _matches_sink(qualname: str, prefixes: Sequence[str]) -> bool:
 # ----------------------------------------------------------------------
 
 
-def analyze_memoized(
-    index: ModuleIndex, contract: MemoContract
-) -> list[Diagnostic]:
-    """Run the cache-safety analysis over an indexed tree.
+def walk_read_set(index: ModuleIndex, contract: MemoContract) -> _Analyzer:
+    """Walk the call graph of ``contract.roots`` once; the walk's
+    ``reads``, ``scalar_reads`` and ``sinks`` are what the checks judge.
 
-    Returns CAC001/CAC002/CAC003/PUR001/PUR002 diagnostics, ordered by
-    rule id then location.  Raises :class:`ValueError` when a declared
-    root cannot be resolved — a silent no-op analysis would report a
-    clean bill it never earned.
+    Raises :class:`ValueError` when a declared root cannot be resolved —
+    a silent no-op analysis would report a clean bill it never earned.
     """
     analyzer = _Analyzer(index, contract)
     for root in contract.roots:
@@ -1103,10 +1059,15 @@ def analyze_memoized(
         if func is None:
             raise ValueError(f"cannot resolve analysis root {root!r}")
         analyzer.analyze_root(func)
+    return analyzer
 
-    diagnostics = list(analyzer.effects)
-    for (cls_name, attr), location in sorted(analyzer.reads.items()):
-        spec = contract.coverage.get(cls_name)
+
+def cache_safety_findings(walk: _Analyzer) -> list[Diagnostic]:
+    """CAC001 and CAC003 over one walk, ordered by rule id then location."""
+    coverage = walk.contract.coverage
+    diagnostics = list(walk.sinks)
+    for (cls_name, attr), location in sorted(walk.reads.items()):
+        spec = coverage.get(cls_name)
         if spec is None or attr in spec.covered:
             continue
         diagnostics.append(
@@ -1118,38 +1079,29 @@ def analyze_memoized(
                 "it result-invariant if it cannot change the metrics",
             )
         )
-    classes_read = {cls_name for cls_name, _ in analyzer.reads}
-    for cls_name in sorted(contract.coverage):
-        spec = contract.coverage[cls_name]
-        if cls_name not in classes_read:
-            # The class never materialised in the traversal at all;
-            # per-field "never read" noise would just repeat that.
-            continue
-        for field_name in sorted(spec.fingerprinted):
-            if (cls_name, field_name) not in analyzer.reads:
-                diagnostics.append(
-                    CAC002.diag(
-                        f"{cls_name}.{field_name}",
-                        "fingerprinted but never read by the memoized "
-                        "evaluation — a dead key component",
-                        hint="drop it from the fingerprint, or wire it into "
-                        "the evaluation",
-                    )
-                )
     diagnostics.sort(key=lambda d: (d.rule_id, d.location, d.message))
     return diagnostics
 
 
-def simulator_contract() -> MemoContract:
-    """The repro tree's own memoization contract.
+def analyze_memoized(
+    index: ModuleIndex, contract: MemoContract
+) -> list[Diagnostic]:
+    """Run the cache-safety analysis over an indexed tree (CAC001, CAC003)."""
+    return cache_safety_findings(walk_read_set(index, contract))
 
-    Coverage comes from the declarations in :mod:`repro.sim.cache`
-    (:data:`~repro.sim.cache.FINGERPRINTED_FIELDS` /
-    :data:`~repro.sim.cache.RESULT_INVARIANT_FIELDS`) — the same tables
-    the fingerprint implementations fold over, so the analyzer checks
-    what the cache actually does, not a parallel copy of it.
+
+def simulator_contract() -> MemoContract:
+    """The repro tree's own memoization and kernel-parity contract.
+
+    Coverage comes from the declarations next to the code it describes:
+    :data:`~repro.sim.cache.FINGERPRINTED_FIELDS` /
+    :data:`~repro.sim.cache.RESULT_INVARIANT_FIELDS` (the tables the
+    fingerprint implementations fold over) and
+    :data:`~repro.sim.kernels.KERNEL_COVERAGE`, so the analyzer checks
+    what the cache and the kernels actually do, not a parallel copy.
     """
     from ..sim.cache import FINGERPRINTED_FIELDS, RESULT_INVARIANT_FIELDS
+    from ..sim.kernels import KERNEL_COVERAGE
 
     coverage = {
         cls_name: CoverageSpec(
@@ -1168,16 +1120,49 @@ def simulator_contract() -> MemoContract:
         # its clocks and sinks are deliberate I/O that never feeds back
         # into a metric (the trace-invariance battery is the evidence).
         boundary_modules=("repro.sim.cache", "repro.obs"),
+        # The kernels are the subject of the parity comparison, not part
+        # of the scalar path, and neither is the validation the walk
+        # reaches in ``repro.analysis``.
+        scalar_boundary=("repro.sim.kernels", "repro.analysis"),
+        kernel_module="repro.sim.kernels",
+        kernel_coverage=KERNEL_COVERAGE,
     )
+
+
+def read_set_sweep(
+    root: Path | str | None,
+    checks: Mapping[str, Callable[[_Analyzer], list[Diagnostic]]],
+) -> dict[str, list[Diagnostic] | ValueError]:
+    """Run every check of ``checks`` off one walk of the tree at ``root``.
+
+    The walk parses each module its roots reach once, for every check,
+    and its index is dropped on return.  A check ends with its findings,
+    or with the :class:`ValueError` that refuses the tree: a root that
+    does not resolve, a reached module that does not parse, or its own
+    refusal.
+    """
+    if not checks:
+        return {}
+    try:
+        walk = walk_read_set(ModuleIndex.from_package(root), simulator_contract())
+    except ValueError as exc:
+        return {name: exc for name in checks}
+    results: dict[str, list[Diagnostic] | ValueError] = {}
+    for name, check in checks.items():
+        try:
+            results[name] = check(walk)
+        except ValueError as exc:
+            results[name] = exc
+    return results
 
 
 def analyze_cache_safety(root: Path | None = None) -> list[Diagnostic]:
     """Prove (or refute) the simulator's cache-key soundness contract.
 
     Indexes the installed ``repro`` package (or an explicit source tree
-    rooted at ``root``) and runs :func:`analyze_memoized` with the
-    contract of :func:`simulator_contract`.  An empty result is the
-    theorem: no attribute the evaluation reads escapes the fingerprint,
-    and the evaluation is pure.
+    rooted at ``root``) and runs :func:`cache_safety_findings` over the
+    walk of :func:`simulator_contract`.  An empty result is the theorem:
+    no attribute the evaluation reads escapes the fingerprint, and no
+    nondeterministic or I/O sink is reachable.
     """
     return analyze_memoized(ModuleIndex.from_package(root), simulator_contract())

@@ -256,28 +256,11 @@ CAC001 = _r(
     "fingerprint does not cover — two inputs differing only in that field "
     "collide and one silently receives the other's metrics.",
 )
-CAC002 = _r(
-    "CAC002", "fingerprinted but never read", Severity.WARNING, "§4.5",
-    "A field folded into the cache-key fingerprint is never read by the "
-    "memoized evaluation: a dead key component that splits entries (and "
-    "lowers the hit rate) without affecting results.",
-)
 CAC003 = _r(
     "CAC003", "nondeterministic or I/O sink in memoized call graph", Severity.ERROR,
     "§4.5",
     "The memoized evaluation reaches random / time / environment / I/O "
     "state that no cache key can cover, so cached results can go stale.",
-)
-PUR001 = _r(
-    "PUR001", "input mutation in memoized call graph", Severity.ERROR, "§4.5",
-    "The memoized evaluation mutates one of its key inputs (config, "
-    "network, layer, shape); memoized callables must be pure in their "
-    "arguments.",
-)
-PUR002 = _r(
-    "PUR002", "module-state mutation in memoized call graph", Severity.ERROR, "§4.5",
-    "The memoized evaluation writes module-level state, so results depend "
-    "on call history that the cache key cannot express.",
 )
 CON001 = _r(
     "CON001", "thread or process started inside the library", Severity.ERROR,
@@ -450,13 +433,6 @@ class Report:
     def rule_ids(self) -> tuple[str, ...]:
         return tuple(d.rule_id for d in self.diagnostics)
 
-    def counts_by_rule(self) -> dict[str, int]:
-        """Finding count per rule id (any severity)."""
-        counts: dict[str, int] = {}
-        for d in self.diagnostics:
-            counts[d.rule_id] = counts.get(d.rule_id, 0) + 1
-        return counts
-
     def format(self) -> str:
         if not self.diagnostics:
             return "no findings"
@@ -473,32 +449,6 @@ class Report:
     def raise_if_errors(self, context: str = "") -> None:
         if self.errors:
             raise InvariantViolation(self.errors, context)
-
-
-def ratchet_violations(
-    report: Report, baseline: Mapping[str, int]
-) -> list[str]:
-    """Findings that exceed a grandfathered per-rule baseline.
-
-    The *ratchet* makes non-ERROR findings fail a gate only when their
-    count grows: a baseline file maps rule id -> allowed count (unlisted
-    rules default to 0; keys starting with ``_`` are comments).  Shrinking
-    counts pass — tighten the baseline in the same change that fixes them.
-    """
-    allowed = {
-        key: int(value)
-        for key, value in baseline.items()
-        if not key.startswith("_")
-    }
-    lines = []
-    for rule_id, count in sorted(report.counts_by_rule().items()):
-        cap = allowed.get(rule_id, 0)
-        if count > cap:
-            lines.append(
-                f"ratchet: {rule_id} has {count} finding(s), "
-                f"baseline allows {cap}"
-            )
-    return lines
 
 
 # ----------------------------------------------------------------------

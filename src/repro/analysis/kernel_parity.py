@@ -5,11 +5,12 @@ PR 7 forked the cost model: the scalar reference (``sim/energy.py`` /
 :meth:`~repro.sim.simulator.Simulator.evaluate`) and the NumPy batch path
 in :mod:`repro.sim.kernels` must agree bit-for-bit.  Runtime parity
 tests sample that contract; this module proves its *input* half
-statically, the way :mod:`repro.analysis.dataflow` proves cache-key
-coverage: the dataflow interpreter extracts the attribute read-set of
-the scalar path, and every read must be carried by a kernel column that
-the declared coverage table (:data:`repro.sim.kernels.KERNEL_COVERAGE`)
-names and the kernels actually define.
+statically, off the same walk that proves cache-key coverage
+(:func:`repro.analysis.dataflow.walk_read_set`): every read of that
+walk's scalar read-set — the reads made outside the kernels — must be
+carried by a kernel column that the declared coverage table
+(:data:`repro.sim.kernels.KERNEL_COVERAGE`) names and the kernels
+actually define.
 
 ========  =============================================================
 PAR001    scalar read with no (live) kernel column behind it (ERROR)
@@ -23,12 +24,10 @@ kernel coverage-table contract").
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 from .callgraph import ModuleIndex
-from .dataflow import MemoContract, _Analyzer
+from .dataflow import MemoContract, _Analyzer, simulator_contract, walk_read_set
 from .invariants import PAR001, Diagnostic
 
 #: Coverage targets that name no column: ``"builder"`` marks a value the
@@ -37,63 +36,20 @@ from .invariants import PAR001, Diagnostic
 SENTINEL_TARGETS: frozenset[str] = frozenset({"builder", "shared"})
 
 
-@dataclass(frozen=True)
-class ParityContract:
-    """What to analyze and what the kernel coverage table claims."""
+def kernel_parity_findings(walk: _Analyzer) -> list[Diagnostic]:
+    """PAR001 over one walk's scalar read-set, ordered by location.
 
-    #: scalar entry points, ``"module:Class.method"`` / ``"module:func"``
-    roots: tuple[str, ...]
-    #: dotted name of the kernels module inside the analyzed index
-    kernel_module: str
-    #: scalar class -> field -> kernel columns (``"Class.column"``) or
-    #: sentinel targets; the PAR001 side of the contract
-    coverage: Mapping[str, Mapping[str, tuple[str, ...]]]
-    #: module-name prefixes excluded from the scalar traversal (the
-    #: kernels themselves, the cache, observability, this analyzer)
-    boundary_modules: tuple[str, ...] = ()
-
-
-# ----------------------------------------------------------------------
-# The analysis
-# ----------------------------------------------------------------------
-
-
-def analyze_kernel_parity_tree(
-    index: ModuleIndex, contract: ParityContract
-) -> list[Diagnostic]:
-    """Run the kernel-parity analysis over an indexed tree.
-
-    Returns PAR001 diagnostics ordered by location.  Raises
-    :class:`ValueError` when a root cannot be resolved — a silent no-op
-    analysis would report a clean bill it never earned.
+    Raises :class:`ValueError` when the kernel module is not in the
+    walk's index.
     """
-    diagnostics: list[Diagnostic] = []
-
-    # ---- scalar read-set via the dataflow interpreter ----------------
-    analyzer = _Analyzer(
-        index,
-        # Parity only needs the read-set; with no coverage classes the
-        # interpreter tracks no purity targets, and its effects list
-        # (sinks, mutations) stays the cache-safety pass's business.
-        MemoContract(
-            roots=(),
-            coverage={},
-            boundary_modules=contract.boundary_modules,
-        ),
-    )
-    for root in contract.roots:
-        func = index.resolve_qualname(root)
-        if func is None:
-            raise ValueError(f"cannot resolve analysis root {root!r}")
-        analyzer.analyze_root(func)
-
-    # ---- kernel columns as the analyzed source defines them ----------
-    kmod = index.modules.get(contract.kernel_module)
+    contract = walk.contract
+    kmod = walk.index.modules.get(contract.kernel_module)
     if kmod is None:
         raise ValueError(
             f"kernel module {contract.kernel_module!r} is not in the index"
         )
-    # A kernel class's columns are its annotated fields and properties.
+    # A kernel class's columns are its annotated fields and properties,
+    # as the analyzed source defines them.
     columns: dict[str, frozenset[str]] = {
         cls_name: frozenset(cls.fields) | frozenset(cls.properties)
         for cls_name, cls in kmod.classes.items()
@@ -103,9 +59,9 @@ def analyze_kernel_parity_tree(
         owner, _, column = target.partition(".")
         return column in columns.get(owner, frozenset())
 
-    # ---- PAR001: every in-scope scalar read needs a live column ------
-    for (cls_name, attr), location in sorted(analyzer.reads.items()):
-        fields = contract.coverage.get(cls_name)
+    diagnostics: list[Diagnostic] = []
+    for (cls_name, attr), location in sorted(walk.scalar_reads.items()):
+        fields = contract.kernel_coverage.get(cls_name)
         if fields is None:
             continue  # not a class the kernels restructure into arrays
         targets = fields.get(attr)
@@ -122,9 +78,7 @@ def analyze_kernel_parity_tree(
             )
             continue
         for target in targets:
-            if target in SENTINEL_TARGETS:
-                continue
-            if not column_exists(target):
+            if target not in SENTINEL_TARGETS and not column_exists(target):
                 diagnostics.append(
                     PAR001.diag(
                         location,
@@ -133,53 +87,31 @@ def analyze_kernel_parity_tree(
                         hint="restore the column or update KERNEL_COVERAGE",
                     )
                 )
-
     diagnostics.sort(key=lambda d: (d.rule_id, d.location, d.message))
     return diagnostics
 
 
-# ----------------------------------------------------------------------
-# The repro tree's own contract
-# ----------------------------------------------------------------------
+def analyze_kernel_parity_tree(
+    index: ModuleIndex, contract: MemoContract
+) -> list[Diagnostic]:
+    """Run the kernel-parity analysis over an indexed tree (PAR001).
 
-
-def kernel_parity_contract() -> ParityContract:
-    """The repro tree's kernel-parity contract.
-
-    Coverage comes from :data:`repro.sim.kernels.KERNEL_COVERAGE` — the
-    table documented next to the kernels, so the analyzer checks what the
-    kernels declare, while column *existence* resolves against whatever
-    source tree is being analyzed (which is what lets the tamper tests
-    delete a field from the real sources and watch PAR001 fire).
+    Raises :class:`ValueError` when a root cannot be resolved or the
+    kernel module is missing — a silent no-op analysis would report a
+    clean bill it never earned.
     """
-    from ..sim.kernels import KERNEL_COVERAGE
-
-    return ParityContract(
-        roots=(
-            "repro.sim.simulator:Simulator.evaluate",
-            "repro.sim.simulator:Simulator.try_evaluate",
-        ),
-        kernel_module="repro.sim.kernels",
-        coverage=KERNEL_COVERAGE,
-        # The kernels are the *subject* of the comparison, not part of
-        # the scalar walk; cache/obs/analysis are boundaries for the
-        # same reasons as in the cache-safety contract.
-        boundary_modules=(
-            "repro.sim.kernels",
-            "repro.sim.cache",
-            "repro.obs",
-            "repro.analysis",
-        ),
-    )
+    return kernel_parity_findings(walk_read_set(index, contract))
 
 
 def analyze_kernel_parity(root: Path | None = None) -> list[Diagnostic]:
     """Prove (or refute) the scalar/kernel input-parity contract.
 
     Indexes the installed ``repro`` package (or an explicit source tree
-    rooted at ``root``) and runs :func:`analyze_kernel_parity_tree` with
-    the contract of :func:`kernel_parity_contract`.  An empty result is
-    the theorem: every attribute the scalar cost path reads is carried
-    by a live kernel column.
+    rooted at ``root``) and runs :func:`kernel_parity_findings` over the
+    walk of :func:`~repro.analysis.dataflow.simulator_contract`.  An
+    empty result is the theorem: every attribute the scalar cost path
+    reads is carried by a live kernel column.  Column *existence*
+    resolves against the analyzed tree, which is what lets the tamper
+    tests delete a field from the real sources and watch PAR001 fire.
     """
-    return analyze_kernel_parity_tree(ModuleIndex.from_package(root), kernel_parity_contract())
+    return analyze_kernel_parity_tree(ModuleIndex.from_package(root), simulator_contract())

@@ -214,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "--cache-safety", action="store_true",
-        help="run the interprocedural cache-key soundness / purity "
-        "analysis over the memoized simulator call graph (CAC/PUR rules)",
+        help="run the interprocedural cache-key soundness analysis over "
+        "the memoized simulator call graph (CAC rules)",
     )
     p_check.add_argument(
         "--concurrency", action="store_true",
@@ -242,17 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format: human-readable text (default) or one JSON "
-        "document with findings, summary counts, and ratchet violations",
+        "document with findings and summary counts",
     )
     p_check.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue (id, severity, anchor, title) "
         "and exit without running any pass",
-    )
-    p_check.add_argument(
-        "--ratchet", default=None, metavar="PATH",
-        help="JSON file mapping rule id -> grandfathered finding count; "
-        "any rule exceeding its baseline fails the check even at WARNING",
     )
     p_check.add_argument(
         "--no-tile-shared", action="store_true",
@@ -298,15 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: The whole-tree ``repro check`` passes, in run order after the lint:
-#: (flag, narration, ``repro.analysis`` entry point or per-module
-#: ``TreePass``).  Each runs under its flag, or in the default sweep.
+#: (flag, narration, per-module ``TreePass`` or check over the one
+#: read-set walk).  Each runs under its flag, or in the default sweep.
 _TREE_PASSES = (
     ("cache_safety", "checking cache-key soundness of the memoized simulator",
-     "analyze_cache_safety"),
+     "cache_safety_findings"),
     ("concurrency", "checking concurrency safety: no thread or process fan-out",
      "CONCURRENCY_PASS"),
     ("numeric", "checking numeric safety of the simulator tree", "NUMERIC_PASS"),
-    ("kernel_parity", "checking scalar/vectorized kernel parity", "analyze_kernel_parity"),
+    ("kernel_parity", "checking scalar/vectorized kernel parity", "kernel_parity_findings"),
     ("units", "checking dimensional consistency of the cost model", "UNITS_PASS"),
 )
 
@@ -325,7 +320,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         check_network,
         check_plan_dict,
     )
-    from .analysis.invariants import Report, ratchet_violations
+    from .analysis.invariants import Report
     from .analysis.walker import TreePass, sweep
     from .arch.config import DEFAULT_CONFIG
     from .arch.mapping import map_layer
@@ -445,21 +440,22 @@ def cmd_check(args: argparse.Namespace) -> int:
         for flag, narration, name in (lint, *_TREE_PASSES)
         if not targeted or (args.source is not None if flag == "source" else getattr(args, flag))
     ]
-    # One read of the tree runs every selected per-module pass.
+    # One read of the tree runs every selected per-module pass, and one
+    # walk from the simulator's roots every selected read-set check.
     swept = sweep(root, {flag: e for flag, _, e in selected if isinstance(e, TreePass)})
+    swept.update(
+        analysis.read_set_sweep(
+            root, {flag: e for flag, _, e in selected if not isinstance(e, TreePass)}
+        )
+    )
 
     # A pass that refuses the tree (a missing or empty root, an
     # unparsable module) is reported on stderr and fails the run; the
     # other passes still run.
     refused = False
-    for flag, narration, entry in selected:
+    for flag, narration, _ in selected:
         say(narration)
-        outcome = swept.get(flag)
-        if outcome is None:
-            try:
-                outcome = entry(root)
-            except ValueError as exc:
-                outcome = exc
+        outcome = swept[flag]
         if isinstance(outcome, ValueError):
             print(f"check: --{flag.replace('_', '-')}: {outcome}", file=sys.stderr)
             refused = True
@@ -467,14 +463,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             report.extend(outcome)
 
     exit_code = 1 if refused else report.exit_code
-    violations: list[str] = []
-    if args.ratchet:
-        baseline = load_input(
-            args.ratchet, lambda: json.loads(Path(args.ratchet).read_text())
-        )
-        violations = ratchet_violations(report, baseline)
-        if violations:
-            exit_code = 1
     if args.format == "json":
         ordered = sorted(
             report.diagnostics,
@@ -499,7 +487,6 @@ def cmd_check(args: argparse.Namespace) -> int:
                         "warnings": len(report.warnings),
                         "total": len(report),
                     },
-                    "ratchet_violations": violations,
                     "ok": exit_code == 0,
                 },
                 indent=2,
@@ -507,8 +494,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
         return exit_code
     print(report.format())
-    for line in violations:
-        print(line)
     if exit_code == 0:
         print("check passed")
     return exit_code

@@ -3,7 +3,7 @@
 ``undocumented_knob`` is absent from
 ``repro.sim.cache.FINGERPRINTED_FIELDS["HardwareConfig"]`` — reading it
 inside ``evaluate`` is the canonical CAC001 finding.  The ``random``
-call is a CAC003 sink; the attribute store on the config is PUR001.
+call is a CAC003 sink: no cache key can cover it.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ class Simulator:
     def evaluate(self, scale: int) -> float:
         import random
 
-        self.config.undocumented_knob = 0
+        # Both findings below change the result without changing the key.
         noisy = self.config.weight_bits + random.random()
         return noisy * self.config.undocumented_knob * scale
 

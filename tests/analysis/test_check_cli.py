@@ -271,7 +271,6 @@ class TestCheckCacheSafety:
         assert "CAC001" in out
         assert "undocumented_knob" in out
         assert "CAC003" in out
-        assert "PUR001" in out
 
     def test_default_invocation_includes_cache_safety(self, capsys):
         assert main(["check"]) == 0
@@ -316,33 +315,6 @@ class TestCheckKernelParity:
         assert main(["check"]) == 0
         assert "kernel parity" in capsys.readouterr().out
 
-    def test_parity_warnings_ratchet_even_at_zero_exit(self, tmp_path, capsys):
-        # CAC002 is a WARNING: a tree whose only findings are CAC002
-        # warnings exits 0, but the shared zero-baseline ratchet still
-        # fails the build on them.  In a copy of the divergent fixture,
-        # its two CAC001 reads become a read of the fingerprinted
-        # ``config`` and no read, which leaves one CAC002 warning
-        # (``Simulator.enforce_capacity`` is fingerprinted but unread).
-        tree = Path(shutil.copytree(
-            FIXTURES / "divergent_kernel_tree", tmp_path / "tree"
-        ))
-        simulator = tree / "sim" / "simulator.py"
-        text = simulator.read_text()
-        for old, new in (
-            ("self.tiles_per_bank", "self.config"),
-            (" + len(layer.flavor)", ""),
-        ):
-            assert old in text, f"edit anchor missing: {old!r}"
-            text = text.replace(old, new)
-        simulator.write_text(text)
-        args = ["check", "--cache-safety", "--source", str(tree)]
-        assert main(args) == 0
-        assert "CAC002" in capsys.readouterr().out
-        baseline = tmp_path / "ratchet.json"
-        baseline.write_text(json.dumps({}))
-        assert main([*args, "--ratchet", str(baseline)]) == 1
-        assert "ratchet: CAC002" in capsys.readouterr().out
-
 
 class TestCheckUnits:
     def test_real_tree_is_dimensionally_clean(self, capsys):
@@ -375,7 +347,6 @@ class TestCheckJsonFormat:
         assert doc["ok"] is True
         assert doc["findings"] == []
         assert doc["summary"] == {"errors": 0, "warnings": 0, "total": 0}
-        assert doc["ratchet_violations"] == []
 
     def test_no_progress_narration_in_json_mode(self, capsys):
         code = main(["check", "--format", "json"])
@@ -404,20 +375,6 @@ class TestCheckJsonFormat:
         assert doc["summary"]["errors"] == len(doc["findings"])
         assert doc["summary"]["total"] == len(doc["findings"])
 
-    def test_ratchet_violations_surface_in_json(self, tmp_path, capsys):
-        fixture = FIXTURES / "mixed_units_tree"
-        baseline = tmp_path / "ratchet.json"
-        baseline.write_text(json.dumps({}))
-        code, doc = self.run_json(
-            capsys,
-            [
-                "check", "--units", "--source", str(fixture),
-                "--format", "json", "--ratchet", str(baseline),
-            ],
-        )
-        assert code == 1
-        assert any("UNI001" in v for v in doc["ratchet_violations"])
-
 
 class TestListRules:
     def test_text_catalogue_lists_every_uni_rule(self, capsys):
@@ -443,7 +400,14 @@ class TestListRules:
 
     #: Deleted rules the docs still cite, in the measurement table that
     #: justified their deletion ("Which rules earn their keep").
-    RETIRED = {"PAR002", "PAR003"}
+    RETIRED = {"CAC002", "PAR002", "PAR003", "PUR001", "PUR002"}
+
+    def test_every_rule_is_an_error(self, capsys):
+        # No rule reports below ERROR, so every finding fails the check
+        # and no baseline of tolerated findings could change an exit code.
+        assert main(["check", "--list-rules", "--format", "json"]) == 0
+        rules = json.loads(capsys.readouterr().out)
+        assert {r["severity"] for r in rules} == {"error"}
 
     def test_docs_catalogue_matches_registry(self, capsys):
         """Every registered rule id appears in docs/static_analysis.md and
@@ -462,55 +426,6 @@ class TestListRules:
         assert documented <= registered | self.RETIRED, sorted(
             documented - registered - self.RETIRED
         )
-
-
-class TestCheckRatchet:
-    def write_baseline(self, tmp_path, mapping):
-        path = tmp_path / "ratchet.json"
-        path.write_text(json.dumps(mapping))
-        return path
-
-    def test_zero_baseline_passes_on_clean_tree(self, tmp_path, capsys):
-        path = self.write_baseline(tmp_path, {"_comment": "zero tolerance"})
-        args = ["check", "--source", "--cache-safety", "--ratchet", str(path)]
-        assert main(args) == 0
-        assert "check passed" in capsys.readouterr().out
-
-    def test_unlisted_rule_defaults_to_zero(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("def f(x={}):\n    return x\n")
-        path = self.write_baseline(tmp_path, {})
-        args = ["check", "--source", str(tmp_path), "--ratchet", str(path)]
-        assert main(args) == 1
-        out = capsys.readouterr().out
-        assert "ratchet: LNT002" in out
-
-    def test_grandfathered_count_passes(self, tmp_path, capsys):
-        (tmp_path / "legacy.py").write_text("print('grandfathered')\n")
-        path = self.write_baseline(tmp_path, {"LNT001": 1})
-        args = ["check", "--source", str(tmp_path), "--ratchet", str(path)]
-        assert main(args) == 1  # LNT001 is an ERROR rule -> still exit 1
-        assert "ratchet" not in capsys.readouterr().out
-
-    def test_exceeding_grandfathered_count_reports(self, tmp_path, capsys):
-        (tmp_path / "legacy.py").write_text("print('a')\nprint('b')\n")
-        path = self.write_baseline(tmp_path, {"LNT001": 1})
-        args = ["check", "--source", str(tmp_path), "--ratchet", str(path)]
-        assert main(args) == 1
-        out = capsys.readouterr().out
-        assert "ratchet: LNT001 has 2 finding(s), baseline allows 1" in out
-
-    def test_repo_ratchet_file_is_current(self, capsys):
-        # The committed CI baseline must hold against the shipped tree.
-        ratchet = (
-            Path(__file__).resolve().parents[2]
-            / ".github"
-            / "diagnostic-ratchet.json"
-        )
-        args = [
-            "check", "--source", "--cache-safety", "--numeric",
-            "--kernel-parity", "--units", "--ratchet", str(ratchet),
-        ]
-        assert main(args) == 0
 
 
 class TestPlanSerialization:

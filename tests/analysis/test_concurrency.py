@@ -181,23 +181,6 @@ class TestCheckCLI:
             assert f"CON001 [{site}]" in out
         assert out.count("CON001 [") == 3
 
-    def test_ratchet_grandfathers_fixture_findings(self, tmp_path, capsys):
-        baseline = tmp_path / "ratchet.json"
-        baseline.write_text('{"CON001": 3}')
-        # Errors still fail the check; the ratchet only gates *new* ones.
-        assert main(
-            [
-                "check", "--concurrency",
-                "--source", str(FIXTURE_TREE),
-                "--ratchet", str(baseline),
-            ]
-        ) == 1
-
-    def test_empty_ratchet_baseline_passes_on_real_tree(self, capsys):
-        assert main(
-            ["check", "--concurrency", "--ratchet", ".github/diagnostic-ratchet.json"]
-        ) == 0
-
     def test_default_sweep_includes_concurrency(self, capsys):
         assert main(["check"]) == 0
         assert "concurrency safety" in capsys.readouterr().out

@@ -32,7 +32,7 @@ class TestRegistry:
     def test_rule_families_present(self):
         families = {rid[:3] for rid in RULES}
         assert families == {
-            "CFG", "SHP", "MAP", "NET", "ALC", "LNT", "CAC", "PUR", "CON",
+            "CFG", "SHP", "MAP", "NET", "ALC", "LNT", "CAC", "CON",
             "NUM", "PAR", "UNI",
         }
 

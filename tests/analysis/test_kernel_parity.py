@@ -15,11 +15,10 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.callgraph import ModuleIndex
+from repro.analysis.dataflow import MemoContract, simulator_contract
 from repro.analysis.kernel_parity import (
-    ParityContract,
     analyze_kernel_parity,
     analyze_kernel_parity_tree,
-    kernel_parity_contract,
 )
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -56,14 +55,14 @@ def tampered_sources(replacements):
 
 def analyze_tampered(replacements):
     index = ModuleIndex.from_sources(tampered_sources(replacements))
-    return analyze_kernel_parity_tree(index, kernel_parity_contract())
+    return analyze_kernel_parity_tree(index, simulator_contract())
 
 
 class TestRealTree:
     def test_contract_resolves(self):
-        contract = kernel_parity_contract()
+        contract = simulator_contract()
         assert "repro.sim.simulator:Simulator.evaluate" in contract.roots
-        assert "LayerSpec" in contract.coverage
+        assert "LayerSpec" in contract.kernel_coverage
 
     def test_real_tree_satisfies_parity_contract(self):
         # The theorem: every scalar read is carried by a live kernel
@@ -127,10 +126,10 @@ class TestFixtureTree:
 class TestContractErrors:
     def test_unresolvable_root_raises(self):
         index = ModuleIndex.from_sources({"repro.sim.kernels": "x = 1\n"})
-        contract = ParityContract(
+        contract = MemoContract(
             roots=("repro.sim.simulator:Simulator.evaluate",),
-            kernel_module="repro.sim.kernels",
             coverage={},
+            kernel_module="repro.sim.kernels",
         )
         with pytest.raises(ValueError, match="cannot resolve"):
             analyze_kernel_parity_tree(index, contract)
@@ -139,10 +138,10 @@ class TestContractErrors:
         index = ModuleIndex.from_sources(
             {"repro.sim.simulator": "def evaluate():\n    return 0\n"}
         )
-        contract = ParityContract(
+        contract = MemoContract(
             roots=("repro.sim.simulator:evaluate",),
-            kernel_module="repro.sim.kernels",
             coverage={},
+            kernel_module="repro.sim.kernels",
         )
         with pytest.raises(ValueError, match="kernel module"):
             analyze_kernel_parity_tree(index, contract)

@@ -2,7 +2,9 @@
 
 * **Parse once.**  A default ``repro check`` run parses each module at
   most once across the lint, concurrency, numeric and units passes: one
-  sweep of the tree hands every parsed module to each of them.
+  sweep of the tree hands every parsed module to each of them.  The
+  cache-safety and kernel-parity checks share one walk from the
+  simulator's roots, which parses each module it reaches once.
 * **Stream.**  A sweep keeps no more than one parsed module alive at a
   time, so a pass's memory does not grow with the tree.
 """
@@ -45,16 +47,30 @@ def spy_parses(monkeypatch):
 
 class TestParseOnce:
     def test_default_check_parses_each_module_once(self, monkeypatch):
-        # The cache-safety and kernel-parity passes index the tree lazily
-        # on their own; this run leaves them out.
-        for entry_point in ("analyze_cache_safety", "analyze_kernel_parity"):
-            monkeypatch.setattr(analysis, entry_point, lambda root: [], raising=False)
+        # The read-set walk indexes the tree lazily on its own; this run
+        # leaves it out.
+        monkeypatch.setattr(
+            analysis, "read_set_sweep", lambda root, checks: {name: [] for name in checks}
+        )
         calls = spy_parses(monkeypatch)
         with redirect_stdout(io.StringIO()):
             assert main(["check", "--format", "json"]) == 0
         # Keyed on the source text, whatever name a pass parses it under.
         parsed = Counter(calls)
         assert parsed == Counter(path.read_text() for path in PACKAGE.rglob("*.py"))
+
+    def test_cache_safety_and_kernel_parity_parse_each_reached_module_once(
+        self, monkeypatch
+    ):
+        calls = spy_parses(monkeypatch)
+        with redirect_stdout(io.StringIO()):
+            assert main(
+                ["check", "--cache-safety", "--kernel-parity", "--format", "json"]
+            ) == 0
+        parsed = Counter(calls)
+        assert (PACKAGE / "sim" / "simulator.py").read_text() in parsed
+        assert (PACKAGE / "sim" / "kernels.py").read_text() in parsed
+        assert set(parsed.values()) == {1}, parsed.most_common(3)
 
 
 def max_alive(monkeypatch, run):
