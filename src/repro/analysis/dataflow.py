@@ -259,20 +259,14 @@ class _Analyzer:
 
     # -------------------------------------------------- helpers
     def _is_boundary(self, module: ModuleInfo) -> bool:
-        return any(
-            module.name == p or module.name.startswith(p + ".")
-            for p in self.contract.boundary_modules
-        )
+        return _in_modules(module, self.contract.boundary_modules)
 
     def _loc(self, frame: _Frame, node: ast.AST) -> str:
         line = getattr(node, "lineno", frame.func.lineno)
         return f"{frame.module.name}:{line}"
 
     def _past_scalar_path(self, module: ModuleInfo) -> bool:
-        return any(
-            module.name == p or module.name.startswith(p + ".")
-            for p in self.contract.scalar_boundary
-        )
+        return _in_modules(module, self.contract.scalar_boundary)
 
     def _record_read(
         self, cls: ClassInfo, attr: str, frame: _Frame, node: ast.AST
@@ -1001,6 +995,10 @@ class _Analyzer:
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
+
+
+def _in_modules(module: ModuleInfo, prefixes: Sequence[str]) -> bool:
+    return any(module.name == p or module.name.startswith(p + ".") for p in prefixes)
 
 
 def _first_param_name(

@@ -15,7 +15,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.callgraph import ModuleIndex
-from repro.analysis.dataflow import MemoContract, simulator_contract
+from repro.analysis.dataflow import (
+    CoverageSpec,
+    MemoContract,
+    analyze_memoized,
+    simulator_contract,
+    walk_read_set,
+)
 from repro.analysis.kernel_parity import (
     analyze_kernel_parity,
     analyze_kernel_parity_tree,
@@ -114,6 +120,60 @@ class TestTamper:
         )
         # The scalar cost path reads a member that no longer resolves.
         assert "PAR001" in rule_ids(diags)
+
+
+class TestSharedWalk:
+    """One walk serves CAC001 and PAR001: reads made in the kernels count
+    for the cache key but not for the scalar read-set."""
+
+    SOURCES = {
+        "fix.shared": (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class Layer:\n"
+            "    depth: int\n"
+            "    width: int\n"
+            "def helper(layer: Layer):\n"
+            "    return layer.depth\n"
+        ),
+        "fix.kernels": (
+            "from .shared import Layer, helper\n"
+            "def batch(layer: Layer):\n"
+            "    return helper(layer) + layer.width\n"
+        ),
+        "fix.mod": (
+            "from .kernels import batch\n"
+            "from .shared import Layer, helper\n"
+            "def entry(layer: Layer):\n"
+            "    batch(layer)\n"
+            "    return helper(layer)\n"
+        ),
+    }
+
+    def contract(self):
+        return MemoContract(
+            roots=("fix.mod:entry",),
+            coverage={"Layer": CoverageSpec(frozenset())},
+            scalar_boundary=("fix.kernels",),
+            kernel_module="fix.kernels",
+            kernel_coverage={"Layer": {}},
+        )
+
+    def test_kernel_call_does_not_hide_a_later_scalar_read(self):
+        # ``helper`` is first reached through the kernels, then called
+        # from the scalar path with the same bindings: its read of
+        # ``depth`` is a scalar read all the same.
+        walk = walk_read_set(ModuleIndex.from_sources(self.SOURCES), self.contract())
+        assert walk.scalar_reads == {("Layer", "depth"): "fix.shared:7"}
+        assert set(walk.reads) == {("Layer", "depth"), ("Layer", "width")}
+
+    def test_each_check_reads_its_part_of_the_walk(self):
+        index = ModuleIndex.from_sources(self.SOURCES)
+        cac = analyze_memoized(index, self.contract())
+        par = analyze_kernel_parity_tree(index, self.contract())
+        assert {d.message.split()[0] for d in cac} == {"Layer.depth", "Layer.width"}
+        assert [d.rule_id for d in par] == ["PAR001"]
+        assert "reads Layer.depth " in par[0].message
 
 
 class TestFixtureTree:
