@@ -254,8 +254,9 @@ class _Analyzer:
         self._active: set[object] = set()
         self._flagged: set[object] = set()
         self._steps = 0
-        #: whether the function under analysis was reached through the kernels
-        self._kernel_side = False
+        #: whether the function under analysis lies past the scalar
+        #: boundary, or was reached through it
+        self._beyond_scalar = False
 
     # -------------------------------------------------- helpers
     def _is_boundary(self, module: ModuleInfo) -> bool:
@@ -273,7 +274,7 @@ class _Analyzer:
     ) -> None:
         location = self._loc(frame, node)
         self.reads.setdefault((cls.name, attr), location)
-        if not (self._kernel_side or self._past_scalar_path(cls.module)):
+        if not (self._beyond_scalar or self._past_scalar_path(cls.module)):
             self.scalar_reads.setdefault((cls.name, attr), location)
 
     def _flag_sink(self, qualname: str, frame: _Frame, node: ast.AST) -> None:
@@ -430,14 +431,14 @@ class _Analyzer:
             return UNKNOWN
         # The summary of a function reached through the kernels holds no
         # scalar read, so it must not answer a call from the scalar path.
-        kernel_side = self._kernel_side or self._past_scalar_path(func.module)
-        key = (func, kernel_side, tuple(sorted(bindings.items())))
+        beyond = self._beyond_scalar or self._past_scalar_path(func.module)
+        key = (func, beyond, tuple(sorted(bindings.items())))
         if key in self._memo:
             return self._memo[key]
         if key in self._active:
             return UNKNOWN
         self._active.add(key)
-        outer, self._kernel_side = self._kernel_side, kernel_side
+        outer, self._beyond_scalar = self._beyond_scalar, beyond
         try:
             env: _Env = dict(bindings)
             self._bind_missing_params(func, env)
@@ -453,7 +454,7 @@ class _Analyzer:
             self._memo[key] = ret
             return ret
         finally:
-            self._kernel_side = outer
+            self._beyond_scalar = outer
             self._active.discard(key)
 
     def _bind_missing_params(self, func: FunctionInfo, env: _Env) -> None:
