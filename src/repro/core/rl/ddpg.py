@@ -22,6 +22,15 @@ Implementation notes:
   optimiser: the environment hands over float32 states, the pool stores
   float32, and every network and optimiser buffer is float32, so no
   update casts.
+* The actor and the critic(s) live in one params buffer, stepped by one
+  :class:`~repro.core.rl.networks.Adam` with a segment per network.  In
+  bandit mode the critic's regression never reads the actor, so actor
+  step k and critic step k + 1 read the same critic, and ``learn`` runs
+  them as a pipeline: one critic forward over both batches, one stacked
+  reverse pass and one Adam step over both segments, bit for bit what
+  the sequential order gives.  A bootstrapped target needs the actor of
+  step k before critic step k + 1 can form its upstream, and TD3 delays
+  its actor steps, so both keep the sequential order.
 """
 
 from __future__ import annotations
@@ -32,7 +41,16 @@ import numpy as np
 
 from ...obs import metrics as obs_metrics
 from ...obs.trace import current_tracer
-from .networks import MLP, Adam, clip_ufunc, mean_array, mean_floats, unit_clip
+from .networks import (
+    MLP,
+    Adam,
+    clip_ufunc,
+    joint_networks,
+    mean_array,
+    mean_floats,
+    stacks_rows_exactly,
+    unit_clip,
+)
 from .noise import TruncatedNormalNoise
 from .replay import ExperiencePool, Transition
 
@@ -105,27 +123,51 @@ class DDPGAgent:
         # inverting gradients (Hausknecht & Stone) — a sigmoid head
         # saturates at the box edges and cannot walk back once the critic
         # later learns the peak is interior.
-        self.actor = MLP.create(sizes_a, output_activation="linear", rng=rng)
-        self.critic = MLP.create(sizes_c, rng=rng)
+        actor = MLP.create(sizes_a, output_activation="linear", rng=rng)
+        critics = [MLP.create(sizes_c, rng=rng), *self._twin_critics()]
+        # One params, grads and Adam buffer for [critics... | actor], one
+        # segment per network, so any contiguous run of them steps in one
+        # pass (the pipelined bandit learner steps the critic and the actor
+        # together).
+        params, self._grads, (*critics, self.actor) = joint_networks(
+            [*critics, actor]
+        )
+        self.optimizer = Adam(
+            params,
+            lr=[config.critic_lr] * len(critics) + [config.actor_lr],
+            sizes=[net.params.size for net in (*critics, self.actor)],
+        )
+        self._actor_segment = len(critics)
         # Only a bootstrapping critic reads target networks, so the
         # bandit form builds none (and never Polyak-averages one).
-        self.actor_target: MLP | None = None
-        self.critic_target: MLP | None = None
-        if config.bootstrap:
-            self.actor_target = self.actor.clone()
-            self.critic_target = self.critic.clone()
-        self.actor_opt = Adam(self.actor.params, lr=config.actor_lr)
-        self.critic_opt = Adam(self.critic.params, lr=config.critic_lr)
-        #: ``(online, target, optimiser)`` per critic; TD3 adds a twin.
+        self.actor_target = self.actor.clone() if config.bootstrap else None
+        #: ``(online, target)`` per critic, its index its Adam segment.
         #: The target is ``None`` unless the critic bootstraps.
-        self._critics = [(self.critic, self.critic_target, self.critic_opt)]
+        self._critics = [
+            (critic, critic.clone() if config.bootstrap else None)
+            for critic in critics
+        ]
+        self.critic, self.critic_target = self._critics[0]
         #: critic updates per actor update (TD3's delayed policy updates).
         self._policy_delay = 1
         self._update_count = 0
-        #: dMean/dQ, the upstream of the actor step's pass through a critic.
-        self._mean_grad = np.full(
-            (config.batch_size, 1), 1.0 / config.batch_size, dtype=np.float32
+        #: run the bandit updates as a pipeline (see learn()); TD3's twin
+        #: critics and delayed actor steps keep them in order.
+        self._pipelined = (
+            len(critics) == 1
+            and not config.bootstrap
+            and stacks_rows_exactly(self.critic, config.batch_size)
         )
+        # The learner's upstreams: rows [:B] hold -dMean/dQ, the upstream
+        # of an actor step's pass through a critic (negated, so that the
+        # pass hands back the descent direction); rows [B:] take each
+        # critic step's dMSE/dQ.  A pipelined update runs one reverse pass
+        # over both halves.
+        batch = config.batch_size
+        self._upstream = np.empty((2 * batch, 1), dtype=np.float32)
+        self._upstream[:batch] = -1.0 / batch
+        self._neg_mean_grad = self._upstream[:batch]
+        self._critic_upstream = self._upstream[batch:]
         self.pool = ExperiencePool(config.pool_capacity, seed=config.seed)
         self.noise = TruncatedNormalNoise(
             sigma=config.noise_sigma, decay=config.noise_decay, seed=config.seed
@@ -179,9 +221,27 @@ class DDPGAgent:
             self.epsilon * self.config.epsilon_decay, self.config.epsilon_min
         )
 
+    def _twin_critics(self) -> list[MLP]:
+        """Critics beside the first; TD3 adds its twin here."""
+        return []
+
     # ------------------------------------------------------------------
     def learn(self) -> float | None:
-        """Run the configured number of gradient updates; returns last loss."""
+        """Run the configured number of gradient updates; returns last loss.
+
+        Update k is a critic step and then an actor step.  In bandit mode
+        (``bootstrap=False``) the critic's regression never reads the
+        actor, so actor step k and critic step k + 1 both read the critic
+        after critic step k, and the updates run as a pipeline
+        (:meth:`_learn_pipelined`) with the bits of running them in order.
+        A bootstrapped target reads the actor after actor step k before
+        critic step k + 1 can form its upstream, and TD3 steps its actor
+        only every ``policy_delay`` updates, through two critics, so both
+        run the updates in order (:meth:`_update_once`).  So does a bandit
+        agent whose batch BLAS would not stack exactly
+        (:func:`~repro.core.rl.networks.stacks_rows_exactly`, checked once
+        at construction).
+        """
         cfg = self.config
         # Sampling is with replacement, so a pool smaller than the batch
         # size is still usable; only an empty pool (or warmup, or zero
@@ -202,20 +262,23 @@ class DDPGAgent:
         rewards *= self.reward_scale or 1.0
         if cfg.use_baseline and self.reward_baseline is not None:
             rewards -= self.reward_baseline
-        # Critic inputs [s, a] and [s, mu(s)]; each actor step writes its
-        # mu(s) over the action column of its own rows.
         sa = np.concatenate([states, actions], axis=1)
-        sa_mu = sa.copy()
-        for start in range(0, len(sa), batch):
-            rows = slice(start, start + batch)
-            loss = self._update_once(
-                states[rows],
-                next_states[rows],
-                rewards[rows],
-                dones[rows],
-                sa[rows],
-                sa_mu[rows],
-            )
+        if self._pipelined:
+            loss = self._learn_pipelined(states, rewards, sa)
+        else:
+            # Critic inputs [s, a] and [s, mu(s)]; each actor step writes
+            # its mu(s) over the action column of its own rows.
+            sa_mu = sa.copy()
+            for start in range(0, len(sa), batch):
+                rows = slice(start, start + batch)
+                loss = self._update_once(
+                    states[rows],
+                    next_states[rows],
+                    rewards[rows],
+                    dones[rows],
+                    sa[rows],
+                    sa_mu[rows],
+                )
         # Telemetry is read-only: every traced quantity is already computed
         # by the update, so enabling it cannot change the learning
         # trajectory.
@@ -230,6 +293,44 @@ class DDPGAgent:
                 )
         return loss
 
+    def _learn_pipelined(
+        self, states: np.ndarray, rewards: np.ndarray, sa: np.ndarray
+    ) -> float:
+        """The bandit updates of one :meth:`learn`, actor step k beside
+        critic step k + 1.
+
+        A lone critic step 1 comes first.  Each loop pass then runs actor
+        step k and critic step k + 1 off one critic forward over the
+        stacked rows ``[s, mu(s)]_k`` and ``[s, a]_{k+1}``, one stacked
+        reverse pass (:meth:`MLP.backward` with ``input_rows``) and one
+        Adam step over the critic and actor segments, one step apart.  A
+        lone actor step n comes last, so :meth:`act` sees the final actor.
+        """
+        batch = self.config.batch_size
+        n = len(sa) // batch
+        critic, actor, opt, grads = self.critic, self.actor, self.optimizer, self._grads
+        # [s, a] of update k and its [s, mu(s)] as consecutive B-row blocks,
+        # [s, a]_1, [s, mu(s)]_1, [s, a]_2, ..., so that [s, mu(s)]_k and
+        # [s, a]_{k+1} are one contiguous 2B-row block.
+        width = sa.shape[1]
+        blocks = np.repeat(sa.reshape(n, 1, batch, width), 2, axis=1).reshape(-1, width)
+        self.critic_losses.append(
+            self._critic_step(critic, 0, blocks[:batch], rewards[:batch])
+        )
+        for k in range(1, n):
+            mu_rows = slice((2 * k - 1) * batch, 2 * k * batch)
+            mu_raw = actor.forward(states[(k - 1) * batch : k * batch])
+            clip_ufunc(mu_raw, 0.0, 1.0, out=blocks[mu_rows, -1:])
+            q = critic.forward(blocks[mu_rows.start : mu_rows.stop + batch])
+            loss = self._critic_loss(q[batch:], rewards[k * batch : (k + 1) * batch])
+            neg_dq_da = critic.backward(self._upstream, batch)[:, -1:]
+            self._actor_backward(mu_raw, q[:batch], neg_dq_da)
+            opt.step(grads, 0, 2)
+            self.critic_losses.append(loss)
+        self._actor_step(states[-batch:], blocks[-batch:])
+        self._update_count += n
+        return self.critic_losses[-1]
+
     def _target_actions(self, next_states: np.ndarray) -> np.ndarray:
         return self.actor_target.forward(next_states)
 
@@ -239,7 +340,7 @@ class DDPGAgent:
             [next_states, self._target_actions(next_states)], axis=1
         )
         q = self.critic_target.forward(sa)
-        for _, target, _ in self._critics[1:]:
+        for _, target in self._critics[1:]:
             q = np.minimum(q, target.forward(sa))
         return q
 
@@ -264,8 +365,8 @@ class DDPGAgent:
             # value of every (state, action) pair in the episode.
             target = rewards
         losses = [
-            self._critic_step(critic, opt, sa, target)
-            for critic, _, opt in self._critics
+            self._critic_step(critic, segment, sa, target)
+            for segment, (critic, _) in enumerate(self._critics)
         ]
         loss = mean_floats(losses)
 
@@ -275,20 +376,28 @@ class DDPGAgent:
             self._actor_step(states, sa_mu)
             if cfg.bootstrap:
                 self.actor_target.soft_update_from(self.actor, cfg.tau)
-                for critic, critic_target, _ in self._critics:
+                for critic, critic_target in self._critics:
                     critic_target.soft_update_from(critic, cfg.tau)
         self.critic_losses.append(loss)
         return loss
 
-    @staticmethod
+    def _critic_loss(self, q: np.ndarray, target: np.ndarray) -> float:
+        """The MSE of ``q`` against ``target``; leaves dMSE/dq in the
+        critic rows of the upstream buffer."""
+        td_error = q - target
+        upstream = self._critic_upstream
+        np.multiply(td_error, 2.0, out=upstream)
+        upstream /= td_error.shape[0]
+        return mean_array(td_error**2)
+
     def _critic_step(
-        critic: MLP, opt: Adam, sa: np.ndarray, target: np.ndarray
+        self, critic: MLP, segment: int, sa: np.ndarray, target: np.ndarray
     ) -> float:
         """One MSE regression step of ``critic`` onto ``target``."""
-        td_error = critic.forward(sa) - target
-        critic.backward(2.0 * td_error / td_error.shape[0])
-        opt.step(critic.grads)
-        return mean_array(td_error**2)
+        loss = self._critic_loss(critic.forward(sa), target)
+        critic.backward(self._critic_upstream)
+        self.optimizer.step(self._grads, segment, segment + 1)
+        return loss
 
     def _actor_step(self, states: np.ndarray, sa_mu: np.ndarray) -> None:
         """Ascend min over critics of Q(s, mu(s)) with inverting gradients.
@@ -298,22 +407,28 @@ class DDPGAgent:
         """
         mu_raw = self.actor.forward(states)
         clip_ufunc(mu_raw, 0.0, 1.0, out=sa_mu[:, -1:])
-        # dMean(Q)/d[s, a] through the critic; its last column is dQ/da.
+        # -dMean(Q)/d[s, a] through the critic; its last column is -dQ/da.
         # The critics' own parameter gradients are not needed here.
         q = self.critic.forward(sa_mu)
-        dq_da = self.critic.input_grad(self._mean_grad)[:, -1:]
-        for critic, _, _ in self._critics[1:]:
+        neg_dq_da = self.critic.input_grad(self._neg_mean_grad)[:, -1:]
+        for critic, _ in self._critics[1:]:
             # The actor follows whichever critic is lower per sample.
             q_k = critic.forward(sa_mu)
-            dq_da_k = critic.input_grad(self._mean_grad)[:, -1:]
-            dq_da = np.where(q <= q_k, dq_da, dq_da_k)
+            neg_dq_da_k = critic.input_grad(self._neg_mean_grad)[:, -1:]
+            neg_dq_da = np.where(q <= q_k, neg_dq_da, neg_dq_da_k)
             q = np.minimum(q, q_k)
+        self._actor_backward(mu_raw, q, neg_dq_da)
+        segment = self._actor_segment
+        self.optimizer.step(self._grads, segment, segment + 1)
+
+    def _actor_backward(
+        self, mu_raw: np.ndarray, q: np.ndarray, neg_dq_da: np.ndarray
+    ) -> None:
+        """Fill the actor's ``grads`` from the critics' ``q`` and -dQ/da at mu(s)."""
         self._last_actor_objective = -mean_array(q)
         # Scale upward pushes by the headroom to 1 and downward pushes by
         # the headroom to 0, computed on the *raw* (unclipped) output:
         # outside the box the headroom turns negative, actively steering
         # the policy back in.
-        headroom = np.where(dq_da > 0, 1.0 - mu_raw, mu_raw)
-        dq_da = dq_da * clip_ufunc(headroom, -1.0, 1.0)
-        self.actor.backward(-dq_da)
-        self.actor_opt.step(self.actor.grads)
+        headroom = np.where(neg_dq_da < 0, 1.0 - mu_raw, mu_raw)
+        self.actor.backward(neg_dq_da * clip_ufunc(headroom, -1.0, 1.0))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ddpg import DDPGAgent, DDPGConfig
-from .networks import MLP, Adam, clip_ufunc
+from .networks import MLP, clip_ufunc
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,14 @@ class TD3Agent(DDPGAgent):
 
     def __init__(self, config: TD3Config = TD3Config()) -> None:
         super().__init__(config)
-        rng = np.random.default_rng(config.seed + 7919)
-        sizes_c = (config.state_dim + 1, *config.hidden, 1)
-        self.critic2 = MLP.create(sizes_c, rng=rng)
-        self.critic2_target = self.critic2.clone() if config.bootstrap else None
-        self.critic2_opt = Adam(self.critic2.params, lr=config.critic_lr)
-        self._critics.append((self.critic2, self.critic2_target, self.critic2_opt))
+        self.critic2, self.critic2_target = self._critics[1]
         self._policy_delay = config.policy_delay
         self._smooth_rng = np.random.default_rng(config.seed + 104729)
+
+    def _twin_critics(self) -> list[MLP]:
+        cfg = self.config
+        sizes_c = (cfg.state_dim + 1, *cfg.hidden, 1)
+        return [MLP.create(sizes_c, rng=np.random.default_rng(cfg.seed + 7919))]
 
     # ------------------------------------------------------------------
     def _target_actions(self, next_states: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from repro.core.rl.networks import (
     MLP,
     Adam,
     clip_ufunc,
+    joint_networks,
     mean_array,
     mean_floats,
     unit_clip,
@@ -383,17 +384,14 @@ class TestAdam:
         assert np.array_equal(opt._m, np.concatenate([m_k.ravel() for m_k in m]))
         assert np.array_equal(opt._v, np.concatenate([v_k.ravel() for v_k in v]))
 
-    def test_no_moment_turns_subnormal(self):
-        """Moments of zero or tiny gradients are flushed, not left subnormal.
-
-        A first moment whose gradient drops to zero decays by beta1 a step
-        and enters the float32 subnormal range after about 700 steps; a
-        second moment of a gradient near 1e-20 is subnormal from its first
-        increment.  Subnormal arithmetic is many times slower.
-        """
+    @staticmethod
+    def flushing_run(sizes):
+        """1500 steps with some gradients zero and some near 1e-20; a joint
+        buffer steps its first segment alone first, as the pipelined
+        learner does."""
         rng = np.random.default_rng(3)
         params = rng.normal(size=200).astype(np.float32)
-        opt = Adam(params)
+        opt = Adam(params, sizes=sizes)
         zero_later = np.arange(200) % 3 == 0
         tiny_grad = np.arange(200) % 3 == 1
         for t in range(1500):
@@ -401,12 +399,72 @@ class TestAdam:
             grad[tiny_grad] *= np.float32(1e-20)
             if t >= 5:
                 grad[zero_later] = 0.0
-            opt.step(grad)
+            if sizes is not None and t == 0:
+                opt.step(grad, 0, 1)
+            else:
+                opt.step(grad)
+        return opt, zero_later
+
+    def test_no_moment_turns_subnormal(self):
+        """Moments of zero or tiny gradients are flushed, not left subnormal.
+
+        A first moment whose gradient drops to zero decays by beta1 a step
+        and enters the float32 subnormal range after about 700 steps; a
+        second moment of a gradient near 1e-20 is subnormal from its first
+        increment.  Subnormal arithmetic is many times slower.  A joint
+        buffer of two segments flushes the same way.
+        """
         tiny = np.finfo(np.float32).tiny
-        for moment in (opt._m, opt._v):
-            subnormal = (moment != 0.0) & (np.abs(moment) < tiny)
-            assert not subnormal.any(), f"{subnormal.sum()} subnormal entries"
-        assert np.all(opt._m[zero_later] == 0.0)
+        for sizes in (None, (120, 80)):
+            opt, zero_later = self.flushing_run(sizes)
+            for moment in (opt._m, opt._v):
+                subnormal = (moment != 0.0) & (np.abs(moment) < tiny)
+                assert not subnormal.any(), f"{sizes}: {subnormal.sum()} subnormal entries"
+            assert np.all(opt._m[zero_later] == 0.0)
+
+    def test_joint_segments_match_separate_optimisers(self):
+        """[critic | actor] in one buffer, stepped together one step apart
+        with distinct rates, gives two separate Adams' bits, moments too."""
+        rng = np.random.default_rng(4)
+        critic = MLP.create([11, 16, 16, 1], rng=rng)
+        actor = MLP.create([10, 16, 16, 1], rng=rng)
+        lrs = (2e-3, 3e-4)
+        separate = [
+            Adam(critic.params.copy(), lr=lrs[0]),
+            Adam(actor.params.copy(), lr=lrs[1]),
+        ]
+        params, grads, _ = joint_networks([critic, actor])
+        joint = Adam(params, lr=lrs, sizes=(critic.params.size, actor.params.size))
+        n_critic = critic.params.size
+
+        def step(first, stop):
+            grads[:] = rng.normal(size=grads.shape).astype(np.float32)
+            grads[::7] = 0.0
+            grads[1::7] *= np.float32(1e-20)
+            for k in range(first, stop):
+                seg = slice(0, n_critic) if k == 0 else slice(n_critic, None)
+                separate[k].step(grads[seg].copy())
+            joint.step(grads, first, stop)
+
+        step(0, 1)  # the lone critic step
+        for _ in range(40):
+            step(0, 2)  # critic step k + 1 beside actor step k
+        step(1, 2)  # the lone actor step
+        assert joint.t == [41, 41]
+        assert [opt.t for opt in separate] == [[41], [41]]
+        expected = np.concatenate([opt.params for opt in separate])
+        assert params.tobytes() == expected.tobytes()
+        for name in ("_m", "_v"):
+            moments = np.concatenate([getattr(opt, name) for opt in separate])
+            assert getattr(joint, name).tobytes() == moments.tobytes()
+
+    def test_rejects_segments_that_do_not_split_the_buffer(self):
+        with pytest.raises(ValueError):
+            Adam(np.zeros(5), sizes=(2, 2))
+        with pytest.raises(ValueError):
+            Adam(np.zeros(4), lr=(1e-3,), sizes=(2, 2))
+        with pytest.raises(ValueError):
+            Adam(np.zeros(4), sizes=(2, 2)).step(np.zeros(4), 1, 1)
 
     def test_trains_mlp_on_regression(self):
         rng = np.random.default_rng(0)
