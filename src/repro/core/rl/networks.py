@@ -27,6 +27,7 @@ Gradients are verified against finite differences in the test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -423,7 +424,7 @@ class Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         #: steps taken, per segment
         self.t = [0] * len(sizes)
-        self._bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+        self._bounds = list(itertools.accumulate(sizes, initial=0))
         dtype = params.dtype
         # m and v are the rows of one buffer, so that each elementwise
         # pass over both moments is one NumPy call.
