@@ -860,6 +860,12 @@ class _Analyzer:
                 self._flag_sink(qualname, frame, call)
             if qualname in ("dataclasses.replace", "copy.copy", "copy.deepcopy"):
                 return args[0] if args else UNKNOWN
+            if qualname == "functools.partial" and args:
+                # A deferred call reads what the call would read, whenever
+                # it runs: walk it here, with the arguments it binds.
+                for fn in args[0]:
+                    if isinstance(fn, FuncVal):
+                        self._call_function(fn, call, args[1:], kwargs)
             return UNKNOWN
         if isinstance(atom, BoundBuiltin):
             return self._call_bound_builtin(atom, args)

@@ -28,8 +28,10 @@ re-expresses the whole model as array kernels:
   :class:`ScoringBase` slot keeps across calls): where their shape-table
   rows differ in few layers, the allocation summary, the shapes' text
   and, for a lone strategy, the gathered columns are the previous
-  strategy's with those layers redone.  The float folds always run over
-  every layer and tile.
+  strategy's with those layers redone.  The eight energy and latency
+  folds always run over every layer.  The area fold runs only when a
+  metric's ``area_um2`` is first read (:func:`strategy_area_um2`),
+  because no search reads it.
 
 **Exactness contract.**  Kernel results are *bit-identical* to the scalar
 reference, not merely close (``tests/sim/test_vectorized_parity.py`` and
@@ -43,7 +45,8 @@ the PR 4 golden/trace batteries enforce it).  The techniques:
   it replays the scalar ``total += x`` loop addition for addition;
 * the area roll-up repeats each layer's tile area ``count`` times
   (``np.repeat`` + ``cumsum``), matching ``area.allocation_area_um2``'s
-  one-addition-per-tile fold;
+  one-addition-per-tile fold, and runs on the first read of
+  ``SystemMetrics.area_um2`` from a full summary of the strategy;
 * integer quantities stay in ``int64`` (exact far beyond any realistic
   magnitude) and convert to float at the same point the scalar code does;
   ``ceil(a / b)`` on integers becomes ``-(-a // b)``;
@@ -56,7 +59,7 @@ See ``docs/performance.md`` ("Vectorized kernels") for the design note.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress
 from operator import is_not
 from typing import NamedTuple, Sequence
@@ -90,6 +93,7 @@ __all__ = [
     "ScoringBase",
     "strategy_view",
     "metrics_from_view",
+    "strategy_area_um2",
     "score_strategy_batch",
 ]
 
@@ -866,6 +870,44 @@ def _layer_costs(
     )
 
 
+def strategy_area_um2(
+    network: Network,
+    config: HardwareConfig,
+    shape_strs: tuple[str, ...],
+    tile_shared: bool,
+) -> float:
+    """The area of one scored strategy: a fast-path metric's ``area_um2``.
+
+    :func:`metrics_from_view` defers this to the first read of the field
+    (:class:`~repro.sim.metrics.Deferred`), because no search reads area.
+    It redoes what the scorer skipped, from the shapes' ``"RxC"`` text:
+    the strategy's shape-table row, a full allocation summary and
+    :func:`area_from_layer_runs`.  The table only grows, and a shape's
+    row holds the same values in every table built for the pair, so a
+    read after later strategies grew it gives the bits an eager fold
+    would have.
+    """
+    net = network_arrays(network)
+    table = network_constants(net, config).table
+    if table is None or not table.index.keys() >= set(shape_strs):
+        # The pair's memo was emptied since, or a racing rebuild lost a
+        # shape: rebuild the table with the strategy's shapes.
+        table = shape_table(
+            net, config, [CrossbarShape.parse(s) for s in dict.fromkeys(shape_strs)]
+        )
+    row = [table.index[s] for s in shape_strs]
+    summary = summarize_counts(
+        [table.shapes[i] for i in row],
+        table.ints[_I_XBARS, row, table.layers].tolist(),
+        net.weight_cells_total,
+        config.logical_xbars_per_tile,
+        tile_shared=tile_shared,
+    )
+    return area_from_layer_runs(
+        table.floats[_F_AREA, row, table.layers], summary.tiles_per_layer
+    )
+
+
 def metrics_from_view(
     network: Network,
     shape_strs: tuple[str, ...],
@@ -889,7 +931,9 @@ def metrics_from_view(
     ``floats``/``ints`` are the strategy's ``(10, L)`` /
     ``(3, L)`` slices of the :func:`strategy_view` gather; ``const`` is
     the pair's :func:`network_constants` record, resolved once per batch.
-    Each rollup is bit-identical to the scalar loop.
+    Each rollup is bit-identical to the scalar loop.  The area is left
+    to :func:`strategy_area_um2` on its first read; it holds the network,
+    config, shape text and ``tile_shared``, never the gathered columns.
     """
     (adc_t, dac_t, xbar_t, shift_t, tree_t, buf_t, bus_t,
      dynamic_latency) = totals
@@ -923,8 +967,8 @@ def metrics_from_view(
         utilization=summary.utilization,
         energy_nj=breakdown.total,
         latency_ns=latency,
-        area_um2=area_from_layer_runs(
-            floats[_F_AREA], summary.tiles_per_layer
+        area_um2=partial(
+            strategy_area_um2, network, config, shape_strs, tile_shared
         ),
         occupied_tiles=summary.occupied_tiles,
         occupied_crossbars=sum(summary.crossbar_counts),
@@ -960,8 +1004,9 @@ def score_strategy_batch(
     and shape text are the previous strategy's with those layers redone
     (:func:`strategy_view`, ``summarize_counts(base=...)``).  The first
     strategy's predecessor is ``base.last``, the last strategy the same
-    scorer scored, and the batch's last strategy replaces it.  Every float
-    fold still runs over all L layers, so the results are the bits a
+    scorer scored, and the batch's last strategy replaces it.  Every
+    energy and latency fold still runs over all L layers, and the area
+    is recomputed in full when read, so the results are the bits a
     scorer without a base computes.
     """
     last = None if base is None else base.last

@@ -10,6 +10,7 @@ inference energy in nanojoules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,48 @@ class LayerCost:
     intra_utilization: float  #: Eq. 4 utilization of this layer's array
 
 
+class Deferred:
+    """A float field that may be given as a computation run on first read.
+
+    The field's value is a float or a zero-argument callable returning
+    one.  The first read calls the callable and keeps the float in its
+    place, so every reader sees the float: attribute access, and through
+    it ``==``, ``hash``, ``repr``, ``dataclasses.replace`` and
+    ``dataclasses.asdict``.  There is no class-level default, so the
+    dataclass treats the field as required.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: object | None, objtype: type | None = None) -> float:
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if callable(value):
+            # Two threads reading at once both compute the same float;
+            # the lost write is benign.
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj: object, value: float | Callable[[], float]) -> None:
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class SystemMetrics:
     """Whole-system feedback for one (network, strategy) evaluation.
 
     This is the "direct hardware feedback" of Fig. 6 that drives the RL
     reward, and the record each benchmark prints.
+
+    :attr:`area_um2` is :class:`Deferred`.  The batch scorer passes a
+    computation (:func:`repro.sim.kernels.strategy_area_um2`), because
+    no search reads area and its one-addition-per-tile fold is the
+    largest single cost of scoring a ResNet152 strategy.  The reference
+    path passes the float.  Every read gives the same bits either way,
+    and a pickle or copy holds the float, never the computation or the
+    network it reads.
     """
 
     network_name: str
@@ -87,13 +124,16 @@ class SystemMetrics:
     utilization: float                 #: overall crossbar utilization, [0, 1]
     energy_nj: float                   #: inference energy, nJ
     latency_ns: float                  #: inference latency, ns
-    area_um2: float                    #: accelerator area, um^2
+    area_um2: Deferred = Deferred()    #: accelerator area, um^2
     occupied_tiles: int
     occupied_crossbars: int            #: logical crossbars holding weights
     empty_crossbars: int               #: empty slots inside occupied tiles
     tile_shared: bool
     energy_breakdown: EnergyBreakdown = field(default_factory=EnergyBreakdown)
     layer_costs: tuple[LayerCost, ...] = ()
+
+    def __getstate__(self) -> dict[str, object]:
+        return {**self.__dict__, "area_um2": self.area_um2}
 
     @property
     def utilization_percent(self) -> float:

@@ -1,5 +1,7 @@
 """Tests for the read-set walk and the cache-key soundness analysis (CAC)."""
 
+import ast
+import shutil
 from pathlib import Path
 
 import pytest
@@ -166,6 +168,25 @@ class TestEngineCoverage:
         diags = run(src, {"Cfg": CoverageSpec(frozenset({"a", "b"}))})
         assert "CAC001" in rule_ids(diags)
 
+    @pytest.mark.parametrize(
+        "imports, callee",
+        [
+            ("from functools import partial\n", "partial"),
+            ("import functools\n", "functools.partial"),
+        ],
+    )
+    def test_partial_application_is_walked(self, imports, callee):
+        # A deferred call reads what the call reads, whenever it runs.
+        src = imports + CFG_SOURCE + (
+            "def helper(c, *, scale):\n"
+            "    return c.secret * scale\n"
+            "def entry(cfg: Cfg):\n"
+            f"    return {callee}(helper, cfg, scale=2)\n"
+        )
+        diags = run(src, {"Cfg": CoverageSpec(frozenset({"a", "b"}))})
+        assert [d.rule_id for d in diags] == ["CAC001"]
+        assert "Cfg.secret" in diags[0].message
+
     def test_recursion_terminates(self):
         src = CFG_SOURCE + (
             "def walk(c, n):\n"
@@ -256,6 +277,31 @@ class TestRealTree:
         # simulator reads nothing its cache key does not cover and
         # reaches no nondeterministic sink.
         assert analyze_cache_safety() == []
+
+    def test_read_in_the_deferred_area_is_seen(self, tmp_path):
+        # The batch scorer hands SystemMetrics a partial application of
+        # strategy_area_um2, run on the first read of area_um2.  A read of
+        # the unfingerprinted LayerSpec.name planted there must fire
+        # CAC001 as it would in the eager assembly.
+        import repro
+
+        tree = Path(shutil.copytree(
+            Path(repro.__file__).resolve().parent, tmp_path / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        ))
+        kernels = tree / "sim" / "kernels.py"
+        lines = kernels.read_text().splitlines(keepends=True)
+        (func,) = [
+            node for node in ast.parse("".join(lines)).body
+            if isinstance(node, ast.FunctionDef) and node.name == "strategy_area_um2"
+        ]
+        first = func.body[1].lineno - 1  # the statement after the docstring
+        lines.insert(first, "    network.layers[0].name\n")
+        kernels.write_text("".join(lines))
+        diags = analyze_cache_safety(tree)
+        assert [d.rule_id for d in diags] == ["CAC001"]
+        assert "LayerSpec.name" in diags[0].message
+        assert diags[0].location == f"repro.sim.kernels:{first + 1}"
 
     def test_analysis_reads_every_config_field(self):
         # The walk reaches every HardwareConfig field the key folds in:
