@@ -11,10 +11,10 @@ double-book a crossbar or overfill a tile (§3.4).  This module is the
   the paper anchor (section / equation / algorithm) it reproduces.  Every
   rule lives in the :data:`RULES` registry; `docs/static_analysis.md` is
   the human-readable catalogue.
-* :class:`Diagnostic` — one concrete violation (or advisory finding):
-  rule id, location, message, fix hint.
-* :class:`Report` — an ordered collection of diagnostics with severity
-  roll-ups, used by the ``repro check`` CLI.
+* :class:`Diagnostic` — one concrete violation: rule id, location,
+  message, fix hint.
+* :class:`Report` — a collection of diagnostics, reported by rule id and
+  location, used by the ``repro check`` CLI.
 * :class:`InvariantViolation` — the Diagnostic-backed exception runtime
   validation raises.  It subclasses :class:`ValueError` so existing
   call sites that guard construction keep working.
@@ -35,15 +35,10 @@ from typing import Iterable, Iterator, Mapping
 
 
 class Severity(enum.Enum):
-    """How bad a finding is.  Only ERROR diagnostics fail ``repro check``."""
+    """How bad a finding is.  Every rule is an ERROR, so any finding fails
+    ``repro check``."""
 
     ERROR = "error"
-    WARNING = "warning"
-    INFO = "info"
-
-    @property
-    def rank(self) -> int:
-        return {"error": 2, "warning": 1, "info": 0}[self.value]
 
 
 @dataclass(frozen=True)
@@ -218,19 +213,10 @@ LNT001 = _r(
     "Library code must not print; user-facing output belongs to the CLI "
     "and the bench reporting layer.",
 )
-LNT002 = _r(
-    "LNT002", "no mutable default arguments", Severity.ERROR, "repo rule",
-    "Mutable default arguments alias state across calls.",
-)
 LNT003 = _r(
     "LNT003", "frozen-dataclass discipline in arch/", Severity.ERROR, "repo rule",
     "Dataclasses under arch/ must be frozen unless explicitly marked "
     "'# stateful:' with a reason on the decorator line.",
-)
-LNT004 = _r(
-    "LNT004", "no float equality in energy/latency math", Severity.ERROR, "repo rule",
-    "Cost-model code must not compare floats with == / != against float "
-    "literals; use tolerances.",
 )
 LNT005 = _r(
     "LNT005", "no bare assert in allocation invariants", Severity.ERROR, "repo rule",
@@ -289,16 +275,6 @@ NUM001 = _r(
     "into float32) — NumPy promotes or narrows silently, and the result "
     "no longer matches the scalar reference bit-for-bit.",
 )
-NUM002 = _r(
-    "NUM002", "order-sensitive float reduction", Severity.ERROR,
-    "parity contract",
-    "np.sum / np.dot / np.matmul / np.einsum on float operands use "
-    "pairwise or blocked summation whose rounding depends on length and "
-    "layout; the scalar reference folds strictly left-to-right.  Use the "
-    "cumsum idiom (repro.sim.kernels.left_fold) for bit-identical "
-    "reductions, or mark the site `# numeric-ok: NUM002 (<reason>)` if "
-    "exactness is not required there.",
-)
 NUM003 = _r(
     "NUM003", "unguarded division, log, or sqrt", Severity.ERROR,
     "parity contract",
@@ -306,15 +282,6 @@ NUM003 = _r(
     "can be zero or negative (np.zeros, a literal zero element, a "
     "subtraction) with no guard in sight — the kernel mints inf/nan that "
     "the scalar reference would have raised on.",
-)
-NUM004 = _r(
-    "NUM004", "float equality comparison", Severity.ERROR,
-    "parity contract",
-    "== / != against a float value inside the numeric kernels: rounding "
-    "differences between the scalar and vectorized paths make exact "
-    "float equality a latent divergence.  Compare against integers, use "
-    "tolerances, or mark a deliberate exact-sentinel check "
-    "`# numeric-ok: NUM004 (<reason>)`.",
 )
 NUM005 = _r(
     "NUM005", "nan/inf-propagating sink", Severity.ERROR,
@@ -340,30 +307,6 @@ UNI001 = _r(
     "An addition, subtraction, comparison, or min/max mixes operands of "
     "different physical units (e.g. energy_nj + latency_ns) — the result "
     "is a number with no meaning, and nothing downstream can detect it.",
-)
-UNI002 = _r(
-    "UNI002", "unit-bearing field not covered by UNIT_TABLE", Severity.ERROR,
-    "units contract",
-    "A numeric config/result field carries no unit suffix and no "
-    "UNIT_TABLE entry — or a UNIT_TABLE entry names a field that no "
-    "longer exists — so the dimensional interpreter (and the reader) "
-    "cannot know what the number measures.",
-)
-UNI003 = _r(
-    "UNI003", "bare literal acting as a unit conversion", Severity.ERROR,
-    "units contract",
-    "A bare power-of-ten literal multiplies or divides a unit-bearing "
-    "value (the `* 1e-9` idiom) — an undeclared unit conversion.  Name "
-    "the factor in repro.sim.units_constants and declare its unit in "
-    "CONVERSION_UNITS so the conversion is checkable.",
-)
-UNI004 = _r(
-    "UNI004", "inferred unit diverges from declared unit", Severity.ERROR,
-    "units contract",
-    "A value flowing into a declared slot — a result/config field, a "
-    "suffix-named variable or function return — has an inferred unit "
-    "different from the declared one (e.g. a nanojoule expression "
-    "returned by a *_ns function).",
 )
 UNI005 = _r(
     "UNI005", "wrong unit emitted to a tracer stream", Severity.ERROR,
@@ -415,11 +358,7 @@ class Report:
 
     @property
     def errors(self) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.severity is Severity.ERROR)
-
-    @property
-    def warnings(self) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.severity is Severity.WARNING)
+        return tuple(self.diagnostics)
 
     @property
     def ok(self) -> bool:
@@ -433,16 +372,16 @@ class Report:
     def rule_ids(self) -> tuple[str, ...]:
         return tuple(d.rule_id for d in self.diagnostics)
 
+    def ordered(self) -> list[Diagnostic]:
+        """The diagnostics in report order: by rule id, then location."""
+        return sorted(self.diagnostics, key=lambda d: (d.rule_id, d.location))
+
     def format(self) -> str:
         if not self.diagnostics:
             return "no findings"
-        ordered = sorted(
-            self.diagnostics, key=lambda d: (-d.severity.rank, d.rule_id, d.location)
-        )
-        lines = [d.format() for d in ordered]
+        lines = [d.format() for d in self.ordered()]
         lines.append(
-            f"{len(self.errors)} error(s), {len(self.warnings)} warning(s), "
-            f"{len(self.diagnostics)} finding(s) total"
+            f"{len(self.errors)} error(s), {len(self.diagnostics)} finding(s) total"
         )
         return "\n".join(lines)
 

@@ -1,8 +1,8 @@
 """Project-specific AST lint rules for the ``repro`` source tree.
 
-Generic linters cannot know that ``repro``'s energy math must never use
-float equality, or that ``arch/`` dataclasses model immutable hardware
-descriptions unless explicitly declared stateful.  This module encodes
+Generic linters cannot know that ``arch/`` dataclasses model immutable
+hardware descriptions unless explicitly declared stateful, or that
+logging is wired in one place.  This module encodes
 those repo rules as AST passes producing the same
 :class:`~repro.analysis.invariants.Diagnostic` stream as the structural
 checkers, so ``repro check --source`` and CI share one report format.
@@ -10,9 +10,7 @@ checkers, so ``repro check --source`` and CI share one report format.
 Rules
 -----
 LNT001  no ``print`` outside the CLI / bench reporting layer
-LNT002  no mutable default arguments
 LNT003  dataclasses under ``arch/`` are frozen or marked ``# stateful:``
-LNT004  no float-literal ``==`` / ``!=`` in energy/latency modules
 LNT005  no bare ``assert`` in ``core/allocation`` invariants
 LNT006  no ``functools.lru_cache`` / ``functools.cache`` on instance methods
 LNT007  no direct ``logging.getLogger`` / ``logging.basicConfig`` outside
@@ -20,6 +18,9 @@ LNT007  no direct ``logging.getLogger`` / ``logging.basicConfig`` outside
 LNT008  no literal dtype casts (``float()``, ``np.float32()``, ...) inside
         loops in the kernel hot path (``sim/kernels.py``) — a per-element
         cast scalarizes the batch math the module exists to vectorize
+
+Mutable default arguments are ruff's B006, which CI runs.  A module that
+does not parse refuses the tree, as it does for every other pass.
 """
 
 from __future__ import annotations
@@ -27,18 +28,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from .invariants import (
-    LNT001,
-    LNT002,
-    LNT003,
-    LNT004,
-    LNT005,
-    LNT006,
-    LNT007,
-    LNT008,
-    Diagnostic,
-)
-from .walker import ParsedModule, TreePass, Unparsable, read_module, sweep_one
+from .invariants import LNT001, LNT003, LNT005, LNT006, LNT007, LNT008, Diagnostic
+from .walker import ParsedModule, TreePass, read_module, sweep_one
 
 #: module paths (relative, POSIX) where ``print`` is user-facing output
 PRINT_ALLOWED_PREFIXES = ("cli.py", "__main__.py", "bench/")
@@ -125,14 +116,6 @@ def _is_instance_method(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     return bool(params) and params[0].arg in ("self", "cls")
 
 
-def _is_mutable_literal(node: ast.expr) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in ("list", "dict", "set", "bytearray")
-    return False
-
-
 def _dataclass_decorator(node: ast.ClassDef) -> ast.expr | None:
     for dec in node.decorator_list:
         if isinstance(dec, ast.Name) and dec.id == "dataclass":
@@ -156,26 +139,15 @@ def _is_frozen(dec: ast.expr) -> bool:
     return False
 
 
-def _does_not_parse(exc: Unparsable) -> list[Diagnostic]:
-    return [
-        LNT002.diag(
-            f"{exc.rel}:{exc.error.lineno or 0}",
-            f"file does not parse: {exc.error.msg}",
-            hint="fix the syntax error first",
-        )
-    ]
-
-
 def lint_source(source: str, rel_path: str) -> list[Diagnostic]:
     """Run every lint rule over one module's source text.
 
     ``rel_path`` is the module's path relative to the package root
-    (POSIX separators); it decides which path-scoped rules apply.
+    (POSIX separators); it decides which path-scoped rules apply.  Raises
+    :class:`~repro.analysis.walker.Unparsable` when the source does not
+    parse.
     """
-    try:
-        return _lint_module(read_module(source, rel_path))
-    except Unparsable as exc:
-        return _does_not_parse(exc)
+    return _lint_module(read_module(source, rel_path))
 
 
 def _lint_module(module: ParsedModule) -> list[Diagnostic]:
@@ -197,7 +169,6 @@ def _lint_module(module: ParsedModule) -> list[Diagnostic]:
                         logging_aliases.add(alias.asname or alias.name)
     in_arch = rel_path.startswith("arch/")
     in_allocation = rel_path.startswith("core/allocation/")
-    cost_module = "energy" in Path(rel_path).stem or "latency" in Path(rel_path).stem
 
     for node in nodes:
         # LNT001 — no print outside the CLI / bench layer.
@@ -238,21 +209,6 @@ def _lint_module(module: ParsedModule) -> list[Diagnostic]:
                     )
                 )
 
-        # LNT002 — mutable default arguments.
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                if _is_mutable_literal(default):
-                    out.append(
-                        LNT002.diag(
-                            f"{rel_path}:{default.lineno}",
-                            f"mutable default argument in {node.name}()",
-                            hint="default to None (or use dataclasses.field)",
-                        )
-                    )
-
         # LNT003 — frozen-dataclass discipline under arch/.
         if in_arch and isinstance(node, ast.ClassDef):
             dec = _dataclass_decorator(node)
@@ -268,23 +224,6 @@ def _lint_module(module: ParsedModule) -> list[Diagnostic]:
                             f"'{STATEFUL_MARKER} <reason>' to the decorator line",
                         )
                     )
-
-        # LNT004 — float equality in energy/latency math.
-        if cost_module and isinstance(node, ast.Compare):
-            operands = [node.left, *node.comparators]
-            has_eq = any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
-            has_float = any(
-                isinstance(o, ast.Constant) and isinstance(o.value, float)
-                for o in operands
-            )
-            if has_eq and has_float:
-                out.append(
-                    LNT004.diag(
-                        f"{rel_path}:{node.lineno}",
-                        "float-literal equality comparison in cost-model math",
-                        hint="compare against a tolerance (math.isclose)",
-                    )
-                )
 
         # LNT006 — no functools memoisation on instance methods: the memo
         # holds `self` in its key, pinning every instance for the life of
@@ -357,15 +296,14 @@ def _lint_module(module: ParsedModule) -> list[Diagnostic]:
     return out
 
 
-#: every rule over every module; a module that does not parse is LNT002
-LINT_PASS = TreePass(
-    "modules", lambda rel: True, _lint_module, unparsable=_does_not_parse, sort=False
-)
+#: every rule over every module
+LINT_PASS = TreePass("modules", lambda rel: True, _lint_module)
 
 
 def lint_tree(root: Path | str | None = None) -> list[Diagnostic]:
     """Lint every ``*.py`` under the package root (default: ``repro``'s own
     source tree, wherever it is installed).
 
-    Raises :class:`ValueError` when the tree holds no module."""
+    Raises :class:`ValueError` when the tree holds no module or a module
+    does not parse."""
     return sweep_one(root, LINT_PASS)

@@ -5,21 +5,15 @@ contract with the scalar reference: every float it computes must round
 exactly as the scalar path's does.  This pass walks every module under
 ``sim/`` with a small abstract interpreter over NumPy expressions — the
 shared :mod:`repro.analysis.walker` over a lattice of explicit dtypes,
-zero / negative evidence, and nan/inf taint — and flags the five numeric
-hazards that have actually bitten this codebase or its ancestors:
+zero / negative evidence, and nan/inf taint — and flags three numeric
+hazards that change a result on inputs the tests do not reach:
 
 ========  =============================================================
 NUM001    implicit dtype promotion/narrowing: mixed int32/int64,
           float32/float64, or int folded into float32 (ERROR)
-NUM002    order-sensitive reduction: ``np.sum``/``np.dot``/``np.matmul``
-          /``np.einsum`` on known-float operands — the scalar reference
-          folds strictly left-to-right; ``np.cumsum``
-          (:func:`repro.sim.kernels.left_fold`) is the sanctioned
-          idiom (ERROR)
 NUM003    unguarded division/log/sqrt on a value with zero or negative
           evidence (``np.zeros``, a literal 0 element, a
           subtraction) (ERROR)
-NUM004    float equality comparison (ERROR)
 NUM005    nan/inf taint flowing into min/max/argmin/argmax/sort or an
           ordering comparison without an ``np.isfinite`` guard (ERROR)
 ========  =============================================================
@@ -27,10 +21,7 @@ NUM005    nan/inf taint flowing into min/max/argmin/argmax/sort or an
 The interpreter is *optimistic about unknowns*: values it cannot type
 produce no findings, so ordinary Python arithmetic stays silent and the
 real tree stays clean.  Findings come only from positive evidence — an
-explicit ``dtype=``, an ``np.zeros``, a float literal.  Deliberate
-exceptions are waived in place with ``# numeric-ok: NUMxxx (reason)``
-on the offending line, the same escape-hatch idiom as the lint
-allowlists.
+explicit ``dtype=``, an ``np.zeros``, a zero or infinite literal.
 
 Entry points: :func:`numeric_findings` (one source text) and
 :func:`analyze_numeric` (every module under ``<root>/sim/``, wired into
@@ -40,16 +31,15 @@ Entry points: :func:`numeric_findings` (one source text) and
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, replace
 from functools import reduce
 from pathlib import Path
 
-from .invariants import NUM001, NUM002, NUM003, NUM004, NUM005, Diagnostic
+from .invariants import NUM001, NUM003, NUM005, Diagnostic
 from .walker import TreePass, Walker, literal_number, read_module, sweep_one
 
-#: NumPy reductions whose float rounding is order-sensitive (NUM002).
-_ORDER_SENSITIVE = frozenset(
+#: NumPy reductions whose result keeps its operand's dtype and nan taint.
+_REDUCTIONS = frozenset(
     {"sum", "dot", "prod", "matmul", "einsum", "inner", "vdot", "trace"}
 )
 #: NumPy / builtin consumers that nan poisons silently (NUM005).
@@ -76,7 +66,6 @@ class _Info:
     maybe_zero: bool = False        #: positive evidence it can be 0
     maybe_negative: bool = False    #: positive evidence it can be < 0
     nonfinite: bool = False         #: positive evidence of nan/inf taint
-    float_literal: bool = False     #: a literal float (NUM004 evidence)
 
 
 _UNKNOWN = _Info()
@@ -89,13 +78,6 @@ def _merge(a: _Info, b: _Info) -> _Info:
         maybe_zero=a.maybe_zero or b.maybe_zero,
         maybe_negative=a.maybe_negative or b.maybe_negative,
         nonfinite=a.nonfinite or b.nonfinite,
-        float_literal=a.float_literal or b.float_literal,
-    )
-
-
-def _is_float(info: _Info) -> bool:
-    return info.float_literal or (
-        info.dtype is not None and info.dtype in _FLOAT_DTYPES
     )
 
 
@@ -118,7 +100,6 @@ class _NumericWalker(Walker[_Info]):
     """NUM's lattice (:class:`_Info`) and rules over the shared walk."""
 
     UNKNOWN = _UNKNOWN
-    WAIVER = re.compile(r"#\s*numeric-ok:\s*(NUM\d{3})")
 
     def join(self, a: _Info, b: _Info) -> _Info:
         return _merge(a, b)
@@ -225,16 +206,13 @@ class _NumericWalker(Walker[_Info]):
                 nonfinite=value != value or value in (
                     float("inf"), float("-inf")
                 ),
-                float_literal=True,
             )
         return _UNKNOWN
 
     def attribute(self, node: ast.Attribute) -> _Info:
         attr = self.np_attr(node)
         if attr in ("inf", "nan", "NINF", "NAN", "Inf", "NaN"):
-            return _Info(nonfinite=True, float_literal=True)
-        if attr in ("pi", "e", "euler_gamma"):
-            return _Info(float_literal=True)
+            return _Info(nonfinite=True)
         return _UNKNOWN
 
     def unary(self, node: ast.UnaryOp, operand: _Info) -> _Info:
@@ -271,15 +249,6 @@ class _NumericWalker(Walker[_Info]):
                 "from the scalar reference",
                 hint="convert one operand explicitly (.astype) at the same "
                 "point the scalar code converts",
-            )
-        if isinstance(op, ast.MatMult) and (_is_float(left) or _is_float(right)):
-            self.flag(
-                NUM002,
-                node,
-                "matrix product on float operands uses pairwise accumulation "
-                "— rounding depends on length and layout",
-                hint="use the cumsum left-fold idiom "
-                "(repro.sim.kernels.left_fold) for bit-exact folds",
             )
         nonfinite = left.nonfinite or right.nonfinite
         if isinstance(op, (ast.Div, ast.FloorDiv, ast.Mod)):
@@ -326,7 +295,6 @@ class _NumericWalker(Walker[_Info]):
             maybe_zero=maybe_zero,
             maybe_negative=left.maybe_negative or right.maybe_negative,
             nonfinite=nonfinite,
-            float_literal=False,
         )
 
     @staticmethod
@@ -343,19 +311,7 @@ class _NumericWalker(Walker[_Info]):
     def compare(self, node: ast.Compare, operands: list[_Info]) -> _Info:
         for position, op in enumerate(node.ops):
             left, right = operands[position], operands[position + 1]
-            if isinstance(op, (ast.Eq, ast.NotEq)):
-                if _is_float(left) or _is_float(right):
-                    self.flag(
-                        NUM004,
-                        node,
-                        "exact float equality — rounding differences between "
-                        "the scalar and vectorized paths make == / != on "
-                        "floats a latent divergence",
-                        hint="compare integers, use a tolerance, or waive a "
-                        "deliberate sentinel check with "
-                        "`# numeric-ok: NUM004 (reason)`",
-                    )
-            elif isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
+            if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
                 if left.nonfinite or right.nonfinite:
                     self.flag(
                         NUM005,
@@ -385,9 +341,7 @@ class _NumericWalker(Walker[_Info]):
             return name if name in _INT_DTYPES | _FLOAT_DTYPES else None
         return None
 
-    def call(
-        self, node: ast.Call, callee: _Info, args: list[_Info], keywords: list[_Info]
-    ) -> _Info:
+    def call(self, node: ast.Call, callee: _Info, args: list[_Info]) -> _Info:
         dtype_kw = next(
             (kw.value for kw in node.keywords if kw.arg == "dtype"), None
         )
@@ -405,16 +359,6 @@ class _NumericWalker(Walker[_Info]):
                 return replace(
                     base, dtype=dtype or base.dtype, is_array=True
                 )
-            if func.attr in _ORDER_SENSITIVE and _is_float(base):
-                self.flag(
-                    NUM002,
-                    node,
-                    f".{func.attr}() on a float array uses pairwise "
-                    "accumulation — rounding depends on length and layout",
-                    hint="use the cumsum left-fold idiom "
-                    "(repro.sim.kernels.left_fold) for bit-exact folds",
-                )
-                return replace(base, is_array=False)
             if func.attr in _NAN_SINKS and base.nonfinite:
                 self._flag_nan_sink(func.attr, node)
             if func.attr in ("cumsum", "cumprod", "copy", "ravel", "reshape",
@@ -457,7 +401,7 @@ class _NumericWalker(Walker[_Info]):
             return replace(fill, dtype=dtype or fill.dtype, is_array=True)
         if name in ("array", "asarray", "ascontiguousarray"):
             info = self._literal_elements(call.args[0]) if call.args else _UNKNOWN
-            info = _merge(info, replace(first, float_literal=False))
+            info = _merge(info, first)
             return replace(info, dtype=dtype, is_array=True)
         if name == "fromiter":
             if dtype is None and len(call.args) > 1:
@@ -514,20 +458,7 @@ class _NumericWalker(Walker[_Info]):
                 nonfinite=first.nonfinite or first.maybe_zero
                 or first.maybe_negative,
             )
-        if name in _ORDER_SENSITIVE:
-            operands = args[1:] if name == "einsum" else args[:2] or [first]
-            if any(_is_float(a) for a in operands) or (
-                name != "einsum" and _is_float(first)
-            ):
-                self.flag(
-                    NUM002,
-                    call,
-                    f"np.{name} on float operands uses pairwise accumulation "
-                    "— rounding depends on length and layout; the scalar "
-                    "reference folds strictly left-to-right",
-                    hint="use the cumsum left-fold idiom "
-                    "(repro.sim.kernels.left_fold) for bit-exact folds",
-                )
+        if name in _REDUCTIONS:
             return _Info(
                 dtype=first.dtype, is_array=False,
                 nonfinite=any(a.nonfinite for a in args),
@@ -591,11 +522,11 @@ class _NumericWalker(Walker[_Info]):
 
 
 def numeric_findings(source: str, rel_path: str) -> list[Diagnostic]:
-    """NUM001-NUM005 findings for one module's source text."""
+    """NUM001, NUM003 and NUM005 findings for one module's source text."""
     return _NumericWalker(read_module(source, rel_path)).run()
 
 
-#: NUM001-NUM005 over every module under ``sim/``
+#: NUM001, NUM003 and NUM005 over every module under ``sim/``
 NUMERIC_PASS = TreePass(
     "sim/ modules", lambda rel: rel.startswith("sim/"), lambda module: _NumericWalker(module).run()
 )

@@ -30,18 +30,12 @@ stays clean and findings come only from positive evidence.
 
 ========  =============================================================
 UNI001    add/sub/compare/min/max mixing two *known, different* units
-UNI002    numeric field with neither suffix nor UNIT_TABLE entry, or a
-          table entry naming a member that no longer exists
-UNI003    bare power-of-ten literal scaling a unit-bearing value — an
-          undeclared conversion; name it in repro.sim.units_constants
-UNI004    value flowing into a declared slot (suffix-named binding or
-          return, constructor keyword) with a different inferred unit
 UNI005    value emitted to a repro.obs counter stream whose declared
           unit (UNIT_TABLE["obs.streams"]) disagrees
 ========  =============================================================
 
-Deliberate exceptions are waived in place with ``# unit-ok: UNIxxx
-(reason)`` on the offending line.  Entry points:
+A suffix-named variable is a declaration: whatever it is bound to, it
+carries its declared unit downstream.  Entry points:
 :func:`units_findings` (one source text) and :func:`analyze_units`
 (the cost-model module set, wired into ``repro check --units``).
 """
@@ -49,14 +43,12 @@ Deliberate exceptions are waived in place with ``# unit-ok: UNIxxx
 from __future__ import annotations
 
 import ast
-import math
-import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .invariants import UNI001, UNI002, UNI003, UNI004, UNI005, Diagnostic
-from .walker import ParsedModule, TreePass, Walker, literal_number, read_module, sweep_one
+from .invariants import UNI001, UNI005, Diagnostic
+from .walker import ParsedModule, TreePass, Walker, read_module, sweep_one
 
 #: A unit is a sorted tuple of (dimension, exponent) pairs; ``()`` is
 #: dimensionless and ``None`` is unknown.
@@ -249,23 +241,10 @@ _METHOD_PRESERVE = frozenset(
     {"sum", "cumsum", "astype", "copy", "item", "tolist", "reshape",
      "max", "min", "clip"}
 )
-#: annotation texts that mark a field as carrying a number
-_NUMERIC_ANN = ("int", "float")
 
 
-def _is_numeric_annotation(ann: ast.expr) -> bool:
-    text = ast.unparse(ann)
-    return (
-        text in _NUMERIC_ANN
-        or "ndarray" in text
-        or text.startswith(("tuple[int", "tuple[float"))
-    )
-
-
-def _module_assignments(
-    tree: ast.Module,
-) -> Iterator[tuple[str, ast.expr | None, ast.stmt]]:
-    """``(name, value, statement)`` for each top-level ``NAME = value``."""
+def _module_assignments(tree: ast.Module) -> Iterator[tuple[str, ast.expr | None]]:
+    """``(name, value)`` for each top-level ``NAME = value``."""
     value: ast.expr | None
     for node in tree.body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -275,7 +254,7 @@ def _module_assignments(
         else:
             continue
         if isinstance(target, ast.Name):
-            yield target.id, value, node
+            yield target.id, value
 
 
 def _unit_data(inferred: tuple | None, declared: tuple | None) -> tuple[tuple[str, str], ...]:
@@ -286,7 +265,6 @@ class _UnitWalker(Walker[tuple | None]):
     """UNI's lattice (unit exponent maps, ``None`` unknown) and rules."""
 
     UNKNOWN = None
-    WAIVER = re.compile(r"#\s*unit-ok:\s*(UNI\d{3})")
 
     def __init__(self, module: ParsedModule, tables: UnitTables) -> None:
         super().__init__(module)
@@ -294,61 +272,11 @@ class _UnitWalker(Walker[tuple | None]):
         #: module-level string constants (stream-name resolution, UNI005)
         self.str_constants: dict[str, str] = {
             name: value.value
-            for name, value, _ in _module_assignments(self.tree)
+            for name, value in _module_assignments(self.tree)
             if isinstance(value, ast.Constant) and isinstance(value.value, str)
         }
 
-    def run(self) -> list[Diagnostic]:
-        for node in self.nodes:
-            if isinstance(node, ast.ClassDef):
-                self._check_class(node)
-        return super().run()
-
-    # -- UNI002: class field coverage ----------------------------------
-    def _check_class(self, node: ast.ClassDef) -> None:
-        entry = self.tables.classes.get(node.name)
-        numeric: list[tuple[str, ast.AnnAssign]] = []
-        members: set[str] = set()
-        for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                members.add(stmt.target.id)
-                if _is_numeric_annotation(stmt.annotation):
-                    numeric.append((stmt.target.id, stmt))
-            elif isinstance(stmt, ast.Assign):
-                for t in stmt.targets:
-                    if isinstance(t, ast.Name):
-                        members.add(t.id)
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                members.add(stmt.name)
-        suffixed = any(suffix_unit(name) is not None for name, _ in numeric)
-        # A class participates in the units contract when the table names
-        # it or when at least one field opted in via suffix; classes with
-        # neither (e.g. ShapeTable's packed rows) are out of scope.
-        if entry is None and not suffixed:
-            return
-        covered = entry or {}
-        for name, stmt in numeric:
-            if suffix_unit(name) is not None or name in covered:
-                continue
-            self.flag(
-                UNI002,
-                stmt,
-                f"numeric field '{node.name}.{name}' has no unit suffix and "
-                f"no UNIT_TABLE entry",
-                hint=f"rename with a unit suffix or add "
-                f"UNIT_TABLE[{node.name!r}][{name!r}]",
-            )
-        for name in sorted(covered):
-            if name not in members:
-                self.flag(
-                    UNI002,
-                    node,
-                    f"UNIT_TABLE[{node.name!r}] covers '{name}' but the class "
-                    f"has no such member",
-                    hint="drop the stale entry or restore the field",
-                )
-
-    # -- bindings and returns (UNI004) ---------------------------------
+    # -- bindings ------------------------------------------------------
     def join(self, a: tuple | None, b: tuple | None) -> tuple | None:
         if a is None or b is None:
             return a or b or None  # one known, dimensioned side survives
@@ -359,38 +287,11 @@ class _UnitWalker(Walker[tuple | None]):
     ) -> None:
         declared = self._declared_for_name(name)
         if declared is not None:
-            if units_conflict(declared, value):
-                self.flag(
-                    UNI004,
-                    node,
-                    f"'{name}' declares unit {format_unit(declared)} but is "
-                    f"bound to a value of unit {format_unit(value)}",
-                    hint="convert the value or rename the variable",
-                    data=_unit_data(value, declared),
-                )
             env[name] = declared  # the declaration wins downstream
         elif value is not None:
             env[name] = value
         else:
             env.pop(name, None)
-
-    def returned(self, node: ast.Return, value: tuple | None) -> None:
-        if self.func is None:
-            return
-        name = self.func.name
-        declared = suffix_unit(name)
-        if declared is None and self.cls is not None:
-            declared = self.tables.classes.get(self.cls.name, {}).get(name)
-        if units_conflict(declared, value):
-            self.flag(
-                UNI004,
-                node,
-                f"'{name}' declares return unit "
-                f"{format_unit(declared)} but returns "
-                f"{format_unit(value)}",
-                hint="convert the value or rename the function",
-                data=_unit_data(value, declared),
-            )
 
     # -- name / attribute resolution -----------------------------------
     def _declared_for_name(self, name: str) -> tuple | None:
@@ -442,26 +343,6 @@ class _UnitWalker(Walker[tuple | None]):
             running = self._merge_add(running, unit, node, kind)
         return running
 
-    def _bare_conversion(
-        self, literal: ast.expr, other: tuple | None, node: ast.AST
-    ) -> None:
-        value = literal_number(literal)
-        if value is None or value <= 0 or math.isinf(value) or math.isnan(value):
-            return
-        exponent = math.log10(value)
-        if abs(exponent - round(exponent)) > 1e-9 or abs(round(exponent)) < 3:
-            return
-        if not other:  # unknown or dimensionless partner: no conversion
-            return
-        self.flag(
-            UNI003,
-            node,
-            f"bare literal {value!r} scales a value of unit "
-            f"{format_unit(other)} — an undeclared unit conversion",
-            hint="name the factor in repro.sim.units_constants and declare "
-            "it in CONVERSION_UNITS",
-        )
-
     def constant(self, node: ast.Constant) -> tuple | None:
         return None  # literals are unit-polymorphic
 
@@ -472,21 +353,18 @@ class _UnitWalker(Walker[tuple | None]):
         self, node: ast.BinOp | ast.AugAssign, left: tuple | None, right: tuple | None
     ) -> tuple | None:
         if isinstance(node, ast.AugAssign):
-            lhs, rhs = node.target, node.value
+            rhs = node.value
             add_kind = sub_kind = "augmented add/sub"
         else:
-            lhs, rhs = node.left, node.right
+            rhs = node.right
             add_kind, sub_kind = "addition", "subtraction"
         op = node.op
         if isinstance(op, (ast.Add, ast.Sub)):
             kind = add_kind if isinstance(op, ast.Add) else sub_kind
             return self._merge_add(left, right, node, kind)
         if isinstance(op, ast.Mult):
-            self._bare_conversion(lhs, right, node)
-            self._bare_conversion(rhs, left, node)
             return unit_mul(left, right)
         if isinstance(op, (ast.Div, ast.FloorDiv)):
-            self._bare_conversion(rhs, left, node)
             return unit_div(left, right)
         if isinstance(op, ast.Mod):
             if left == right:
@@ -522,11 +400,7 @@ class _UnitWalker(Walker[tuple | None]):
         return element
 
     def call(
-        self,
-        node: ast.Call,
-        callee: tuple | None,
-        args: list[tuple | None],
-        keywords: list[tuple | None],
+        self, node: ast.Call, callee: tuple | None, args: list[tuple | None]
     ) -> tuple | None:
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr == "counter" and len(args) >= 2:
@@ -534,7 +408,6 @@ class _UnitWalker(Walker[tuple | None]):
             return None
         if isinstance(func, ast.Name) and func.id in ("min", "max"):
             return self._merge_all(args, node, func.id)
-        self._keyword_check(node, keywords)
         np_name = self.np_attr(func)
         if np_name is not None:
             return self._np_call(np_name, node, args)
@@ -562,31 +435,6 @@ class _UnitWalker(Walker[tuple | None]):
         if attr in _NP_PRESERVE:
             return args[0] if args else None
         return None
-
-    def _keyword_check(self, node: ast.Call, keywords: list[tuple | None]) -> None:
-        """UNI004 on constructor/call keywords with declared units."""
-        callee = None
-        if isinstance(node.func, ast.Name):
-            callee = node.func.id
-        elif isinstance(node.func, ast.Attribute):
-            callee = node.func.attr
-        table = self.tables.classes.get(callee or "", {})
-        for kw, inferred in zip(node.keywords, keywords):
-            if kw.arg is None:
-                continue
-            declared = table.get(kw.arg)
-            if declared is None:
-                declared = suffix_unit(kw.arg)
-            if units_conflict(declared, inferred):
-                self.flag(
-                    UNI004,
-                    node,
-                    f"keyword '{kw.arg}' of {callee or 'call'} declares unit "
-                    f"{format_unit(declared)} but receives "
-                    f"{format_unit(inferred)}",
-                    hint="convert the value before passing it",
-                    data=_unit_data(inferred, declared),
-                )
 
     def _counter_call(self, node: ast.Call, inferred: tuple | None) -> None:
         stream_node = node.args[0]
@@ -624,50 +472,12 @@ def units_findings(
     return _UnitWalker(read_module(source, rel_path), tables).run()
 
 
-def _conversion_drift(tree: ast.Module, rel: str, tables: UnitTables) -> list[Diagnostic]:
-    """UNI002 both ways between CONVERSION_UNITS and the module's
-    numeric constants — an undeclared conversion factor is exactly as
-    unverifiable as a bare literal."""
-    present: dict[str, int] = {}
-    table_lineno = 1
-    for name, value, node in _module_assignments(tree):
-        if name == "CONVERSION_UNITS":
-            table_lineno = node.lineno
-        if literal_number(value) is not None:
-            present[name] = node.lineno
-    out: list[Diagnostic] = []
-    for name, lineno in sorted(present.items()):
-        if name not in tables.conversions:
-            out.append(
-                UNI002.diag(
-                    f"{rel}:{lineno}",
-                    f"conversion constant '{name}' has no CONVERSION_UNITS "
-                    f"entry",
-                    hint="declare its unit in CONVERSION_UNITS",
-                )
-            )
-    for name in sorted(set(tables.conversions) - set(present)):
-        out.append(
-            UNI002.diag(
-                f"{rel}:{table_lineno}",
-                f"CONVERSION_UNITS declares '{name}' which is not a module "
-                f"constant",
-                hint="drop the stale entry or restore the constant",
-            )
-        )
-    return out
-
-
 def _check_units(module: ParsedModule) -> list[Diagnostic]:
     # Rebuilt per module (about 0.1 ms): the pass keeps no state between sweeps.
-    tables = load_tables()
-    diagnostics = _UnitWalker(module, tables).run()
-    if module.rel == "sim/units_constants.py":
-        diagnostics.extend(_conversion_drift(module.tree, module.rel, tables))
-    return diagnostics
+    return _UnitWalker(module, load_tables()).run()
 
 
-#: UNI001-UNI005 over the :data:`SCOPE_MODULES`
+#: UNI001 and UNI005 over the :data:`SCOPE_MODULES`
 UNITS_PASS = TreePass(
     "cost-model modules", {rel for _, rel in SCOPE_MODULES}.__contains__, _check_units
 )

@@ -7,9 +7,9 @@ per-module passes (:class:`TreePass`) in one read of the tree.
 :mod:`repro.analysis.numeric` and :mod:`repro.analysis.units` interpret
 the same Python subset over different lattices: dtype / zero / negative
 / finite evidence for NUM, a unit exponent map for UNI.  :class:`Walker`
-is everything they share — waiver parsing, numpy-alias discovery, the
-statement and expression walk, comprehension scoping, target binding,
-the branch join, and the ``flag`` helper.  A domain subclasses
+is everything they share — numpy-alias discovery, the statement and
+expression walk, comprehension scoping, target binding, the branch join,
+and the ``flag`` helper.  A domain subclasses
 :class:`Walker` and supplies only its lattice and its rules through the
 hooks below; the walk itself never asks which domain it serves.
 
@@ -19,9 +19,8 @@ null domain): :meth:`~Walker.join`, :meth:`~Walker.bind_name`,
 :meth:`~Walker.attribute`, :meth:`~Walker.unary`, :meth:`~Walker.binop`,
 :meth:`~Walker.compare`, :meth:`~Walker.boolop`,
 :meth:`~Walker.subscript`, :meth:`~Walker.comprehension`,
-:meth:`~Walker.call`, :meth:`~Walker.returned`, and guard refinement
-:meth:`~Walker.refine`.  Function and class entry is tracked by the walk
-itself (:attr:`~Walker.func`, :attr:`~Walker.cls`).
+:meth:`~Walker.call`, and guard refinement :meth:`~Walker.refine`.  Class
+entry is tracked by the walk itself (:attr:`~Walker.cls`).
 
 One rule per construct, whichever domain is running:
 
@@ -45,7 +44,6 @@ One rule per construct, whichever domain is running:
 from __future__ import annotations
 
 import ast
-import re
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,7 +86,7 @@ def all_nodes(tree: ast.AST) -> list[ast.AST]:
 
 
 def sort_diagnostics(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
-    """The canonical report order of the CON, NUM and UNI passes."""
+    """The canonical report order of every per-module pass."""
     return sorted(diagnostics, key=lambda d: (d.rule_id, d.location, d.message))
 
 
@@ -146,10 +144,6 @@ class TreePass:
     #: whether the module at a relative path is in the pass's scope
     scope: Callable[[str], bool]
     check: Callable[[ParsedModule], list[Diagnostic]]
-    #: the findings on a module that does not parse; ``None`` refuses the tree
-    unparsable: Callable[[Unparsable], list[Diagnostic]] | None = None
-    #: report in :func:`sort_diagnostics` order rather than as found
-    sort: bool = True
 
 
 def sweep(
@@ -158,10 +152,11 @@ def sweep(
     """Run every pass of ``passes`` over the tree at ``root`` in one read.
 
     Each module is parsed at most once, handed to every pass whose scope
-    holds it, then dropped.  A pass ends with its findings, or with the
-    :class:`ValueError` that refuses the tree: its scope holds no module
-    (a no-op analysis would report a clean bill it never earned), a
-    module in it does not parse, or its check raised.
+    holds it, then dropped.  A pass ends with its findings in
+    :func:`sort_diagnostics` order, or with the :class:`ValueError` that
+    refuses the tree: its scope holds no module (a no-op analysis would
+    report a clean bill it never earned), a module in it does not parse,
+    or its check raised.
     """
     base = package_root(root)
     found: dict[str, list[Diagnostic]] = {}
@@ -173,12 +168,7 @@ def sweep(
         try:
             module = read_module((base / rel).read_text(), rel)
         except Unparsable as exc:
-            for name in live:
-                unparsable = passes[name].unparsable
-                if unparsable is None:
-                    refused[name] = exc
-                else:
-                    found.setdefault(name, []).extend(unparsable(exc))
+            refused.update(dict.fromkeys(live, exc))
             continue
         for name in live:
             try:
@@ -189,10 +179,7 @@ def sweep(
     for name, p in passes.items():
         if name not in found and name not in refused:
             refused[name] = ValueError(f"no {p.what} to analyze under {base}")
-    return {
-        name: refused.get(name) or (sort_diagnostics(found[name]) if p.sort else found[name])
-        for name, p in passes.items()
-    }
+    return {name: refused.get(name) or sort_diagnostics(found[name]) for name in passes}
 
 
 def sweep_one(root: Path | str | None, tree_pass: TreePass) -> list[Diagnostic]:
@@ -201,23 +188,18 @@ def sweep_one(root: Path | str | None, tree_pass: TreePass) -> list[Diagnostic]:
     if isinstance(result, ValueError):
         raise result
     return result
+
+
 class Walker(Generic[V]):
     """One module's walk over the lattice ``V``."""
 
     #: what the domain knows about a value it cannot type
     UNKNOWN: V
-    #: in-place waiver comment; group 1 is the waived rule id
-    WAIVER: re.Pattern[str]
 
     def __init__(self, module: ParsedModule) -> None:
         self.rel_path = module.rel
         self.tree = module.tree
         self.diags: list[Diagnostic] = []
-        self.waived: dict[int, set[str]] = {}
-        for lineno, line in enumerate(module.lines, start=1):
-            rules = set(self.WAIVER.findall(line))
-            if rules:
-                self.waived[lineno] = rules
         #: every node of the module in ``ast.walk`` order (its one walk)
         self.nodes = module.nodes
         #: local names bound to the numpy module (``import numpy as np``)
@@ -228,8 +210,7 @@ class Walker(Generic[V]):
             for alias in node.names
             if alias.name == "numpy"
         }
-        #: innermost enclosing function / class of the statement walked
-        self.func: ast.FunctionDef | ast.AsyncFunctionDef | None = None
+        #: innermost enclosing class of the statement walked
         self.cls: ast.ClassDef | None = None
 
     def run(self) -> list[Diagnostic]:
@@ -244,10 +225,8 @@ class Walker(Generic[V]):
         hint: str = "",
         data: tuple[tuple[str, str], ...] = (),
     ) -> None:
-        """Record a finding at ``node``'s line unless a waiver covers it."""
+        """Record a finding at ``node``'s line."""
         lineno = getattr(node, "lineno", 0)
-        if rule.rule_id in self.waived.get(lineno, ()):
-            return
         self.diags.append(
             rule.diag(f"{self.rel_path}:{lineno}", message, hint=hint, data=data)
         )
@@ -302,14 +281,9 @@ class Walker(Generic[V]):
         """A comprehension whose element (a dict comp's value) is ``element``."""
         return self.UNKNOWN
 
-    def call(
-        self, node: ast.Call, callee: V, args: list[V], keywords: list[V]
-    ) -> V:
+    def call(self, node: ast.Call, callee: V, args: list[V]) -> V:
         """``callee`` is the receiver for ``x.f(...)``, else ``f`` itself."""
         return self.UNKNOWN
-
-    def returned(self, node: ast.Return, value: V) -> None:
-        """``return value`` inside :attr:`func`."""
 
     def refine(self, test: ast.expr, env: dict[str, V], holds: bool) -> None:
         """Narrow ``env`` given that ``test`` is true (``holds``) or false."""
@@ -332,8 +306,6 @@ class Walker(Generic[V]):
             value = self._expr(stmt.value, env)
             current = self._expr(stmt.target, env)
             self._bind(stmt.target, self.binop(stmt, current, value), env, stmt)
-        elif isinstance(stmt, ast.Return):
-            self.returned(stmt, self._expr(stmt.value, env))
         elif isinstance(stmt, ast.If):
             self._if(stmt, env)
         elif isinstance(stmt, ast.Match):
@@ -350,15 +322,13 @@ class Walker(Generic[V]):
                     self._bind(item.optional_vars, self.UNKNOWN, env, stmt)
             self._block(stmt.body, env)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            outer_func, self.func = self.func, stmt
             self._block(stmt.body, {})
-            self.func = outer_func
         elif isinstance(stmt, ast.ClassDef):
             outer_cls, self.cls = self.cls, stmt
             self._block(stmt.body, {})
             self.cls = outer_cls
         else:
-            # Expr / While / Try / Raise / Assert / Delete / Import ...:
+            # Expr / Return / While / Try / Raise / Assert / Delete / Import ...:
             # walk the parts in place, in source order.
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.expr):
@@ -469,10 +439,11 @@ class Walker(Generic[V]):
 
     def _call(self, node: ast.Call, env: dict[str, V]) -> V:
         args = [self._expr(arg, env) for arg in node.args]
-        keywords = [self._expr(kw.value, env) for kw in node.keywords]
+        for kw in node.keywords:
+            self._expr(kw.value, env)
         func = node.func
         callee = self._expr(func.value if isinstance(func, ast.Attribute) else func, env)
-        return self.call(node, callee, args, keywords)
+        return self.call(node, callee, args)
 
     def _comprehension(
         self,

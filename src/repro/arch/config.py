@@ -339,10 +339,7 @@ DEFAULT_CONFIG = HardwareConfig()
 #: cover, keyed by class name (plus the ``"obs.streams"`` pseudo-class
 #: for ``repro.obs`` counter streams).  ``repro.analysis.units`` — the
 #: UNI rules, ``repro check --units`` — reads this table to seed its
-#: abstract interpretation and to prove coverage: an unsuffixed numeric
-#: field of any class named here (or of any class that has suffix-united
-#: fields) with no entry is UNI002, and so is an entry naming a field
-#: that no longer exists.  Dimensionless tokens (``count``, ``bit``,
+#: abstract interpretation.  Dimensionless tokens (``count``, ``bit``,
 #: ``fraction``, ``percent``, ``flag``, ``1``) are interchangeable in
 #: arithmetic; dimensioned tokens (``nJ``, ``ns``, ``nW``, ``um2``,
 #: ``byte``) are not.  The catalogue lives in docs/cost_model.md; the

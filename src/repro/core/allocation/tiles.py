@@ -155,12 +155,6 @@ class Allocation:
         """All crossbar slots inside occupied tiles."""
         return sum(t.capacity for t in self.tiles if t.occupied > 0)
 
-    @property
-    def empty_crossbar_fraction(self) -> float:
-        """Share of allocated crossbar slots left empty (Fig. 4's metric)."""
-        total = self.total_crossbar_slots
-        return self.empty_crossbars / total if total else 0.0
-
     def tiles_of_layer(self, layer_index: int) -> tuple[Tile, ...]:
         """All tiles holding crossbars of the given layer."""
         return tuple(t for t in self.tiles if layer_index in t.occupants)

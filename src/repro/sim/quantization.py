@@ -63,12 +63,12 @@ def quantize(x: np.ndarray, bits: int, *, signed: bool) -> QuantizedTensor:
         # bits == 1, signed: the representable range collapses to {0} and
         # ``peak / qmax`` below would divide by zero.
         raise ValueError("signed quantization requires at least 2 bits")
-    if peak == 0.0:  # numeric-ok: NUM004 (exact all-zero sentinel; guards the scale division)
+    if peak == 0.0:  # an all-zero tensor: no scale to divide by
         return QuantizedTensor(
             np.zeros(x.shape, dtype=np.int64), 1.0, bits, signed
         )
     scale = peak / qmax
-    if scale == 0.0:  # numeric-ok: NUM004 (exact underflow sentinel; see comment below)
+    if scale == 0.0:
         # A subnormal peak can underflow ``peak / qmax`` to zero, and
         # dividing by that turns zeros into NaN (cast to INT64_MIN) and
         # everything else into ±inf.  Clamp to the smallest subnormal:

@@ -5,8 +5,8 @@ under a name that states the conversion, with its dimension declared in
 :data:`CONVERSION_UNITS`.  The dimensional analyzer
 (``repro.analysis.units``, the UNI rules) treats these names as
 unit-changing multipliers — ``power_nw * latency_ns * NW_NS_TO_NJ`` is
-provably nanojoules — while a bare ``* 1e-9`` at the same site is an
-undeclared conversion and trips UNI003.
+provably nanojoules — while a bare ``* 1e-9`` at the same site leaves
+the unit unknown.
 
 The constants are exact powers of ten, so hoisting them out of the
 arithmetic is bit-identical to the literals they replace.
@@ -23,8 +23,7 @@ NS_PER_S = 1e9
 
 #: Declared dimension of each conversion constant, in the unit grammar
 #: of ``repro.analysis.units`` (``*`` composes, ``/`` divides,
-#: parentheses group).  The analyzer cross-checks this mapping against
-#: the module: every constant here must be declared, and vice versa.
+#: parentheses group).
 CONVERSION_UNITS: dict[str, str] = {
     "NW_NS_TO_NJ": "nJ/(nW*ns)",
     "NS_PER_S": "ns/s",

@@ -54,7 +54,7 @@ class VariationModel:
     @property
     def flip_probability(self) -> float:
         """Probability a 1-bit cell reads the wrong level under variation."""
-        if self.conductance_sigma == 0.0:  # numeric-ok: NUM004 (exact disabled-sentinel check)
+        if self.conductance_sigma == 0.0:  # exactly 0.0 disables variation
             return 0.0
         from math import erf, log, sqrt
 
@@ -63,10 +63,11 @@ class VariationModel:
 
     @property
     def is_ideal(self) -> bool:
+        # Exactly 0.0 is each parameter's "disabled" value.
         return (
-            self.conductance_sigma == 0.0  # numeric-ok: NUM004 (exact disabled-sentinel check)
-            and self.stuck_at_on == 0.0  # numeric-ok: NUM004 (exact disabled-sentinel check)
-            and self.stuck_at_off == 0.0  # numeric-ok: NUM004 (exact disabled-sentinel check)
+            self.conductance_sigma == 0.0
+            and self.stuck_at_on == 0.0
+            and self.stuck_at_off == 0.0
         )
 
 

@@ -1,37 +1,37 @@
-"""A toy cost model with one dimensional bug per UNI sim rule.
+"""A toy cost model with one dimensional bug (UNI001).
 
-Each ``bad_*`` entity trips exactly one rule; the neighbouring ``ok_*``
-twin computes the same thing with the units kept straight.
+``bad_total_cost`` adds nanojoules to nanoseconds; the ``ok_*``
+functions compute with the units kept straight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Named conversion constant: multiplying by it is *not* UNI003 even
-#: though its value is a power of ten — the literal sits behind a name.
-#: (In the real tree the name would also carry a CONVERSION_UNITS entry.)
-FAN_NJ_TO_J = 1e-9
-
 
 @dataclass(frozen=True)
 class FanConfig:
-    """UNI002: ``fan_gain`` is numeric but has neither a unit suffix nor
-    a UNIT_TABLE entry — nothing says what the number measures."""
-
-    energy_fan_nj: float = 0.5
-    latency_spin_ns: float = 12.0
-    fan_gain: float = 1.25
-
-
-@dataclass(frozen=True)
-class OkFanConfig:
-    """Negative twin of :class:`FanConfig`: every numeric field declares
-    its dimension through its suffix (``_fraction`` covers the gain)."""
+    """A fan's per-spin energy and latency, and a dimensionless gain."""
 
     energy_fan_nj: float = 0.5
     latency_spin_ns: float = 12.0
     gain_fraction: float = 1.25
+
+
+def ok_spin_energy_nj(config: FanConfig, spins: int) -> float:
+    """A count scales any dimension: nJ per spin times spins is nJ."""
+    return spins * config.energy_fan_nj
+
+
+def ok_total_latency_ns(config: FanConfig, spins: int) -> float:
+    """A literal accumulator takes the unit of what it accumulates, and
+    comparing two latencies is dimensionally sound."""
+    total = 0.0
+    for _ in range(spins):
+        total += config.latency_spin_ns
+    if total < config.latency_spin_ns:
+        return config.latency_spin_ns
+    return total
 
 
 def bad_total_cost(config: FanConfig) -> float:
@@ -41,25 +41,4 @@ def bad_total_cost(config: FanConfig) -> float:
 
 def ok_total_energy_nj(config: FanConfig) -> float:
     """Negative twin: a pure-energy sum, scaled by a dimensionless gain."""
-    return config.energy_fan_nj + config.energy_fan_nj * config.fan_gain
-
-
-def bad_energy_scaled(config: FanConfig) -> float:
-    """UNI003: a bare power-of-ten literal converts nJ to J undeclared."""
-    return config.energy_fan_nj * 1e-9
-
-
-def ok_energy_joules(config: FanConfig) -> float:
-    """Negative twin: the same conversion through a named constant."""
-    return config.energy_fan_nj * FAN_NJ_TO_J
-
-
-def bad_latency_roundup_ns(config: FanConfig) -> float:
-    """UNI004: the ``_ns`` suffix declares nanoseconds, but the returned
-    value is the config's energy."""
-    return float(config.energy_fan_nj)
-
-
-def ok_latency_roundup_ns(config: FanConfig) -> float:
-    """Negative twin: returns the dimension its name declares."""
-    return float(config.latency_spin_ns)
+    return config.energy_fan_nj + config.energy_fan_nj * config.gain_fraction

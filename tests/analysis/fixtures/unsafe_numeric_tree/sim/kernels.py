@@ -2,9 +2,9 @@
 
 Every ``bad_*`` function commits exactly one numeric hazard; its ``ok_*``
 twin is the sanctioned form of the same computation (explicit promotion,
-the cumsum left-fold, a guard, a waiver comment, an isfinite filter).
-``tests/analysis/test_numeric.py`` asserts the analyzer flags precisely
-the five bad functions and nothing else.
+a guard, an isfinite filter), and the other ``ok_*`` functions are more
+sanctioned forms.  ``tests/analysis/test_numeric.py`` asserts the
+analyzer flags precisely the three bad functions and nothing else.
 """
 
 import numpy as np
@@ -22,14 +22,14 @@ def ok_dtype_mix(n):
     return a + b  # int64 -> float64 is the scalar path's own promotion
 
 
-def bad_reduction(values):
-    batch = np.asarray(values).astype(np.float64)
-    return np.sum(batch)  # NUM002: pairwise accumulation
+def ok_explicit_conversion(n):
+    a = np.zeros(n, dtype=np.int32)
+    b = np.ones(n, dtype=np.int64)
+    return a.astype(np.int64) + b  # converted deliberately, before the sum
 
 
-def ok_reduction(values):
-    batch = np.asarray(values).astype(np.float64)
-    return np.cumsum(batch)[-1]  # the sanctioned left-fold idiom
+def ok_unknown_operands(total, count):
+    return total / count  # values with no evidence stay silent
 
 
 def bad_division(counts):
@@ -44,12 +44,12 @@ def ok_division(counts):
     return counts
 
 
-def bad_float_equality(scale):
-    return scale == 1.5  # NUM004: exact float equality
-
-
-def ok_float_equality(scale):
-    return scale == 1.5  # numeric-ok: NUM004 (deliberate sentinel twin)
+def ok_early_exit_guard(counts):
+    weights = np.zeros(4, dtype=np.float64)
+    if not np.all(weights > 0):
+        # the early return clears the zero evidence for what follows
+        return counts
+    return counts / weights
 
 
 def bad_nan_sink(scores):

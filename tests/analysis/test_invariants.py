@@ -58,11 +58,8 @@ class TestReport:
     def test_error_report_fails(self):
         r = Report()
         r.add(rule("ALC001").diag("tile 0", "overfull"))
-        r.add(
-            Diagnostic("XINFO", Severity.INFO, "x", "just saying")
-        )
         assert not r.ok and r.exit_code == 1
-        assert len(r.errors) == 1 and len(r) == 2
+        assert len(r.errors) == 1 and len(r) == 1
 
     def test_raise_if_errors(self):
         r = Report()
@@ -72,19 +69,15 @@ class TestReport:
         assert exc.value.rule_ids == ("ALC002",)
         assert "ctx" in str(exc.value)
 
-    def test_warnings_do_not_raise(self):
+    def test_format_orders_by_rule_then_location(self):
         r = Report()
-        r.add(Diagnostic("W1", Severity.WARNING, "x", "meh"))
-        r.raise_if_errors()
-        assert r.ok
-
-    def test_format_orders_errors_first(self):
-        r = Report()
-        r.add(Diagnostic("W1", Severity.WARNING, "x", "warn"))
-        r.add(Diagnostic("E1", Severity.ERROR, "x", "err"))
-        text = r.format()
-        assert text.index("E1") < text.index("W1")
-        assert "1 error(s), 1 warning(s)" in text
+        r.add(Diagnostic("E2", Severity.ERROR, "a", "second rule"))
+        r.add(Diagnostic("E1", Severity.ERROR, "b", "first rule, later location"))
+        r.add(Diagnostic("E1", Severity.ERROR, "a", "first rule, first location"))
+        lines = r.format().splitlines()
+        assert [line.split()[2] for line in lines[:3]] == ["[a]", "[b]", "[a]"]
+        assert [line.split()[1] for line in lines[:3]] == ["E1", "E1", "E2"]
+        assert lines[3] == "3 error(s), 3 finding(s) total"
 
 
 class TestInvariantViolation:

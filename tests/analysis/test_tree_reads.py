@@ -6,8 +6,8 @@ Two contracts of docs/static_analysis.md ("How a pass reads the tree"):
   edit between two calls shows in the second result.
 * **The cache-safety and kernel-parity passes parse only what their
   roots reach.**  An unparsable module that no root reaches goes unseen
-  by them; the lint pass, which reads every module, reports it as
-  LNT002, and the default ``repro check --source`` fails on it.
+  by them; the lint pass, which reads every module, refuses the tree, and
+  the default ``repro check --source`` fails on it.
 """
 
 import shutil
@@ -89,13 +89,12 @@ class TestUnreachedUnparsableModule:
         (planted / "sim" / "broken.py").write_text(self.BROKEN)
         assert run(analyze, planted) == run(analyze, FIXTURES / fixture)
 
-    def test_lint_reports_it_and_the_default_source_check_fails(
+    def test_lint_refuses_it_and_the_default_source_check_fails(
         self, tmp_path, capsys
     ):
         planted = copy_fixture("unsound_tree", tmp_path)
         (planted / "sim" / "broken.py").write_text(self.BROKEN)
-        lnt002 = [d for d in lint_tree(planted) if d.rule_id == "LNT002"]
-        assert [d.location for d in lnt002] == ["sim/broken.py:1"]
-        assert "does not parse" in lnt002[0].message
+        refusal = "cannot parse sim/broken.py:1: invalid syntax"
+        assert run(lint_tree, planted) == f"ValueError: {refusal}"
         assert main(["check", "--source", str(planted)]) == 1
-        assert "sim/broken.py:1" in capsys.readouterr().out
+        assert capsys.readouterr().err.splitlines() == [f"check: --source: {refusal}"]
